@@ -3,9 +3,15 @@
 The weighted harvested power sum beta_1 h_1^H R h_1 + ... is linear in the
 transmit covariance R, so over the feasible set {R >= 0, tr R <= P} the
 optimum sits at an extreme point: a rank-one covariance along the principal
-eigenvector of the weighted channel matrix, using the full power budget. The
-largest eigenvalue certifies optimality, since tr(A R) <= lambda_max(A) tr(R)
-for every feasible R.
+eigenvector of the weighted channel matrix A = sum_k beta_k h_k h_k^H, using
+the full power budget. The largest eigenvalue certifies optimality, since
+tr(A R) <= lambda_max(A) tr(R) for every feasible R.
+
+A has rank at most K, the number of receivers, and is never formed: it is
+kept as A = G G^H with the N x K factor G = [sqrt(beta_k) h_k]. The K x K
+Gram matrix G^H G shares the nonzero eigenvalues of A, and its principal
+eigenvector u maps to the beam v = G u / ||G u||, so the solve costs O(N K^2)
+instead of the O(N^3) of a dense eigendecomposition.
 """
 
 from __future__ import annotations
@@ -33,60 +39,90 @@ class BeamformerSolution:
         return self.power * np.outer(self.direction, self.direction.conj())
 
 
-def weighted_channel_matrix(channels, weights) -> np.ndarray:
-    """Weighted sum of channel outer products, Hermitian by construction."""
+@dataclass(frozen=True)
+class WeightedChannels:
+    """Weighted channel matrix in factored form, A = G G^H.
+
+    factor is the N x K matrix G whose column k is sqrt(beta_k) h_k; A is
+    Hermitian positive semidefinite by construction. The array form of this
+    object is the factor, the data the solver reads.
+    """
+
+    factor: np.ndarray
+
+    def __post_init__(self) -> None:
+        g = np.array(self.factor, dtype=complex)
+        if g.ndim != 2 or 0 in g.shape:
+            raise ValueError(f"factor must be a nonempty N x K matrix, got shape {g.shape}")
+        g.setflags(write=False)
+        object.__setattr__(self, "factor", g)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.factor, dtype=dtype, copy=True if copy is None else copy)
+
+    def dense(self) -> np.ndarray:
+        """The N x N matrix A itself, for tests and reference computations."""
+        return self.factor @ self.factor.conj().T
+
+
+def weighted_channel_matrix(channels, weights) -> WeightedChannels:
+    """Weighted sum of channel outer products, as its N x K factor."""
     if len(channels) != len(weights):
         raise ValueError(
             f"got {len(channels)} channels but {len(weights)} weights"
         )
     if len(channels) == 0:
         raise ValueError("at least one channel is required")
-    mats = None
-    for h, w in zip(channels, weights):
-        if w < 0:
+    for w in weights:
+        if not w >= 0:
             raise ValueError(f"weights must be nonnegative, got {w}")
-        h = np.asarray(h, dtype=complex)
-        term = w * np.outer(h, h.conj())
-        mats = term if mats is None else mats + term
-    return mats
+    vectors = [np.asarray(h, dtype=complex) for h in channels]
+    if any(h.ndim != 1 or h.shape != vectors[0].shape for h in vectors):
+        raise ValueError(
+            f"channels must be vectors of equal length, got shapes {[h.shape for h in vectors]}"
+        )
+    root_w = np.sqrt(np.asarray(weights, dtype=float))
+    return WeightedChannels(factor=np.column_stack(vectors) * root_w)
 
 
-def solve_energy_covariance(weighted_matrix: np.ndarray, p_max: float) -> BeamformerSolution:
+def solve_energy_covariance(weighted: WeightedChannels, p_max: float) -> BeamformerSolution:
     """Optimal covariance under the power budget, with optimality certificate.
 
-    The beam direction is the principal eigenvector of the (Hermitian)
-    weighted channel matrix, phase-normalized so its largest-magnitude entry
-    is real positive; the eigenpair residual is checked against 1e-10 times
-    the matrix scale. A zero matrix falls back to the first standard basis
-    direction with zero objective.
+    The beam direction is the principal eigenvector of A = G G^H, taken from
+    the K x K Gram matrix G^H G and phase-normalized so its largest-magnitude
+    entry is real positive; the eigenpair residual ||G G^H v - lambda v|| is
+    checked against 1e-10 times max(lambda, max_ij |A_ij|). A zero matrix
+    falls back to the first standard basis direction with zero objective.
     """
     if p_max <= 0:
         raise ValueError(f"power budget must be positive, got {p_max}")
-    a = np.asarray(weighted_matrix, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"weighted matrix must be square, got shape {a.shape}")
-    scale = np.abs(a).max()
+    if not isinstance(weighted, WeightedChannels):
+        raise TypeError(
+            f"expected the WeightedChannels from weighted_channel_matrix, "
+            f"got {type(weighted).__name__}"
+        )
+    g = weighted.factor
+    # max_ij |A_ij| of a PSD matrix sits on its diagonal, sum_k |G_ik|^2.
+    scale = float((g.real**2 + g.imag**2).sum(axis=1).max())
     if scale == 0.0:
-        direction = np.zeros(a.shape[0], dtype=complex)
+        direction = np.zeros(g.shape[0], dtype=complex)
         direction[0] = 1.0
         direction.setflags(write=False)
         return BeamformerSolution(direction, float(p_max), 0.0, 0.0)
-    if np.abs(a - a.conj().T).max() > 1e-8 * scale:
-        raise ValueError("weighted matrix is not Hermitian")
 
-    hermitian = 0.5 * (a + a.conj().T)
-    eigvals, eigvecs = np.linalg.eigh(hermitian)
+    eigvals, eigvecs = np.linalg.eigh(g.conj().T @ g)
     lam = float(eigvals[-1])
-    v = eigvecs[:, -1]
+    v = g @ eigvecs[:, -1]
     k = int(np.argmax(np.abs(v)))
     v = v * (v[k].conjugate() / abs(v[k]))
     v = v / np.linalg.norm(v)
-    residual = np.linalg.norm(hermitian @ v - lam * v)
+    projected = g.conj().T @ v
+    residual = np.linalg.norm(g @ projected - lam * v)
     if residual > _RESIDUAL_TOL * max(abs(lam), scale):
         raise ArithmeticError(
             f"eigenpair residual {residual:.3e} exceeds tolerance for scale {scale:.3e}"
         )
-    objective = float(p_max * (np.vdot(v, hermitian @ v)).real)
+    objective = float(p_max * np.vdot(projected, projected).real)
     v.setflags(write=False)
     return BeamformerSolution(
         direction=v, power=float(p_max), objective=objective, certificate=lam

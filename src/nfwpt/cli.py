@@ -1,8 +1,14 @@
-"""Command-line front end for the simulation harness."""
+"""Command-line front end for the simulation harness.
+
+User errors (a bad config value or key, a missing file, an infeasible
+target) end the run with one line on stderr and exit status 2; every error
+the simulator raises for bad input is a ValueError.
+"""
 
 from __future__ import annotations
 
 import argparse
+import sys
 from dataclasses import replace
 from itertools import product
 
@@ -55,7 +61,7 @@ def _parse_grid(text: str) -> list[float]:
     try:
         return [float(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
-        raise SystemExit(f"could not parse grid {text!r}: {exc}")
+        raise ValueError(f"could not parse grid {text!r}: {exc}") from None
 
 
 def _planning_inputs(cfg: ScenarioConfig):
@@ -168,8 +174,16 @@ def main(argv=None) -> int:
     _add_common(p_crb)
 
     args = parser.parse_args(argv)
-    cfg = _resolve_config(args)
+    try:
+        _run(args)
+    except (ValueError, OSError) as exc:
+        print(f"nfwpt: error: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
+
+def _run(args: argparse.Namespace) -> None:
+    cfg = _resolve_config(args)
     if args.command == "simulate":
         _emit([simulate(cfg)], args.out)
     elif args.command == "sweep-gamma":
@@ -181,7 +195,6 @@ def main(argv=None) -> int:
         _emit(sweep_beta(cfg, _parse_grid(args.grid)), args.out)
     elif args.command == "crb":
         _report_crb(cfg)
-    return 0
 
 
 if __name__ == "__main__":

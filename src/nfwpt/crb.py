@@ -17,6 +17,11 @@ S for the probe sample covariance,
     g_ub  = tau ( hd_u^H h (b* h^H S* h) + h^H h (b* hd_u^H S* h) ),
     g_bb  = tau ( h^H h ) ( h^H S* h ).
 
+The probe is constant over the slot, so S = x x^H has rank one and every
+quadratic form factors as u^H S* v = conj(x^T u) (x^T v). fim() therefore
+projects h and the three derivatives onto the probe once and builds each form
+from two scalars, in O(N) with no N x N array.
+
 Every block is proportional to tau, so F(tau) = tau * F(1) exactly and the
 position CRB scales as 1 / tau. FisherInfo therefore stores the per-symbol
 matrix F(1) and reconstructs F(tau) on demand, which keeps the scaling law
@@ -67,7 +72,10 @@ class CrbReport:
 
 
 def sample_covariance(probe: np.ndarray, slot_len: int) -> np.ndarray:
-    """Per-symbol sample covariance of the probe, constant over the slot."""
+    """Per-symbol sample covariance of the probe, constant over the slot.
+
+    This is the dense N x N form x x^H; fim() uses its rank-one factors.
+    """
     if slot_len < 1:
         raise ValueError(f"slot length must be >= 1, got {slot_len}")
     x = np.asarray(probe, dtype=complex)
@@ -95,28 +103,30 @@ def fim(
         channel_derivative(geom, er_nominal.position, er_nominal.vr, ax)
         for ax in ("x", "y", "z")
     ]
-    s_conj = sample_covariance(probe, slot_len).conj()
+    x = np.asarray(probe, dtype=complex)
+    if x.shape != h.shape:
+        raise ValueError(f"probe shape {x.shape} does not match channel shape {h.shape}")
     b = er_nominal.reflection
-
-    def quad(u: np.ndarray, v: np.ndarray) -> complex:
-        return u.conj() @ s_conj @ v
+    # x^T u for u = h and each derivative: u^H S* v = conj(x^T u) (x^T v).
+    xh = x @ h
+    xd = [x @ d for d in derivs]
 
     hh = np.vdot(h, h).real
-    hsh = quad(h, h)
+    hsh = np.conj(xh) * xh
     mat = np.zeros((5, 5))
     for i in range(3):
         for j in range(i, 3):
             g_uv = abs(b) ** 2 * (
                 np.vdot(derivs[i], derivs[j]) * hsh
-                + np.vdot(derivs[i], h) * quad(h, derivs[j])
-                + np.vdot(h, derivs[j]) * quad(derivs[i], h)
-                + hh * quad(derivs[i], derivs[j])
+                + np.vdot(derivs[i], h) * np.conj(xh) * xd[j]
+                + np.vdot(h, derivs[j]) * np.conj(xd[i]) * xh
+                + hh * np.conj(xd[i]) * xd[j]
             )
             mat[i, j] = mat[j, i] = g_uv.real
     for i in range(3):
         g_ub = (
             np.vdot(derivs[i], h) * np.conj(b) * hsh
-            + hh * np.conj(b) * quad(derivs[i], h)
+            + hh * np.conj(b) * np.conj(xd[i]) * xh
         )
         mat[i, 3] = mat[3, i] = g_ub.real
         mat[i, 4] = mat[4, i] = -g_ub.imag

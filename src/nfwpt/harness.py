@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -56,6 +57,19 @@ _SENSING_SCHEMES = ("proposed", "equal_time", "no_vr")
 _PLANNED_SCHEMES = ("proposed", "no_vr")
 
 
+def _require_finite(key: str, *values) -> None:
+    """Reject booleans, non-numbers, NaN and infinities for a real-valued key."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+            raise ValueError(f"{key} must be a finite number, got {v!r}")
+
+
+def _require_integer(key: str, value) -> None:
+    """Reject booleans and non-integers (1.5, but also 2.0) for a count key."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ArraySpec:
     """Transmitter array block of the scenario configuration."""
@@ -66,6 +80,11 @@ class ArraySpec:
     spacing: float | None = None
 
     def __post_init__(self) -> None:
+        _require_integer("n_y", self.n_y)
+        _require_integer("n_z", self.n_z)
+        _require_finite("carrier_freq", self.carrier_freq)
+        if self.spacing is not None:
+            _require_finite("spacing", self.spacing)
         if self.n_y < 1 or self.n_z < 1:
             raise ValueError(f"array dimensions must be positive, got {self.n_y}x{self.n_z}")
         if self.carrier_freq <= 0:
@@ -96,16 +115,21 @@ class ErSpec:
     vr: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
+        _require_finite("prior_position", *self.prior_position)
         pos = tuple(float(v) for v in self.prior_position)
         if len(pos) != 3:
             raise ValueError(f"prior position must have 3 coordinates, got {len(pos)}")
         object.__setattr__(self, "prior_position", pos)
+        _require_finite("error_bounds", *self.error_bounds)
         bounds = tuple(float(v) for v in self.error_bounds)
         if len(bounds) != 3 or any(v < 0 for v in bounds):
             raise ValueError(f"error bounds must be 3 nonnegative values, got {self.error_bounds}")
         object.__setattr__(self, "error_bounds", bounds)
+        _require_finite("weight", self.weight)
         if self.weight < 0:
             raise ValueError(f"weight must be nonnegative, got {self.weight}")
+        if not math.isfinite(abs(self.reflection)):
+            raise ValueError(f"reflection must be finite, got {self.reflection!r}")
         if abs(self.reflection) == 0:
             raise ValueError("reflection coefficient must be nonzero")
         if self.vr is not None:
@@ -141,6 +165,10 @@ class ScenarioConfig:
         object.__setattr__(self, "ers", tuple(self.ers))
         if not self.ers:
             raise ValueError("at least one receiver is required")
+        for key in ("noise_power", "p_max", "eta", "gamma"):
+            _require_finite(key, getattr(self, key))
+        for key in ("block_len", "n_alpha", "trials", "master_seed"):
+            _require_integer(key, getattr(self, key))
         if self.noise_power <= 0:
             raise ValueError(f"noise power must be positive, got {self.noise_power}")
         if self.p_max <= 0:
@@ -240,6 +268,30 @@ def _draw_scene(
     return states
 
 
+def _planned_tau(cfg: ScenarioConfig, geom: UpaGeometry, probe: np.ndarray) -> int:
+    """Slot length the planned schemes (proposed, no_vr) sense for.
+
+    Planning runs before a block's sensing, so the region prior is the
+    configured one when pinned and the full aperture otherwise; no_vr ignores
+    region knowledge entirely.
+    """
+    full_aperture = VisibilityRegion(1, geom.n_elements)
+    priors = [
+        (
+            spec.prior_position,
+            VisibilityRegion(*spec.vr)
+            if cfg.scheme == "proposed" and spec.vr is not None
+            else full_aperture,
+            abs(spec.reflection),
+        )
+        for spec in cfg.ers
+    ]
+    bounds = np.asarray([spec.error_bounds for spec in cfg.ers])
+    return min_sensing_duration(
+        geom, priors, bounds, cfg.gamma, cfg.block_len, probe, cfg.noise_power
+    )
+
+
 def run_trial(cfg: ScenarioConfig, trial_index: int) -> TrialResult:
     """Simulate one transmission block and score the configured scheme."""
     if trial_index < 0:
@@ -280,23 +332,7 @@ def run_trial(cfg: ScenarioConfig, trial_index: int) -> TrialResult:
                 f"block of {block_len} symbols cannot host {n_ers} half-block sensing slots"
             )
     else:
-        # Planning runs before this block's sensing, so the region prior is
-        # the configured one when pinned and the full aperture otherwise;
-        # no_vr ignores region knowledge entirely.
-        priors = [
-            (
-                spec.prior_position,
-                VisibilityRegion(*spec.vr)
-                if cfg.scheme == "proposed" and spec.vr is not None
-                else full_aperture,
-                abs(spec.reflection),
-            )
-            for spec in cfg.ers
-        ]
-        bounds = np.asarray([spec.error_bounds for spec in cfg.ers])
-        tau = min_sensing_duration(
-            geom, priors, bounds, cfg.gamma, block_len, probe, cfg.noise_power
-        )
+        tau = _planned_tau(cfg, geom, probe)
 
     identify = cfg.scheme != "no_vr"
     est_channels = []
@@ -373,6 +409,13 @@ def sweep_gamma(cfg: ScenarioConfig, gamma_grid) -> list[SweepRow]:
     grid = [float(g) for g in gamma_grid]
     if not grid or any(g <= 0 for g in grid):
         raise ValueError(f"gamma grid must be nonempty and positive, got {gamma_grid}")
+    if cfg.scheme in _PLANNED_SCHEMES:
+        # The slot never shortens as the target tightens, so planning the
+        # smallest target first fails an infeasible grid before any trial.
+        geom = build_upa(
+            cfg.array.n_y, cfg.array.n_z, cfg.array.carrier_freq, cfg.array.spacing
+        )
+        _planned_tau(replace(cfg, gamma=min(grid)), geom, uniform_probe(geom, cfg.p_max))
     rows = []
     for g in grid:
         sub = replace(cfg, gamma=g)

@@ -234,9 +234,10 @@ def test_criterion_05_covariance_solver_is_optimal():
         ]
         weights = rng.uniform(0.2, 1.0, k)
         weights /= weights.sum()
-        a = weighted_channel_matrix(channels, list(weights))
+        weighted = weighted_channel_matrix(channels, list(weights))
+        a = weighted.dense()
         p_max = float(rng.uniform(0.5, 3.0))
-        sol = solve_energy_covariance(a, p_max)
+        sol = solve_energy_covariance(weighted, p_max)
 
         lam = float(np.linalg.eigvalsh(0.5 * (a + a.conj().T)).max())
         eig_gap = max(eig_gap, abs(sol.objective - p_max * lam) / (p_max * lam))

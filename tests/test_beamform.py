@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nfwpt import (
+    WeightedChannels,
     average_harvested_power,
     build_upa,
     harvested_power,
@@ -27,19 +30,19 @@ def _random_channels(seed, n=64, k=2):
 class TestWeightedChannelMatrix:
     def test_single_channel_is_a_scaled_outer_product(self):
         (h,) = _random_channels(0, k=1)
-        a = weighted_channel_matrix([h], [0.7])
+        a = weighted_channel_matrix([h], [0.7]).dense()
         np.testing.assert_allclose(a, 0.7 * np.outer(h, h.conj()), rtol=1e-14)
         assert np.linalg.matrix_rank(a) == 1
 
     def test_matrix_is_hermitian_to_rounding(self):
         channels = _random_channels(1, k=3)
-        a = weighted_channel_matrix(channels, [0.2, 0.3, 0.5])
+        a = weighted_channel_matrix(channels, [0.2, 0.3, 0.5]).dense()
         assert np.abs(a - a.conj().T).max() <= 1e-13 * np.abs(a).max()
 
     def test_trace_is_the_weighted_sum_of_channel_energies(self):
         channels = _random_channels(2, k=4)
         weights = [0.1, 0.2, 0.3, 0.4]
-        a = weighted_channel_matrix(channels, weights)
+        a = weighted_channel_matrix(channels, weights).dense()
         expected = sum(
             w * np.vdot(h, h).real for h, w in zip(channels, weights)
         )
@@ -47,7 +50,7 @@ class TestWeightedChannelMatrix:
 
     def test_zero_weights_give_the_zero_matrix(self):
         channels = _random_channels(3, k=2)
-        a = weighted_channel_matrix(channels, [0.0, 0.0])
+        a = weighted_channel_matrix(channels, [0.0, 0.0]).dense()
         np.testing.assert_array_equal(a, np.zeros_like(a))
 
     def test_rejects_bad_arguments(self):
@@ -60,6 +63,64 @@ class TestWeightedChannelMatrix:
             weighted_channel_matrix(channels, [0.5, -0.1])
 
 
+    def test_factor_is_n_by_k_and_read_only(self):
+        channels = _random_channels(16, n=32, k=3)
+        weighted = weighted_channel_matrix(channels, [0.25, 0.0, 1.0])
+        assert weighted.factor.shape == (32, 3)
+        np.testing.assert_array_equal(weighted.factor[:, 0], 0.5 * channels[0])
+        np.testing.assert_array_equal(weighted.factor[:, 1], 0.0)
+        np.testing.assert_array_equal(np.asarray(weighted), weighted.factor)
+        with pytest.raises(ValueError):
+            weighted.factor[0, 0] = 1.0
+
+    def test_factored_form_rejects_a_bad_factor(self):
+        with pytest.raises(ValueError):
+            WeightedChannels(factor=np.ones(4, dtype=complex))
+        with pytest.raises(ValueError):
+            WeightedChannels(factor=np.ones((4, 0), dtype=complex))
+
+
+@st.composite
+def _weighted_problems(draw):
+    """Channels with K in 1..4, N in 4..64, and weights that may be zero."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(4, 64))
+    channels = _random_channels(draw(st.integers(0, 2**32 - 1)), n=n, k=k)
+    weights = draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=k, max_size=k
+        )
+    )
+    p_max = draw(st.floats(0.1, 5.0))
+    return channels, weights, p_max
+
+
+class TestGramSolverAgainstFullEigh:
+    @settings(max_examples=200, deadline=None)
+    @given(_weighted_problems())
+    def test_objective_is_the_budget_times_lambda_max(self, problem):
+        channels, weights, p_max = problem
+        weighted = weighted_channel_matrix(channels, weights)
+        sol = solve_energy_covariance(weighted, p_max)
+        lam = np.linalg.eigvalsh(weighted.dense())[-1]
+        assert sol.objective == pytest.approx(p_max * lam, rel=1e-10, abs=0.0)
+        assert sol.certificate == pytest.approx(lam, rel=1e-10, abs=0.0)
+        if not any(weights):
+            expected = np.zeros(channels[0].size, dtype=complex)
+            expected[0] = 1.0
+            np.testing.assert_array_equal(sol.direction, expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_weighted_problems())
+    def test_direction_matches_the_top_eigenvector(self, problem):
+        channels, weights, p_max = problem
+        weighted = weighted_channel_matrix(channels, weights)
+        lams, vecs = np.linalg.eigh(weighted.dense())
+        assume(lams[-1] - lams[-2] > 1e-6 * lams[-1] > 0)
+        sol = solve_energy_covariance(weighted, p_max)
+        assert abs(np.vdot(vecs[:, -1], sol.direction)) >= 1 - 1e-10
+
+
 class TestSolveEnergyCovariance:
     def test_single_receiver_gets_a_matched_beam(self):
         (h,) = _random_channels(5, k=1)
@@ -69,7 +130,8 @@ class TestSolveEnergyCovariance:
         assert harvested_power(h, sol) == pytest.approx(2.0 * energy, rel=1e-10)
 
     def test_zero_matrix_falls_back_to_a_basis_beam(self):
-        sol = solve_energy_covariance(np.zeros((8, 8)), 1.5)
+        channels = _random_channels(15, n=8, k=2)
+        sol = solve_energy_covariance(weighted_channel_matrix(channels, [0.0, 0.0]), 1.5)
         assert sol.objective == 0.0
         assert sol.certificate == 0.0
         assert sol.power == 1.5
@@ -84,7 +146,7 @@ class TestSolveEnergyCovariance:
             sol = solve_energy_covariance(a, 1.0)
             assert sol.objective == pytest.approx(sol.certificate, rel=1e-10)
             assert sol.certificate == pytest.approx(
-                np.linalg.eigvalsh(a).max(), rel=1e-12
+                np.linalg.eigvalsh(a.dense()).max(), rel=1e-12
             )
 
     def test_no_feasible_covariance_does_better(self):
@@ -98,7 +160,7 @@ class TestSolveEnergyCovariance:
             b = rng.standard_normal((64, r)) + 1j * rng.standard_normal((64, r))
             cov = b @ b.conj().T
             cov *= p_max * rng.uniform(0.1, 1.0) / np.trace(cov).real
-            value = np.einsum("ij,ji->", a, cov).real
+            value = np.einsum("ij,ji->", a.dense(), cov).real
             assert value <= sol.objective * (1 + 1e-10)
 
     def test_direction_is_unit_norm_and_phase_anchored(self):
@@ -125,19 +187,16 @@ class TestSolveEnergyCovariance:
         a = weighted_channel_matrix([h], [1.0])
         with pytest.raises(ValueError):
             solve_energy_covariance(a, 0.0)
+        with pytest.raises(TypeError):
+            solve_energy_covariance(a.dense(), 1.0)
         with pytest.raises(ValueError):
-            solve_energy_covariance(np.ones((3, 4)), 1.0)
-        skewed = a.copy()
-        skewed[0, 1] = skewed[0, 1] + 10 * np.abs(a).max()
-        with pytest.raises(ValueError):
-            solve_energy_covariance(skewed, 1.0)
+            weighted_channel_matrix([h, h[:-1]], [0.5, 0.5])
 
 
 class TestHarvestedPower:
     def test_orthogonal_channel_collects_nothing(self):
-        a = np.zeros((4, 4), dtype=complex)
-        a[0, 0] = 1.0
-        sol = solve_energy_covariance(a, 1.0)
+        e1 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+        sol = solve_energy_covariance(weighted_channel_matrix([e1], [1.0]), 1.0)
         h = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
         assert harvested_power(h, sol) == 0.0
 

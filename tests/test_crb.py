@@ -14,10 +14,11 @@ from nfwpt import (
     min_sensing_duration,
     sample_covariance,
 )
-from nfwpt.channel import ErState, VisibilityRegion
+from nfwpt.channel import ErState, VisibilityRegion, channel, channel_derivative
 from nfwpt.crb import FisherInfo
 from nfwpt.echo import uniform_probe
 from nfwpt.errors import InfeasibleBlockError, SingularFimError
+from nfwpt.harness import default_config
 
 
 def _scene(seed, n_y=4, n_z=4, reflection=None):
@@ -91,6 +92,42 @@ class TestFim:
             numeric = fim_finite_difference(geom, er, probe, 4, 1e-15).matrix
             err = np.linalg.norm(analytic - numeric) / np.linalg.norm(analytic)
             assert err < 1e-4
+
+    @pytest.mark.parametrize("receiver", [0, 1])
+    def test_worst_lattice_crb_matches_the_finite_difference_route(self, receiver):
+        cfg = default_config()
+        spec = cfg.ers[receiver]
+        geom = build_upa(16, 16, 28e9)
+        probe = uniform_probe(geom, cfg.p_max)
+        worst = {fim: 0.0, fim_finite_difference: 0.0}
+        for off in np.ndindex(3, 3, 3):
+            state = ErState(
+                position=np.asarray(spec.prior_position)
+                + (np.array(off) - 1) * np.asarray(spec.error_bounds),
+                vr=VisibilityRegion(1, geom.n_elements),
+                reflection=abs(spec.reflection),
+            )
+            for route in worst:
+                report = crb_position(route(geom, state, probe, 1, cfg.noise_power))
+                worst[route] = max(worst[route], report.crb_total)
+        assert worst[fim] == pytest.approx(worst[fim_finite_difference], rel=1e-3)
+
+    def test_rank_one_forms_match_the_dense_probe_covariance(self):
+        for seed in range(5):
+            geom, er, probe = _scene(seed)
+            h = channel(geom, er)
+            hd = [channel_derivative(geom, er.position, er.vr, ax) for ax in "xyz"]
+            s_conj = sample_covariance(probe, 1).conj()
+            b = er.reflection
+            g_bb = np.vdot(h, h).real * (h.conj() @ s_conj @ h)
+            g_zz = abs(b) ** 2 * (
+                np.vdot(hd[2], hd[2]) * (h.conj() @ s_conj @ h)
+                + 2 * (np.vdot(hd[2], h) * (h.conj() @ s_conj @ hd[2])).real
+                + np.vdot(h, h) * (hd[2].conj() @ s_conj @ hd[2])
+            )
+            base = fim(geom, er, probe, 1, 2.0).base_matrix
+            assert base[3, 3] == pytest.approx(g_bb.real, rel=1e-12)
+            assert base[2, 2] == pytest.approx(g_zz.real, rel=1e-10)
 
     def test_reflection_magnitude_scales_the_blocks(self):
         geom, er, probe = _scene(3, reflection=0.7 - 0.4j)

@@ -1,9 +1,12 @@
 """Tests for the scenario harness: schemes, sweeps, config files, CSV output."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
+
+from nfwpt import harness
 
 from nfwpt import build_upa, min_sensing_duration, solve_energy_covariance
 from nfwpt.beamform import harvested_power, weighted_channel_matrix
@@ -250,7 +253,34 @@ class TestSweeps:
         )
 
 
+def _config_with(key, value) -> dict:
+    """A config dict that sets one key, at whichever level it lives."""
+    if key in ("n_y", "n_z", "carrier_freq"):
+        return {"array": {key: value}}
+    if key in ("prior_position", "error_bounds"):
+        triple = [1.0, value, 0.3]
+        return {"ers": [{"prior_position": [1.0, 0.2, 0.3], key: triple}]}
+    return {key: value}
+
+
 class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "key",
+        ["noise_power", "p_max", "gamma", "carrier_freq", "error_bounds", "prior_position"],
+    )
+    def test_rejects_a_non_finite_value_naming_the_key(self, key):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=key):
+                config_from_dict(_config_with(key, value))
+
+    @pytest.mark.parametrize(
+        "key", ["trials", "block_len", "master_seed", "n_alpha", "n_y", "n_z"]
+    )
+    def test_rejects_a_non_integer_value_naming_the_key(self, key):
+        for value in (1.5, 8.0, True, "8"):
+            with pytest.raises(ValueError, match=key):
+                config_from_dict(_config_with(key, value))
+
     def test_rejects_out_of_range_settings(self):
         with pytest.raises(ValueError):
             _small_cfg(eta=1.0)
@@ -519,6 +549,44 @@ class TestCli:
         assert re.search(r"er1: crb1_nominal_m2=\d\.\d{12}e[+-]\d{2}", out)
         assert re.search(r"er2: .*vr=\[20,50\]", out)
         assert re.search(r"gamma_m2=.* tau_star=\d+ block_len=200", out)
+
+    def test_infeasible_gamma_grid_fails_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        cfg_path = self._write_config(tmp_path)
+        ran = []
+        inner = harness.run_trial
+        monkeypatch.setattr(
+            harness, "run_trial", lambda cfg, i: ran.append(i) or inner(cfg, i)
+        )
+        worst = _small_planning_worst()
+        grid = f"{worst * 2},{worst / 1e6}"
+        code = main(
+            ["sweep-gamma", "--config", str(cfg_path), "--trials", "1", "--grid", grid]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert ran == []
+        assert captured.out == ""
+        assert captured.err.startswith("nfwpt: error: sensing needs 2 x ")
+        assert captured.err.count("\n") == 1
+
+    def test_unknown_config_key_is_a_one_line_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text('{"trials": 2, "warp": 9}')
+        code = main(["simulate", "--config", str(cfg_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "nfwpt: error: unknown config keys: warp\n"
+
+    def test_missing_config_file_is_a_one_line_error(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        code = main(["crb", "--config", str(missing)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("nfwpt: error: ")
+        assert str(missing) in captured.err
+        assert captured.err.count("\n") == 1
 
     def test_rejects_an_unknown_scheme(self):
         with pytest.raises(SystemExit):
