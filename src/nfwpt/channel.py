@@ -80,6 +80,80 @@ class ErState:
             raise ValueError(f"weight must be nonnegative, got {self.weight}")
 
 
+def _as_point(point) -> np.ndarray:
+    pos = np.asarray(point, dtype=float)
+    if pos.shape != (3,):
+        raise ValueError(f"point must have shape (3,), got {pos.shape}")
+    return pos
+
+
+def array_response(geom: UpaGeometry, grid, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """Distances and free-space responses of the elements in rows over a grid.
+
+    grid is (xs, ys, zs), one 1-D coordinate array per axis, and names every
+    point (x, y, z) of their product. Both results have shape
+    (len(xs), len(ys), len(zs), n_rows). The squared offsets are summed one
+    axis at a time, in the order (x + y) + z that np.linalg.norm also uses, so
+    no (points, elements, 3) array forms. A single point is the grid
+    point[:, None].
+    """
+    elems = geom.positions[rows]
+    sq = None
+    for ax, coords in enumerate(grid):
+        part = np.subtract.outer(np.asarray(coords, dtype=float), elems[:, ax])
+        part *= part
+        shape = [1, 1, 1, elems.shape[0]]
+        shape[ax] = part.shape[0]
+        part = part.reshape(shape)
+        sq = part if sq is None else sq + part
+    dists = np.sqrt(sq, out=sq)
+    if np.any(dists == 0.0):
+        raise SingularGeometryError("a candidate point coincides with an array element")
+    amp = geom.wavelength / (4.0 * np.pi * dists)
+    return dists, amp * np.exp(-2j * np.pi / geom.wavelength * dists)
+
+
+def response_derivatives(
+    geom: UpaGeometry,
+    point,
+    dists: np.ndarray,
+    entries: np.ndarray,
+    rows=slice(None),
+    axes=slice(None),
+) -> np.ndarray:
+    """Partial derivatives of the responses at one point along the given axes.
+
+    dists and entries are the point's (n_rows,) results of array_response;
+    the result has one row per selected axis (all three by default).
+    Differentiating amplitude and phase of each entry gives
+
+        d a_n / d u = a_n(l) * ( (u_n - u) / d_n^2 + j 2 pi (u_n - u) / (lambda d_n) ),
+
+    with u_n the element coordinate on axis u.
+    """
+    pos = np.asarray(point, dtype=float)
+    diff = geom.positions[rows, axes].T - pos[axes, None]
+    radial = diff / dists
+    return entries * (radial / dists + 2j * np.pi / geom.wavelength * radial)
+
+
+def response_hessians(
+    geom: UpaGeometry, point, dists: np.ndarray, entries: np.ndarray, rows=slice(None)
+) -> np.ndarray:
+    """Second partial derivatives of the responses at one point, shape (3, 3, n_rows).
+
+    With r_u = (u_n - u) / d_n and c_n = 1 / d_n + j 2 pi / lambda, the first
+    derivative is a_n c_n r_u, and differentiating it once more gives
+
+        d2 a_n / du dv = a_n * ( r_u r_v (c_n^2 + c_n / d_n + 1 / d_n^2) - delta_uv c_n / d_n ).
+    """
+    radial = (geom.positions[rows].T - np.asarray(point, dtype=float)[:, None]) / dists
+    c = 1.0 / dists + 2j * np.pi / geom.wavelength
+    hess = entries * radial[:, None, :] * radial[None, :, :] * (c * c + c / dists + 1.0 / dists**2)
+    hess[[0, 1, 2], [0, 1, 2]] -= entries * c / dists
+    return hess
+
+
 def steering_vector(geom: UpaGeometry, point) -> np.ndarray:
     """Spherical-wavefront array response of the full aperture at a point.
 
@@ -87,14 +161,8 @@ def steering_vector(geom: UpaGeometry, point) -> np.ndarray:
     propagation phase exp(-j 2 pi d_n / lambda), with d_n the exact distance
     from element n to the point (no far-field plane-wave approximation).
     """
-    pos = np.asarray(point, dtype=float)
-    if pos.shape != (3,):
-        raise ValueError(f"point must have shape (3,), got {pos.shape}")
-    dists = np.linalg.norm(geom.positions - pos, axis=1)
-    if np.any(dists == 0.0):
-        raise SingularGeometryError(f"point {pos} coincides with an array element")
-    amp = geom.wavelength / (4.0 * np.pi * dists)
-    return amp * np.exp(-2j * np.pi / geom.wavelength * dists)
+    pos = _as_point(point)
+    return array_response(geom, pos[:, None])[1].reshape(-1)
 
 
 def vr_cover(vr: VisibilityRegion, n: int) -> np.ndarray:
@@ -114,26 +182,15 @@ def channel(geom: UpaGeometry, er: ErState) -> np.ndarray:
 def channel_derivative(geom: UpaGeometry, point, vr: VisibilityRegion, axis: str) -> np.ndarray:
     """Partial derivative of the masked channel with respect to one coordinate.
 
-    Differentiating amplitude and phase of each entry gives
-
-        d a_n / d u = a_n(l) * ( (u_n - u) / d_n^2 + j 2 pi (u_n - u) / (lambda d_n) ),
-
-    with a_n(l) the full complex entry and u_n the element coordinate on the
-    chosen axis. Entries outside the visibility region are zero.
+    Row `axis` of response_derivatives over the full aperture; entries outside
+    the visibility region are zero.
     """
     if axis not in _AXES:
         raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
+    pos = _as_point(point)
+    dists, entries = array_response(geom, pos[:, None])
     col = _AXES[axis]
-    pos = np.asarray(point, dtype=float)
-    if pos.shape != (3,):
-        raise ValueError(f"point must have shape (3,), got {pos.shape}")
-    dists = np.linalg.norm(geom.positions - pos, axis=1)
-    if np.any(dists == 0.0):
-        raise SingularGeometryError(f"point {pos} coincides with an array element")
-    entries = geom.wavelength / (4.0 * np.pi * dists) * np.exp(
-        -2j * np.pi / geom.wavelength * dists
+    deriv = response_derivatives(
+        geom, pos, dists.reshape(-1), entries.reshape(-1), axes=slice(col, col + 1)
     )
-    diff = geom.positions[:, col] - pos[col]
-    radial = diff / dists
-    deriv = entries * (radial / dists + 2j * np.pi / geom.wavelength * radial)
-    return deriv * vr_cover(vr, geom.n_elements)
+    return deriv[0] * vr_cover(vr, geom.n_elements)

@@ -125,6 +125,14 @@ class ErSpec:
         if len(bounds) != 3 or any(v < 0 for v in bounds):
             raise ValueError(f"error bounds must be 3 nonnegative values, got {self.error_bounds}")
         object.__setattr__(self, "error_bounds", bounds)
+        # The localizer searches prior +- 2 D. On the array plane x = 0 the
+        # response has no x derivative, so the planning Fisher information is
+        # singular, and a candidate can coincide with an element.
+        if abs(pos[0]) <= 2.0 * bounds[0]:
+            raise ValueError(
+                f"prior_position x = {pos[0]} with error bound {bounds[0]}: the "
+                "search box x +- 2 D_x reaches the array plane x = 0"
+            )
         _require_finite("weight", self.weight)
         if self.weight < 0:
             raise ValueError(f"weight must be nonnegative, got {self.weight}")

@@ -3,41 +3,77 @@
 With the reflection coefficient concentrated out, the position estimate
 maximizes
 
-    q(l) = |h_hat(l)^H y_bar|^2 / ||h_hat(l)||^2,
+    q(l) = |h(l)^H y_bar|^2 / ||h(l)||^2,
 
-where h_hat(l) is the array response at the candidate masked by the
-identified visibility region. The search runs in two phases: a coarse grid
-over the prior uncertainty box, then cyclic golden-section refinement that
-only ever accepts improvements. Each refinement cycle sweeps the three
-coordinate axes and then the ray from the array center through the current
-estimate: the objective is sharply peaked across that ray but nearly flat
-along it, so a range sweep is what actually moves the estimate once the
-axis sweeps have locked the bearing.
+where h(l) is the array response at the candidate masked by the identified
+visibility region. The mask zeroes every element outside the region, so every
+evaluation runs on that slice of the aperture only.
+
+The search has three parts.
+
+- A coarse lattice over the prior uncertainty box picks the seed.
+- A bound-constrained Levenberg-Marquardt ascent climbs from it. With
+  s = h^H y_bar and e = ||h||^2, the analytic first and second derivatives of
+  h give the gradient g and the Hessian H of q in closed form; for example
+
+      g_u = 2 Re(conj(s) D_u^H y_bar) / e - 2 |s|^2 Re(h^H D_u) / e^2.
+
+  Each iteration solves (-H_F + mu diag M_F) delta = g_F on the free axes F,
+  where M = 2 |s / e|^2 Re(D^H D - (D^H h)(h^H D) / e) is the Gauss-Newton
+  matrix, which is never negative on its diagonal and so sets the damping
+  scale. An axis is free unless the box pins it or the point sits on a box
+  face with the gradient pointing out of the box. The step is clipped to the
+  box and kept only if q rises; mu shrinks after a kept step and grows after a
+  rejected one or while the damped matrix is not positive definite. A kept
+  step is doubled for as long as q keeps rising.
+- The objective is sharply peaked across the ray from the visibility region
+  toward the estimate but nearly flat along it (the range direction), and
+  along that ray it can have a second, higher maximum at the far side of the
+  box. Once the ascent stops, q is sampled along the ray across the box, and
+  the ascent restarts from any sample that beats the estimate.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import VisibilityRegion, steering_vector, vr_cover
-from .errors import DegenerateChannelError, SingularGeometryError, UnidentifiableReflectionError
+from .channel import (
+    VisibilityRegion,
+    array_response,
+    response_derivatives,
+    response_hessians,
+    steering_vector,
+    vr_cover,
+)
+from .errors import DegenerateChannelError, UnidentifiableReflectionError
 from .geometry import UpaGeometry
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Levenberg-Marquardt damping: first nonzero value, factor per kept or
+# rejected step, and the cap beyond which no ascent step is deemed to exist.
+_MU_START = 1e-3
+_MU_FACTOR = 8.0
+_MU_CAP = 1e8
 
 
 @dataclass(frozen=True)
 class LocalizationResult:
-    """Position estimate with the matching reflection estimate and diagnostics."""
+    """Position estimate with the matching reflection estimate and diagnostics.
+
+    objective is concentrated_objective at the estimate. iterations counts
+    linearizations of the ascent (gradient and Hessian evaluations);
+    evaluations counts the candidates the search scored: lattice points,
+    ascent trials and ray samples. converged means the search stopped at a
+    stationary point that no ray sample beats, not at the iteration cap.
+    """
 
     position_hat: np.ndarray
     b_hat: complex
     objective: float
     iterations: int
     converged: bool
+    evaluations: int
 
 
 def concentrated_objective(
@@ -51,53 +87,67 @@ def concentrated_objective(
     return float(abs(np.vdot(h, y_bar)) ** 2 / norm_sq)
 
 
-def _objective_batch(
-    geom: UpaGeometry, y_bar: np.ndarray, points: np.ndarray, vr_hat: VisibilityRegion
-) -> np.ndarray:
-    """Concentrated objective over a (Q, 3) batch of candidates."""
-    dists = np.linalg.norm(geom.positions[None, :, :] - points[:, None, :], axis=2)
-    if np.any(dists == 0.0):
-        raise SingularGeometryError("a candidate point coincides with an array element")
-    entries = geom.wavelength / (4.0 * np.pi * dists) * np.exp(
-        -2j * np.pi / geom.wavelength * dists
+@dataclass(frozen=True)
+class _Probe:
+    """Response of the region slice at one candidate and its score."""
+
+    point: np.ndarray
+    dists: np.ndarray
+    h: np.ndarray
+    s: complex
+    e: float
+    q: float
+
+
+def _probe(geom: UpaGeometry, y: np.ndarray, rows: slice, point: np.ndarray) -> _Probe:
+    dists, resp = array_response(geom, point[:, None], rows)
+    h = resp.reshape(-1)
+    s = complex(np.vdot(h, y))
+    e = float(np.vdot(h, h).real)
+    return _Probe(point, dists.reshape(-1), h, s, e, abs(s) ** 2 / e)
+
+
+def _ascent_model(geom: UpaGeometry, y: np.ndarray, rows: slice, at: _Probe):
+    """Gradient, Hessian and Gauss-Newton diagonal of q at a probed point."""
+    d = response_derivatives(geom, at.point, at.dists, at.h, rows)
+    d2 = response_hessians(geom, at.point, at.dists, at.h, rows)
+    s, e = at.s, at.e
+    s_u = d.conj() @ y
+    s_uv = d2.conj() @ y
+    h_d = d @ at.h.conj()
+    d_d = (d.conj() @ d.T).real
+    e_u = 2.0 * h_d.real
+    e_uv = 2.0 * (d_d + (d2 @ at.h.conj()).real)
+    p = abs(s) ** 2
+    p_u = 2.0 * (np.conj(s) * s_u).real
+    p_uv = 2.0 * (np.outer(s_u, s_u.conj()) + np.conj(s) * s_uv).real
+    grad = p_u / e - p * e_u / e**2
+    cross = np.outer(p_u, e_u)
+    hess = (
+        p_uv / e
+        - (cross + cross.T) / e**2
+        - p * e_uv / e**2
+        + 2.0 * p * np.outer(e_u, e_u) / e**3
     )
-    entries *= vr_cover(vr_hat, geom.n_elements)[None, :]
-    num = np.abs(entries.conj() @ y_bar) ** 2
-    den = (np.abs(entries) ** 2).sum(axis=1)
-    return num / den
+    gn_diag = 2.0 * abs(s / e) ** 2 * (np.diag(d_d) - np.abs(h_d) ** 2 / e)
+    return grad, hess, gn_diag
 
 
-def _ray_extent(point: np.ndarray, u: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Parameter range t keeping point + t*u inside the box, or None if empty."""
-    t_lo, t_hi = -math.inf, math.inf
+def _ray_samples(origin, point, lo, hi, count):
+    """Evenly spaced points of the ray from origin through point inside the box."""
+    direction = point - origin
+    norm = float(np.linalg.norm(direction))
+    if norm == 0.0:
+        return []
+    u = direction / norm
+    t_lo, t_hi = -np.inf, np.inf
     for i in range(3):
-        if u[i] == 0.0:
-            continue
-        t0 = (lo[i] - point[i]) / u[i]
-        t1 = (hi[i] - point[i]) / u[i]
-        t_lo = max(t_lo, min(t0, t1))
-        t_hi = min(t_hi, max(t0, t1))
+        if u[i] != 0.0:
+            ends = sorted(((lo[i] - point[i]) / u[i], (hi[i] - point[i]) / u[i]))
+            t_lo, t_hi = max(t_lo, ends[0]), min(t_hi, ends[1])
     if not t_lo < t_hi:
-        return None
-    return t_lo, t_hi
-
-
-def _golden_max(fn, lo: float, hi: float, iters: int) -> tuple[float, float]:
-    """Golden-section maximization of fn on [lo, hi]."""
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fn(d)
-    return (c, fc) if fc > fd else (d, fd)
+        return []
+    return [np.clip(point + t * u, lo, hi) for t in np.linspace(t_lo, t_hi, count)]
 
 
 def locate_er(
@@ -110,18 +160,15 @@ def locate_er(
     coarse_grid: tuple[int, int, int] = (9, 9, 9),
     tol: float = 1e-4,
     max_iters: int = 50,
-    line_search_iters: int = 30,
 ) -> LocalizationResult:
-    """Two-phase position search over a box, then reflection estimation.
+    """Lattice seed, bound-constrained Newton ascent and ray check, then b.
 
-    Phase 1 scores a coarse lattice spanning the box. Phase 2 cycles through
-    the three coordinates and then the range direction (the ray from the
-    array center through the current estimate), running a golden-section
-    line search across the box on each and keeping a move only when it
-    improves the objective, until the per-cycle position change falls below
-    tol or max_iters cycles pass. Degenerate (zero-width) box axes are held
-    fixed, and the range sweep is confined to the box, so it degenerates to
-    a no-op when every axis is pinned.
+    The lattice has coarse_grid points per axis (one on a zero-width axis).
+    The ascent described in the module docstring runs for at most max_iters
+    linearizations in total. It stops at a stationary point: a kept step
+    shorter than tol that puts no axis on a box face, no free axis, or a
+    damping past its cap. The ray check then either restarts it or ends the
+    search. Every iterate stays in the box and pinned axes never move.
     """
     lo = np.asarray(search_box[0], dtype=float)
     hi = np.asarray(search_box[1], dtype=float)
@@ -136,60 +183,94 @@ def locate_er(
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    if vr_hat.end > geom.n_elements:
+        raise ValueError(
+            f"visibility region end {vr_hat.end} exceeds array size {geom.n_elements}"
+        )
 
-    axes = [np.linspace(lo[i], hi[i], counts[i]) for i in range(3)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    lattice = np.column_stack([m.ravel() for m in mesh])
-    scores = _objective_batch(geom, y_bar, lattice, vr_hat)
-    best_idx = int(np.argmax(scores))
-    point = lattice[best_idx].copy()
-    best_val = float(scores[best_idx])
+    rows = slice(vr_hat.start - 1, vr_hat.end)
+    y = np.asarray(y_bar, dtype=complex)[rows]
+    pinned = hi <= lo
+    grid = [np.linspace(lo[i], hi[i], 1 if pinned[i] else counts[i]) for i in range(3)]
+    _, entries = array_response(geom, grid, rows)
+    entries = entries.reshape(-1, y.size)
+    scores = np.abs(entries @ y.conj()) ** 2 / (np.abs(entries) ** 2).sum(axis=1)
+    best = np.unravel_index(int(np.argmax(scores)), [g.size for g in grid])
+    current = _probe(geom, y, rows, np.array([grid[i][best[i]] for i in range(3)]))
+    evaluations = scores.size + 1
+    origin = geom.positions[rows].mean(axis=0)
 
+    mu = _MU_START
     iterations = 0
     converged = False
-    for _ in range(max_iters):
+    while iterations < max_iters:
         iterations += 1
-        previous = point.copy()
-        for ax in range(3):
-            if hi[ax] <= lo[ax]:
-                continue
+        point = current.point
+        grad, hess, gn_diag = _ascent_model(geom, y, rows, current)
+        # A zero Gauss-Newton curvature means D_u is parallel to h, where the
+        # gradient along u vanishes too.
+        free = ~pinned & (gn_diag > 0)
+        free &= ~((point <= lo) & (grad < 0)) & ~((point >= hi) & (grad > 0))
+        kept = None
+        if free.any():
+            neg_hess = -hess[np.ix_(free, free)]
+            scale = np.diag(gn_diag[free])
+            while mu <= _MU_CAP:
+                try:
+                    chol = np.linalg.cholesky(neg_hess + mu * scale)
+                except np.linalg.LinAlgError:
+                    mu *= _MU_FACTOR
+                    continue
+                step = np.zeros(3)
+                step[free] = np.linalg.solve(chol.T, np.linalg.solve(chol, grad[free]))
+                trial = _probe(geom, y, rows, np.clip(point + step, lo, hi))
+                evaluations += 1
+                if trial.q > current.q:
+                    kept = trial
+                    mu /= _MU_FACTOR
+                    break
+                mu *= _MU_FACTOR
+        stationary = kept is None
+        if kept is not None:
+            while True:
+                far = np.clip(2.0 * kept.point - point, lo, hi)
+                if np.array_equal(far, kept.point):
+                    break
+                doubled = _probe(geom, y, rows, far)
+                evaluations += 1
+                if not doubled.q > kept.q:
+                    break
+                kept = doubled
+            # A step that puts an axis on a face leaves the other axes to
+            # adjust to it, however short the step was.
+            moved = kept.point != point
+            landed = np.any(moved & ((kept.point == lo) | (kept.point == hi)))
+            stationary = np.linalg.norm(kept.point - point) < tol and not landed
+            current = kept
+        if stationary:
+            samples = [
+                _probe(geom, y, rows, p)
+                for p in _ray_samples(origin, current.point, lo, hi, max(counts))
+            ]
+            evaluations += len(samples)
+            better = max(samples, key=lambda c: c.q, default=current)
+            if better.q > current.q:
+                current = better
+                mu = _MU_START
+            else:
+                converged = True
+                break
 
-            def along(c: float, ax: int = ax) -> float:
-                trial = point.copy()
-                trial[ax] = c
-                return concentrated_objective(geom, y_bar, trial, vr_hat)
-
-            c_new, v_new = _golden_max(along, lo[ax], hi[ax], line_search_iters)
-            if v_new > best_val:
-                point[ax] = c_new
-                best_val = v_new
-
-        radius = float(np.linalg.norm(point))
-        if radius > 0.0:
-            u = point / radius
-            extent = _ray_extent(point, u, lo, hi)
-            if extent is not None:
-
-                def along_ray(t: float) -> float:
-                    return concentrated_objective(geom, y_bar, point + t * u, vr_hat)
-
-                t_new, v_new = _golden_max(along_ray, extent[0], extent[1], line_search_iters)
-                if v_new > best_val:
-                    point = point + t_new * u
-                    best_val = v_new
-
-        if np.linalg.norm(point - previous) < tol:
-            converged = True
-            break
-
+    point = current.point.copy()
     b_hat = estimate_b(geom, y_bar, point, vr_hat, probe, slot_len)
     point.setflags(write=False)
     return LocalizationResult(
         position_hat=point,
         b_hat=b_hat,
-        objective=best_val,
+        objective=concentrated_objective(geom, y_bar, point, vr_hat),
         iterations=iterations,
         converged=converged,
+        evaluations=evaluations,
     )
 
 

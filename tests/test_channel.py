@@ -7,9 +7,11 @@ from nfwpt import build_upa
 from nfwpt.channel import (
     ErState,
     VisibilityRegion,
+    array_response,
     channel,
     channel_derivative,
     min_vr_span,
+    response_hessians,
     steering_vector,
     vr_cover,
 )
@@ -166,6 +168,38 @@ def test_derivative_matches_central_differences():
             ) / (2 * step) * cover
             scale = np.abs(fd).max()
             np.testing.assert_allclose(analytic, fd, atol=1e-5 * scale)
+
+
+def test_second_derivatives_match_central_differences():
+    geom = build_upa(8, 8, 28e9)
+    rng = np.random.default_rng(12)
+    step = 1e-6
+    vr = VisibilityRegion(5, 50)
+    for _ in range(5):
+        point = rng.uniform([0.5, -0.8, -0.8], [3.0, 0.8, 0.8])
+        dists, entries = array_response(geom, point[:, None])
+        analytic = response_hessians(geom, point, dists.reshape(-1), entries.reshape(-1))
+        np.testing.assert_allclose(analytic, analytic.transpose(1, 0, 2), rtol=1e-14)
+        for v, unit in enumerate(np.eye(3)):
+            for u, ax in enumerate("xyz"):
+                fd = (
+                    channel_derivative(geom, point + step * unit, vr, ax)
+                    - channel_derivative(geom, point - step * unit, vr, ax)
+                ) / (2 * step)
+                np.testing.assert_allclose(
+                    analytic[u, v, 4:50], fd[4:50], atol=1e-5 * np.abs(fd).max()
+                )
+
+
+def test_grid_response_matches_pointwise_steering_vectors():
+    geom = build_upa(8, 8, 28e9)
+    grid = [np.linspace(0.5, 1.5, 3), np.linspace(-0.4, 0.4, 4), np.array([0.2, 0.7])]
+    rows = slice(9, 41)
+    _, entries = array_response(geom, grid, rows)
+    assert entries.shape == (3, 4, 2, 32)
+    for i, j, k in np.ndindex(3, 4, 2):
+        point = (grid[0][i], grid[1][j], grid[2][k])
+        np.testing.assert_array_equal(entries[i, j, k], steering_vector(geom, point)[rows])
 
 
 def test_derivative_rejects_unknown_axis():

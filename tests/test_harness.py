@@ -320,6 +320,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ErSpec(prior_position=_PRIORS[0], vr=(9, 3))
 
+    def test_er_spec_rejects_a_search_box_reaching_the_array_plane(self):
+        # Accepted before, this prior failed only later, in planning, with a
+        # Fisher information that has a nonpositive diagonal entry.
+        with pytest.raises(ValueError, match="prior_position"):
+            ErSpec(prior_position=(0.0, 2.0, 3.0))
+        with pytest.raises(ValueError, match="prior_position"):
+            ErSpec(prior_position=(0.3, 2.0, 3.0), error_bounds=(0.15, 0.15, 0.15))
+
+    def test_a_prior_behind_the_array_is_accepted_and_runs(self):
+        ers = (
+            ErSpec(prior_position=(-1.0, 0.2, 0.3), error_bounds=(0.1,) * 3, vr=_VRS[0]),
+        )
+        result = run_trial(_small_cfg(ers=ers), 0)
+        assert result.tau_used >= 1
+        assert all(np.isfinite(result.powers))
+        assert result.pos_errors[0] <= 3.0 * math.sqrt(3) * 0.1
+
 
 class TestConfigFiles:
     def _as_dict(self):

@@ -1,11 +1,18 @@
 """Tests for the concentrated-likelihood position search and reflection estimate."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nfwpt import build_upa, concentrated_objective, estimate_b, locate_er
+from nfwpt import build_upa, concentrated_objective, default_config, estimate_b, harness, locate_er
 from nfwpt.channel import ErState, VisibilityRegion, channel
 from nfwpt.echo import aggregate, simulate_echo, uniform_probe
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _noiseless_scene(seed, n_y=16, n_z=16, tau=3):
@@ -50,12 +57,14 @@ def test_noiseless_recovery_hits_the_true_position():
         result = locate_er(geom, y, er.vr, box, probe, tau)
         assert np.linalg.norm(result.position_hat - er.position) < 1e-4
         assert result.converged
+        # The 9 x 9 x 9 lattice plus a few dozen refinement candidates.
+        assert 9**3 < result.evaluations < 9**3 + 100
 
 
 def test_recovery_survives_an_off_center_search_box():
     # With the truth away from the box center, no coarse lattice node lands on
     # it, so the refinement has to walk the nearly flat range direction on its
-    # own. The range sweep in the refinement cycle is what makes this work.
+    # own.
     for seed in range(3):
         geom, er, probe, y, tau = _noiseless_scene(seed)
         shift = np.array([0.11, -0.07, 0.13])
@@ -70,6 +79,21 @@ def test_degenerate_box_returns_the_single_point():
     box = (er.position, er.position)
     result = locate_er(geom, y, er.vr, box, probe, tau)
     np.testing.assert_array_equal(result.position_hat, er.position)
+    assert result.converged
+    # One lattice point on a fully pinned box, probed once more for the ascent.
+    assert result.evaluations == 2
+
+
+def test_hitting_the_iteration_cap_is_not_convergence():
+    geom, er, probe, y, tau = _noiseless_scene(2)
+    shift = np.array([0.11, -0.07, 0.13])
+    box = (er.position + shift - 0.3, er.position + shift + 0.3)
+    capped = locate_er(geom, y, er.vr, box, probe, tau, max_iters=1)
+    assert capped.iterations == 1
+    assert not capped.converged
+    full = locate_er(geom, y, er.vr, box, probe, tau)
+    assert full.converged
+    assert full.iterations > 1
 
 
 def test_reflection_estimate_is_exact_in_the_noiseless_case():
@@ -125,3 +149,149 @@ def test_result_reports_reflection_consistent_with_estimate():
     result = locate_er(geom, y, er.vr, box, probe, tau)
     direct = estimate_b(geom, y, result.position_hat, er.vr, probe, tau)
     assert result.b_hat == pytest.approx(direct, rel=1e-12)
+
+
+def _golden_max(fn, lo, hi, iters):
+    """Golden-section maximization of fn on [lo, hi]."""
+    a, b = lo, hi
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = fn(c), fn(d)
+    for _ in range(iters):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = fn(d)
+    return (c, fc) if fc > fd else (d, fd)
+
+
+def _ray_extent(point, u, lo, hi):
+    """Parameter range t keeping point + t*u inside the box, or None if empty."""
+    t_lo, t_hi = -math.inf, math.inf
+    for i in range(3):
+        if u[i] == 0.0:
+            continue
+        t0 = (lo[i] - point[i]) / u[i]
+        t1 = (hi[i] - point[i]) / u[i]
+        t_lo = max(t_lo, min(t0, t1))
+        t_hi = min(t_hi, max(t0, t1))
+    if not t_lo < t_hi:
+        return None
+    return t_lo, t_hi
+
+
+def _golden_oracle(geom, y, vr, box, tol=1e-4, max_cycles=50, line_iters=30):
+    """Slow reference search: the best 9 x 9 x 9 lattice point, then cyclic
+    golden-section sweeps along x, y, z and the ray from the array center,
+    keeping only improvements. Returns the position and its objective."""
+    lo, hi = (np.asarray(c, dtype=float) for c in box)
+
+    def q(point):
+        return concentrated_objective(geom, y, point, vr)
+
+    lattice = [np.array(p) for p in np.stack(
+        np.meshgrid(*[np.linspace(lo[i], hi[i], 9) for i in range(3)], indexing="ij"), -1
+    ).reshape(-1, 3)]
+    scores = [q(p) for p in lattice]
+    point = lattice[int(np.argmax(scores))].copy()
+    best = max(scores)
+    for _ in range(max_cycles):
+        previous = point.copy()
+        for ax in range(3):
+            if hi[ax] <= lo[ax]:
+                continue
+
+            def along(c, ax=ax):
+                trial = point.copy()
+                trial[ax] = c
+                return q(trial)
+
+            c_new, v_new = _golden_max(along, lo[ax], hi[ax], line_iters)
+            if v_new > best:
+                point[ax] = c_new
+                best = v_new
+        radius = float(np.linalg.norm(point))
+        extent = _ray_extent(point, point / radius, lo, hi) if radius > 0 else None
+        if extent is not None:
+            u = point / radius
+            t_new, v_new = _golden_max(lambda t: q(point + t * u), *extent, line_iters)
+            if v_new > best:
+                point = point + t_new * u
+                best = v_new
+        if np.linalg.norm(point - previous) < tol:
+            break
+    return point, best
+
+
+def _run_trial_inputs(monkeypatch, schemes, trials):
+    """locate_er arguments of run_trial on the built-in 16x16 scenario."""
+    captured = []
+    real = harness.locate_er
+
+    def record(*args, **kwargs):
+        captured.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "locate_er", record)
+    for scheme in schemes:
+        cfg = replace(default_config(), scheme=scheme)
+        for t in range(trials):
+            harness.run_trial(cfg, t)
+    return captured
+
+
+def test_estimate_never_trails_the_golden_section_oracle(monkeypatch):
+    inputs = _run_trial_inputs(monkeypatch, ("proposed", "no_vr", "equal_time"), 6)
+    assert len(inputs) >= 30
+    for geom, y, vr, box, probe, tau in inputs:
+        result = locate_er(geom, y, vr, box, probe, tau)
+        _, oracle = _golden_oracle(geom, y, vr, box)
+        assert result.objective >= oracle * (1 - 1e-9)
+        lo, hi = box
+        assert np.all(lo <= result.position_hat) and np.all(result.position_hat <= hi)
+        assert result.converged
+
+
+@st.composite
+def _search_problems(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    side = draw(st.integers(8, 16))
+    pinned = draw(st.lists(st.booleans(), min_size=3, max_size=3))
+    rng = np.random.default_rng(seed)
+    geom = build_upa(side, side, 28e9)
+    n = geom.n_elements
+    start = int(rng.integers(1, n - 1))
+    vr = VisibilityRegion(start, int(rng.integers(start + 1, n + 1)))
+    center = rng.uniform([0.5, -1.0, -1.0], [3.0, 1.0, 1.0])
+    half = np.where(pinned, 0.0, rng.uniform(0.02, 0.3, size=3))
+    truth = center + rng.uniform(-half, half)
+    er = ErState(position=truth, vr=vr, reflection=complex(np.exp(2j * np.pi * rng.uniform())))
+    probe = uniform_probe(geom, 1.0)
+    h = channel(geom, er)
+    noise = float(10.0 ** rng.uniform(-3, 1)) * np.vdot(h, h).real / n
+    y = aggregate(simulate_echo(h, er.reflection, probe, 1, noise, rng))
+    return geom, y, vr, (center - half, center + half), probe, pinned
+
+
+@settings(max_examples=40, deadline=None)
+@given(_search_problems())
+def test_estimate_stays_in_the_box_and_beats_the_lattice(problem):
+    geom, y, vr, box, probe, pinned = problem
+    lo, hi = box
+    result = locate_er(geom, y, vr, box, probe, 1)
+    point = result.position_hat
+    assert np.all(lo <= point) and np.all(point <= hi)
+    np.testing.assert_array_equal(point[pinned], lo[pinned])
+    lattice = np.stack(
+        np.meshgrid(*[np.linspace(lo[i], hi[i], 9) for i in range(3)], indexing="ij"), -1
+    ).reshape(-1, 3)
+    best = max(concentrated_objective(geom, y, p, vr) for p in lattice)
+    assert result.objective >= best * (1 - 1e-12)
+    assert result.objective == concentrated_objective(geom, y, point, vr)
+    again = locate_er(geom, y, vr, box, probe, 1)
+    assert again.position_hat.tobytes() == point.tobytes()
+    assert again.objective == result.objective
