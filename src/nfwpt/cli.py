@@ -10,19 +10,15 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from itertools import product
 
 import numpy as np
 
-from .channel import ErState, VisibilityRegion
-from .crb import crb_position, fim, min_sensing_duration
-from .echo import uniform_probe
-from .geometry import build_upa
 from .harness import (
     SCHEMES,
     ScenarioConfig,
     default_config,
     load_config,
+    plan,
     rows_to_csv,
     simulate,
     sweep_beta,
@@ -64,56 +60,13 @@ def _parse_grid(text: str) -> list[float]:
         raise ValueError(f"could not parse grid {text!r}: {exc}") from None
 
 
-def _planning_inputs(cfg: ScenarioConfig):
-    """Geometry, probe, and per-receiver planning priors for CRB reporting.
-
-    Receivers without a pinned visibility region are planned with the full
-    aperture visible.
-    """
-    geom = build_upa(cfg.array.n_y, cfg.array.n_z, cfg.array.carrier_freq, cfg.array.spacing)
-    probe = uniform_probe(geom, cfg.p_max)
-    full = VisibilityRegion(1, geom.n_elements)
-    priors = [
-        (
-            np.asarray(spec.prior_position),
-            VisibilityRegion(*spec.vr) if spec.vr is not None else full,
-            abs(spec.reflection),
-        )
-        for spec in cfg.ers
-    ]
-    bounds = np.asarray([spec.error_bounds for spec in cfg.ers])
-    return geom, probe, priors, bounds
-
-
-def _crb1_at(geom, probe, noise_power, position, vr, refl) -> float:
-    state = ErState(position=position, vr=vr, reflection=refl)
-    return crb_position(fim(geom, state, probe, 1, noise_power)).crb_total
-
-
-def _crb1_extremes(cfg: ScenarioConfig) -> list[tuple[float, float]]:
-    """Per receiver: (nominal, worst-over-lattice) planning CRB at tau = 1."""
-    geom, probe, priors, bounds = _planning_inputs(cfg)
-    out = []
-    for (position, vr, refl), dvec in zip(priors, bounds):
-        nominal = _crb1_at(geom, probe, cfg.noise_power, position, vr, refl)
-        worst = nominal
-        for off in product(*[(-d, 0.0, d) for d in dvec]):
-            worst = max(
-                worst,
-                _crb1_at(geom, probe, cfg.noise_power, position + np.asarray(off), vr, refl),
-            )
-        out.append((nominal, worst))
-    return out
-
-
 def _default_gamma_grid(cfg: ScenarioConfig) -> list[float]:
     """Log grid around the worst planning CRB.
 
     Spans targets loose enough that one symbol suffices down to targets that
     nearly exhaust the block, so the duty-cycle trade-off is visible.
     """
-    worst = max(w for _, w in _crb1_extremes(cfg))
-    return list(worst * np.logspace(-1.95, 0.5, 8))
+    return list(plan(cfg).worst * np.logspace(-1.95, 0.5, 8))
 
 
 def _emit(rows, out_path) -> None:
@@ -124,15 +77,13 @@ def _emit(rows, out_path) -> None:
 
 
 def _report_crb(cfg: ScenarioConfig) -> None:
-    geom, probe, priors, bounds = _planning_inputs(cfg)
-    for idx, ((nominal, worst), (_, vr, _)) in enumerate(zip(_crb1_extremes(cfg), priors), 1):
+    planned = plan(cfg)
+    for idx, (crb, vr) in enumerate(zip(planned.crbs, planned.regions), 1):
         print(
-            f"er{idx}: crb1_nominal_m2={nominal:.12e} crb1_worst_m2={worst:.12e} "
+            f"er{idx}: crb1_nominal_m2={crb.nominal:.12e} crb1_worst_m2={crb.worst:.12e} "
             f"vr=[{vr.start},{vr.end}]"
         )
-    tau = min_sensing_duration(
-        geom, priors, bounds, cfg.gamma, cfg.block_len, probe, cfg.noise_power
-    )
+    tau = planned.tau(cfg.gamma, cfg.block_len)
     print(f"gamma_m2={cfg.gamma:.12e} tau_star={tau} block_len={cfg.block_len}")
 
 
@@ -174,6 +125,10 @@ def main(argv=None) -> int:
     _add_common(p_crb)
 
     args = parser.parse_args(argv)
+    # Each command plans from scratch, as in a fresh process, so what one
+    # command costs does not depend on the commands run before it in the
+    # same interpreter.
+    plan.cache_clear()
     try:
         _run(args)
     except (ValueError, OSError) as exc:

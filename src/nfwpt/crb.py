@@ -216,29 +216,32 @@ def crb_position(info: FisherInfo) -> CrbReport:
     return CrbReport(crb_total=float(sum(per_axis)), per_axis=per_axis, tau=info.tau)
 
 
-def min_sensing_duration(
+@dataclass(frozen=True)
+class LatticeCrb:
+    """One receiver's single-symbol position CRB over its prior lattice (m^2)."""
+
+    nominal: float
+    worst: float
+
+
+# Index of the zero displacement in product((-D, 0, +D), repeat=3) order.
+_NOMINAL_CORNER = 13
+
+
+def lattice_crb(
     geom: UpaGeometry,
     priors: list[tuple],
     error_bounds,
-    gamma: float,
-    block_len: int,
     probe: np.ndarray,
     noise_power: float,
-    robust: bool = True,
-) -> int:
-    """Smallest slot length whose worst-case position CRB meets the target.
+) -> tuple[LatticeCrb, ...]:
+    """Nominal and worst single-symbol position CRB of each receiver prior.
 
     priors lists one (position, visibility region, reflection) triple per
     receiver; error_bounds is one (D_x, D_y, D_z) triple shared by all priors
-    or one triple per prior. With robust=True each prior is displaced over the
-    lattice {-D, 0, +D}^3 and the worst crb_total decides; otherwise only the
-    nominal point counts. The CRB is evaluated once at tau = 1 and scaled,
-    which is exact.
+    or one triple per prior. Each prior is displaced over the lattice
+    {-D, 0, +D}^3 in product order, one fim() call per point at tau = 1.
     """
-    if gamma <= 0:
-        raise ValueError(f"accuracy target must be positive, got {gamma}")
-    if block_len < 1:
-        raise ValueError(f"block length must be >= 1, got {block_len}")
     if not priors:
         raise ValueError("at least one receiver prior is required")
     bounds = np.asarray(error_bounds, dtype=float)
@@ -251,24 +254,38 @@ def min_sensing_duration(
     if np.any(bounds < 0):
         raise ValueError("error bounds must be nonnegative")
 
-    worst = 0.0
+    out = []
     for (position, vr, reflection), dvec in zip(priors, bounds):
-        if robust:
-            offsets = product(*[(-d, 0.0, d) for d in dvec])
-        else:
-            offsets = [(0.0, 0.0, 0.0)]
-        for off in offsets:
-            state = ErState(
-                position=np.asarray(position, dtype=float) + np.asarray(off),
-                vr=vr,
-                reflection=reflection,
-            )
-            report = crb_position(fim(geom, state, probe, 1, noise_power))
-            worst = max(worst, report.crb_total)
+        center = np.asarray(position, dtype=float)
+        crbs = [
+            crb_position(
+                fim(geom, ErState(center + np.asarray(off), vr, reflection), probe, 1, noise_power)
+            ).crb_total
+            for off in product(*[(-d, 0.0, d) for d in dvec])
+        ]
+        out.append(LatticeCrb(nominal=crbs[_NOMINAL_CORNER], worst=max(crbs)))
+    return tuple(out)
 
+
+def min_sensing_duration(crbs, gamma: float, block_len: int, robust: bool = True) -> int:
+    """Smallest slot length whose position CRB meets the target gamma.
+
+    crbs holds one LatticeCrb per receiver, as lattice_crb() returns them.
+    With robust=True the worst point of every lattice decides; otherwise only
+    the nominal points count. The CRB scales exactly as 1 / tau, so
+    tau = max(1, ceil(worst / gamma)). Every receiver senses for tau symbols,
+    and some of the block must be left for charging.
+    """
+    if not crbs:
+        raise ValueError("at least one receiver CRB is required")
+    if gamma <= 0:
+        raise ValueError(f"accuracy target must be positive, got {gamma}")
+    if block_len < 1:
+        raise ValueError(f"block length must be >= 1, got {block_len}")
+    worst = max(c.worst if robust else c.nominal for c in crbs)
     tau = max(1, math.ceil(worst / gamma))
-    if len(priors) * tau >= block_len:
+    if len(crbs) * tau >= block_len:
         raise InfeasibleBlockError(
-            f"sensing needs {len(priors)} x {tau} symbols but the block has {block_len}"
+            f"sensing needs {len(crbs)} x {tau} symbols but the block has {block_len}"
         )
     return int(tau)

@@ -18,6 +18,7 @@ so every result is reproducible from the config alone.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -39,7 +40,7 @@ from .channel import (
     steering_vector,
     vr_cover,
 )
-from .crb import min_sensing_duration
+from .crb import LatticeCrb, lattice_crb, min_sensing_duration
 from .echo import aggregate, simulate_echo, uniform_probe
 from .errors import InfeasibleBlockError
 from .geometry import UpaGeometry, build_upa
@@ -60,7 +61,11 @@ _PLANNED_SCHEMES = ("proposed", "no_vr")
 def _require_finite(key: str, *values) -> None:
     """Reject booleans, non-numbers, NaN and infinities for a real-valued key."""
     for v in values:
-        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+        try:
+            ok = not isinstance(v, bool) and isinstance(v, numbers.Real) and math.isfinite(v)
+        except OverflowError:  # an integer beyond the float range
+            ok = False
+        if not ok:
             raise ValueError(f"{key} must be a finite number, got {v!r}")
 
 
@@ -68,6 +73,19 @@ def _require_integer(key: str, value) -> None:
     """Reject booleans and non-integers (1.5, but also 2.0) for a count key."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
+def _sequence(key: str, value, length: int) -> tuple:
+    """The items of a list or tuple of the given length."""
+    if not isinstance(value, (list, tuple, np.ndarray)) or len(value) != length:
+        raise ValueError(f"{key} must be a list of {length} values, got {value!r}")
+    return tuple(value)
+
+
+def _finite_triple(key: str, value) -> tuple[float, float, float]:
+    items = _sequence(key, value, 3)
+    _require_finite(key, *items)
+    return tuple(float(v) for v in items)
 
 
 @dataclass(frozen=True)
@@ -87,6 +105,9 @@ class ArraySpec:
             _require_finite("spacing", self.spacing)
         if self.n_y < 1 or self.n_z < 1:
             raise ValueError(f"array dimensions must be positive, got {self.n_y}x{self.n_z}")
+        # Region spans are computed from eta * N in floating point.
+        if self.n_y * self.n_z > 2**53:
+            raise ValueError(f"n_y * n_z must be at most 2**53, got {self.n_y}x{self.n_z}")
         if self.carrier_freq <= 0:
             raise ValueError(f"carrier frequency must be positive, got {self.carrier_freq}")
         if self.spacing is not None and self.spacing <= 0:
@@ -115,15 +136,11 @@ class ErSpec:
     vr: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
-        _require_finite("prior_position", *self.prior_position)
-        pos = tuple(float(v) for v in self.prior_position)
-        if len(pos) != 3:
-            raise ValueError(f"prior position must have 3 coordinates, got {len(pos)}")
+        pos = _finite_triple("prior_position", self.prior_position)
         object.__setattr__(self, "prior_position", pos)
-        _require_finite("error_bounds", *self.error_bounds)
-        bounds = tuple(float(v) for v in self.error_bounds)
-        if len(bounds) != 3 or any(v < 0 for v in bounds):
-            raise ValueError(f"error bounds must be 3 nonnegative values, got {self.error_bounds}")
+        bounds = _finite_triple("error_bounds", self.error_bounds)
+        if any(v < 0 for v in bounds):
+            raise ValueError(f"error_bounds must be nonnegative, got {self.error_bounds}")
         object.__setattr__(self, "error_bounds", bounds)
         # The localizer searches prior +- 2 D. On the array plane x = 0 the
         # response has no x derivative, so the planning Fisher information is
@@ -136,14 +153,23 @@ class ErSpec:
         _require_finite("weight", self.weight)
         if self.weight < 0:
             raise ValueError(f"weight must be nonnegative, got {self.weight}")
-        if not math.isfinite(abs(self.reflection)):
-            raise ValueError(f"reflection must be finite, got {self.reflection!r}")
-        if abs(self.reflection) == 0:
+        refl = self.reflection
+        parts = (refl.real, refl.imag) if isinstance(refl, complex) else (refl,)
+        _require_finite("reflection", *parts)
+        magnitude = math.hypot(*parts)
+        if not math.isfinite(magnitude):
+            raise ValueError(f"reflection must be finite, got {refl!r}")
+        if magnitude == 0:
             raise ValueError("reflection coefficient must be nonzero")
         if self.vr is not None:
-            start, end = self.vr
-            object.__setattr__(self, "vr", (int(start), int(end)))
-            VisibilityRegion(int(start), int(end))
+            vr = _sequence("vr", self.vr, 2)
+            for v in vr:
+                _require_integer("vr", v)
+            object.__setattr__(self, "vr", (int(vr[0]), int(vr[1])))
+            try:
+                VisibilityRegion(*self.vr)
+            except ValueError as exc:
+                raise ValueError(f"vr {list(self.vr)}: {exc}") from None
 
 
 def _default_ers() -> tuple[ErSpec, ...]:
@@ -276,28 +302,59 @@ def _draw_scene(
     return states
 
 
-def _planned_tau(cfg: ScenarioConfig, geom: UpaGeometry, probe: np.ndarray) -> int:
-    """Slot length the planned schemes (proposed, no_vr) sense for.
+@dataclass(frozen=True)
+class SensingPlan:
+    """First-stage plan of one configuration: per receiver, the visibility
+    region planned with and the single-symbol lattice CRBs."""
 
-    Planning runs before a block's sensing, so the region prior is the
-    configured one when pinned and the full aperture otherwise; no_vr ignores
-    region knowledge entirely.
+    regions: tuple[VisibilityRegion, ...]
+    crbs: tuple[LatticeCrb, ...]
+
+    @property
+    def worst(self) -> float:
+        """Worst single-symbol position CRB over every receiver's lattice."""
+        return max(c.worst for c in self.crbs)
+
+    def tau(self, gamma: float, block_len: int) -> int:
+        """Slot length that meets gamma; InfeasibleBlockError if the block is too short."""
+        return min_sensing_duration(self.crbs, gamma, block_len)
+
+
+def plan(cfg: ScenarioConfig) -> SensingPlan:
+    """Sensing plan of the configured scheme, memoized on its planning inputs.
+
+    Planning runs before a block's sensing, so proposed plans a receiver with
+    its pinned region when there is one and with the full aperture otherwise;
+    every other scheme plans with the full aperture. The plan depends on
+    neither the accuracy target, the block length nor the seed, so one plan
+    serves every trial and every target of a configuration.
     """
-    full_aperture = VisibilityRegion(1, geom.n_elements)
-    priors = [
+    n = cfg.array.n_elements
+    priors = tuple(
         (
             spec.prior_position,
-            VisibilityRegion(*spec.vr)
-            if cfg.scheme == "proposed" and spec.vr is not None
-            else full_aperture,
+            spec.vr if cfg.scheme == "proposed" and spec.vr is not None else (1, n),
             abs(spec.reflection),
         )
         for spec in cfg.ers
-    ]
-    bounds = np.asarray([spec.error_bounds for spec in cfg.ers])
-    return min_sensing_duration(
-        geom, priors, bounds, cfg.gamma, cfg.block_len, probe, cfg.noise_power
     )
+    bounds = tuple(spec.error_bounds for spec in cfg.ers)
+    return _plan(cfg.array, cfg.p_max, cfg.noise_power, priors, bounds)
+
+
+@functools.lru_cache(maxsize=128)
+def _plan(
+    array: ArraySpec, p_max: float, noise_power: float, priors: tuple, bounds: tuple
+) -> SensingPlan:
+    geom = build_upa(array.n_y, array.n_z, array.carrier_freq, array.spacing)
+    priors = [(position, VisibilityRegion(*vr), refl) for position, vr, refl in priors]
+    crbs = lattice_crb(geom, priors, bounds, uniform_probe(geom, p_max), noise_power)
+    return SensingPlan(tuple(vr for _, vr, _ in priors), crbs)
+
+
+# The memo's controls, named as on any lru_cache-wrapped function.
+plan.cache_info = _plan.cache_info
+plan.cache_clear = _plan.cache_clear
 
 
 def run_trial(cfg: ScenarioConfig, trial_index: int) -> TrialResult:
@@ -340,7 +397,7 @@ def run_trial(cfg: ScenarioConfig, trial_index: int) -> TrialResult:
                 f"block of {block_len} symbols cannot host {n_ers} half-block sensing slots"
             )
     else:
-        tau = _planned_tau(cfg, geom, probe)
+        tau = plan(cfg).tau(cfg.gamma, block_len)
 
     identify = cfg.scheme != "no_vr"
     est_channels = []
@@ -420,10 +477,7 @@ def sweep_gamma(cfg: ScenarioConfig, gamma_grid) -> list[SweepRow]:
     if cfg.scheme in _PLANNED_SCHEMES:
         # The slot never shortens as the target tightens, so planning the
         # smallest target first fails an infeasible grid before any trial.
-        geom = build_upa(
-            cfg.array.n_y, cfg.array.n_z, cfg.array.carrier_freq, cfg.array.spacing
-        )
-        _planned_tau(replace(cfg, gamma=min(grid)), geom, uniform_probe(geom, cfg.p_max))
+        plan(cfg).tau(min(grid), cfg.block_len)
     rows = []
     for g in grid:
         sub = replace(cfg, gamma=g)
@@ -489,37 +543,43 @@ def _reject_unknown(data: dict, allowed: set, where: str) -> None:
         raise ValueError(f"unknown {where} keys: {', '.join(unknown)}")
 
 
-def _er_from_dict(data: dict) -> ErSpec:
-    _reject_unknown(data, _ER_KEYS, "receiver")
+def _object(key: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{key} must be an object, got {value!r}")
+    return value
+
+
+def _er_from_dict(data, where: str) -> ErSpec:
+    _reject_unknown(_object(where, data), _ER_KEYS, "receiver")
     if "prior_position" not in data:
-        raise ValueError("receiver entry is missing prior_position")
+        raise ValueError(f"{where} is missing prior_position")
     kwargs = dict(data)
     refl = kwargs.get("reflection")
     if isinstance(refl, (list, tuple)):
-        if len(refl) != 2:
-            raise ValueError(f"reflection must be a number or [re, im], got {refl}")
-        kwargs["reflection"] = complex(float(refl[0]), float(refl[1]))
-    vr = kwargs.get("vr")
-    if vr is not None:
-        kwargs["vr"] = (int(vr[0]), int(vr[1]))
-    kwargs["prior_position"] = tuple(kwargs["prior_position"])
-    if "error_bounds" in kwargs:
-        kwargs["error_bounds"] = tuple(kwargs["error_bounds"])
+        re, im = _sequence("reflection", refl, 2)
+        _require_finite("reflection", re, im)
+        kwargs["reflection"] = complex(re, im)
     return ErSpec(**kwargs)
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
-    """Build a config from parsed JSON, rejecting unknown keys at every level."""
+    """Build a config from parsed JSON, rejecting unknown keys at every level.
+
+    Every malformed value, at any level, is a ValueError that names its key.
+    """
     if not isinstance(data, dict):
         raise ValueError(f"config root must be an object, got {type(data).__name__}")
     _reject_unknown(data, _CONFIG_KEYS, "config")
     kwargs = dict(data)
     if "array" in kwargs:
-        array = kwargs["array"]
+        array = _object("array", kwargs["array"])
         _reject_unknown(array, _ARRAY_KEYS, "array")
         kwargs["array"] = ArraySpec(**array)
     if "ers" in kwargs:
-        kwargs["ers"] = tuple(_er_from_dict(er) for er in kwargs["ers"])
+        ers = kwargs["ers"]
+        if not isinstance(ers, (list, tuple)):
+            raise ValueError(f"ers must be a list of receiver objects, got {ers!r}")
+        kwargs["ers"] = tuple(_er_from_dict(er, f"ers[{i}]") for i, er in enumerate(ers))
     return ScenarioConfig(**kwargs)
 
 

@@ -28,6 +28,7 @@ from nfwpt import (
     harvested_power,
     identify_vr,
     estimate_power_levels,
+    lattice_crb,
     locate_er,
     min_sensing_duration,
     run_trials,
@@ -202,7 +203,7 @@ def test_criterion_04_planned_slot_equals_exhaustive_search():
 
         gamma = lattice_worst(1) / rng.uniform(0.5, 20.0)
         planned = min_sensing_duration(
-            geom, priors, bounds, gamma, 10**9, probe, NOISE_POWER
+            lattice_crb(geom, priors, bounds, probe, NOISE_POWER), gamma, 10**9
         )
         scan = 1
         while lattice_worst(scan) > gamma:

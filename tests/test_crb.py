@@ -11,6 +11,7 @@ from nfwpt import (
     crb_position,
     fim,
     fim_finite_difference,
+    lattice_crb,
     min_sensing_duration,
     sample_covariance,
 )
@@ -18,7 +19,7 @@ from nfwpt.channel import ErState, VisibilityRegion, channel, channel_derivative
 from nfwpt.crb import FisherInfo
 from nfwpt.echo import uniform_probe
 from nfwpt.errors import InfeasibleBlockError, SingularFimError
-from nfwpt.harness import default_config
+from nfwpt.harness import ArraySpec, ErSpec, ScenarioConfig, default_config, plan
 
 
 def _scene(seed, n_y=4, n_z=4, reflection=None):
@@ -231,10 +232,8 @@ class TestMinSensingDuration:
 
     def test_generous_target_clamps_to_one_symbol(self):
         geom, priors, probe, nominal = self._setup()
-        tau = min_sensing_duration(
-            geom, priors, (0.1,) * 3, 50.0 * nominal, 200, probe, 1e-15
-        )
-        assert tau == 1
+        crbs = lattice_crb(geom, priors, (0.1,) * 3, probe, 1e-15)
+        assert min_sensing_duration(crbs, 50.0 * nominal, 200) == 1
 
     def test_matches_an_exhaustive_search(self):
         rng = np.random.default_rng(9)
@@ -244,32 +243,58 @@ class TestMinSensingDuration:
                 geom, priors, (0.15,) * 3, probe, 1, 1e-15
             ) / rng.uniform(2.0, 12.0)
             tau = min_sensing_duration(
-                geom, priors, (0.15,) * 3, gamma, 10**9, probe, 1e-15
+                lattice_crb(geom, priors, (0.15,) * 3, probe, 1e-15), gamma, 10**9
             )
             scan = 1
             while _lattice_worst(geom, priors, (0.15,) * 3, probe, scan, 1e-15) > gamma:
                 scan += 1
             assert tau == scan
 
+    def test_plan_of_a_config_gives_the_same_slot(self):
+        rng = np.random.default_rng(9)
+        for seed in range(5):
+            geom, priors, probe, _ = self._setup(seed)
+            (position, vr, refl), = priors
+            cfg = ScenarioConfig(
+                array=ArraySpec(n_y=16, n_z=16),
+                ers=(
+                    ErSpec(
+                        prior_position=tuple(position),
+                        error_bounds=(0.15,) * 3,
+                        reflection=refl,
+                        vr=(vr.start, vr.end),
+                    ),
+                ),
+                noise_power=1e-15,
+            )
+            planned = plan(cfg)
+            assert planned.regions == (vr,)
+            for block_len in (10**9, 6):
+                gamma = planned.worst / rng.uniform(2.0, 12.0)
+                try:
+                    expected = min_sensing_duration(
+                        lattice_crb(geom, priors, (0.15,) * 3, probe, 1e-15), gamma, block_len
+                    )
+                except InfeasibleBlockError:
+                    with pytest.raises(InfeasibleBlockError):
+                        planned.tau(gamma, block_len)
+                    continue
+                assert planned.tau(gamma, block_len) == expected
+
     def test_doubling_the_target_never_increases_the_slot(self):
         geom, priors, probe, nominal = self._setup(1)
+        crbs = lattice_crb(geom, priors, (0.15,) * 3, probe, 1e-15)
         taus = [
-            min_sensing_duration(
-                geom, priors, (0.15,) * 3, nominal / k, 10**6, probe, 1e-15
-            )
-            for k in (64, 32, 16, 8, 4, 2, 1)
+            min_sensing_duration(crbs, nominal / k, 10**6) for k in (64, 32, 16, 8, 4, 2, 1)
         ]
         assert taus == sorted(taus, reverse=True)
 
     def test_nominal_only_mode_never_needs_more_symbols(self):
         geom, priors, probe, nominal = self._setup(2)
         gamma = nominal / 7.3
-        robust = min_sensing_duration(
-            geom, priors, (0.15,) * 3, gamma, 10**6, probe, 1e-15, robust=True
-        )
-        relaxed = min_sensing_duration(
-            geom, priors, (0.15,) * 3, gamma, 10**6, probe, 1e-15, robust=False
-        )
+        crbs = lattice_crb(geom, priors, (0.15,) * 3, probe, 1e-15)
+        robust = min_sensing_duration(crbs, gamma, 10**6, robust=True)
+        relaxed = min_sensing_duration(crbs, gamma, 10**6, robust=False)
         assert relaxed <= robust
         assert relaxed == 8
 
@@ -277,28 +302,28 @@ class TestMinSensingDuration:
         geom, priors, probe, nominal = self._setup(3)
         two = priors * 2
         gamma = nominal / 3.0
-        shared = min_sensing_duration(geom, two, (0.15,) * 3, gamma, 10**6, probe, 1e-15)
-        stacked = min_sensing_duration(
-            geom, two, [(0.15,) * 3, (0.15,) * 3], gamma, 10**6, probe, 1e-15
-        )
+        shared = lattice_crb(geom, two, (0.15,) * 3, probe, 1e-15)
+        stacked = lattice_crb(geom, two, [(0.15,) * 3, (0.15,) * 3], probe, 1e-15)
         assert shared == stacked
 
     def test_block_exhaustion_is_infeasible(self):
         geom, priors, probe, nominal = self._setup(4)
+        crbs = lattice_crb(geom, priors, (0.15,) * 3, probe, 1e-15)
         with pytest.raises(InfeasibleBlockError):
-            min_sensing_duration(
-                geom, priors, (0.15,) * 3, nominal / 10**6, 200, probe, 1e-15
-            )
+            min_sensing_duration(crbs, nominal / 10**6, 200)
 
     def test_rejects_bad_arguments(self):
         geom, priors, probe, _ = self._setup(5)
+        crbs = lattice_crb(geom, priors, (0.15,) * 3, probe, 1e-15)
         with pytest.raises(ValueError):
-            min_sensing_duration(geom, priors, (0.15,) * 3, 0.0, 200, probe, 1e-15)
+            min_sensing_duration(crbs, 0.0, 200)
         with pytest.raises(ValueError):
-            min_sensing_duration(geom, priors, (0.15,) * 3, 1.0, 0, probe, 1e-15)
+            min_sensing_duration(crbs, 1.0, 0)
         with pytest.raises(ValueError):
-            min_sensing_duration(geom, [], (0.15,) * 3, 1.0, 200, probe, 1e-15)
+            min_sensing_duration((), 1.0, 200)
         with pytest.raises(ValueError):
-            min_sensing_duration(geom, priors, (0.15, 0.15), 1.0, 200, probe, 1e-15)
+            lattice_crb(geom, [], (0.15,) * 3, probe, 1e-15)
         with pytest.raises(ValueError):
-            min_sensing_duration(geom, priors, (-0.1,) * 3, 1.0, 200, probe, 1e-15)
+            lattice_crb(geom, priors, (0.15, 0.15), probe, 1e-15)
+        with pytest.raises(ValueError):
+            lattice_crb(geom, priors, (-0.1,) * 3, probe, 1e-15)

@@ -1,18 +1,23 @@
 """Tests for the scenario harness: schemes, sweeps, config files, CSV output."""
 
 import functools
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nfwpt import harness
+from nfwpt import crb, harness
 
-from nfwpt import build_upa, min_sensing_duration, solve_energy_covariance
+from nfwpt import build_upa, lattice_crb, min_sensing_duration, solve_energy_covariance
 from nfwpt.beamform import harvested_power, weighted_channel_matrix
 from nfwpt.channel import ErState, VisibilityRegion, channel
 from nfwpt.echo import uniform_probe
 from nfwpt.crb import crb_position, fim
+from nfwpt.errors import InfeasibleBlockError
 from nfwpt.harness import (
     SCHEMES,
     ArraySpec,
@@ -22,6 +27,7 @@ from nfwpt.harness import (
     csv_header,
     default_config,
     load_config,
+    plan,
     rows_to_csv,
     run_trial,
     run_trials,
@@ -157,9 +163,8 @@ class TestRunTrial:
             for spec in cfg.ers
         ]
         bounds = np.asarray([spec.error_bounds for spec in cfg.ers])
-        expected = min_sensing_duration(
-            geom, priors, bounds, cfg.gamma, cfg.block_len, probe, cfg.noise_power
-        )
+        crbs = lattice_crb(geom, priors, bounds, probe, cfg.noise_power)
+        expected = min_sensing_duration(crbs, cfg.gamma, cfg.block_len)
         assert run_trial(cfg, 0).tau_used == expected
 
     def test_no_vr_models_the_full_aperture(self):
@@ -170,6 +175,63 @@ class TestRunTrial:
     def test_rejects_negative_trial_index(self):
         with pytest.raises(ValueError):
             run_trial(_small_cfg(), -1)
+
+
+class TestPlan:
+    @pytest.fixture(autouse=True)
+    def _empty_memo(self):
+        plan.cache_clear()
+
+    def _count_fim_calls(self, monkeypatch):
+        calls = []
+        inner = crb.fim
+        monkeypatch.setattr(crb, "fim", lambda *a, **k: calls.append(1) or inner(*a, **k))
+        return calls
+
+    def test_the_plan_depends_on_planning_inputs_only(self, monkeypatch):
+        calls = self._count_fim_calls(monkeypatch)
+        cfg = _small_cfg()
+        first = run_trial(cfg, 0)
+        assert len(calls) == 2 * 27
+        for other in (
+            replace(cfg, master_seed=5),
+            replace(cfg, gamma=cfg.gamma * 2),
+            replace(cfg, block_len=300),
+            replace(cfg, trials=7),
+        ):
+            run_trial(other, 1)
+        assert len(calls) == 2 * 27
+        assert run_trial(cfg, 0) == first
+        run_trial(replace(cfg, p_max=2 * cfg.p_max), 0)
+        assert len(calls) == 4 * 27
+        info = plan.cache_info()
+        assert (info.misses, info.hits) == (2, 5)
+
+    def test_no_vr_and_unpinned_receivers_plan_with_the_full_aperture(self):
+        pinned = plan(_small_cfg())
+        assert pinned.regions == (VisibilityRegion(*_VRS[0]), VisibilityRegion(*_VRS[1]))
+        for scheme in ("no_vr", "equal_time"):
+            assert plan(_small_cfg(scheme=scheme)).regions == (VisibilityRegion(1, 64),) * 2
+        ers = (replace(_small_cfg().ers[0], vr=None), _small_cfg().ers[1])
+        assert plan(_small_cfg(ers=ers)).regions[0] == VisibilityRegion(1, 64)
+
+    def test_an_infeasible_target_raises_on_every_call(self):
+        cfg = _small_cfg(gamma=_small_planning_worst() / 1e6)
+        for _ in range(2):
+            with pytest.raises(InfeasibleBlockError):
+                run_trial(cfg, 0)
+            with pytest.raises(InfeasibleBlockError):
+                plan(cfg).tau(cfg.gamma, cfg.block_len)
+        assert run_trial(replace(cfg, gamma=_small_planning_worst()), 0).tau_used == 1
+
+    def test_lattice_extremes_match_a_direct_evaluation(self):
+        planned = plan(_small_cfg())
+        assert planned.worst == _small_planning_worst()
+        geom = build_upa(8, 8, 28e9)
+        for spec, region, lattice in zip(_small_cfg().ers, planned.regions, planned.crbs):
+            state = ErState(np.asarray(spec.prior_position), region, reflection=50.0)
+            nominal = crb_position(fim(geom, state, uniform_probe(geom, 1.0), 1, 1e-15))
+            assert lattice.nominal == nominal.crb_total
 
 
 class TestSummarize:
@@ -336,6 +398,104 @@ class TestConfigValidation:
         assert result.tau_used >= 1
         assert all(np.isfinite(result.powers))
         assert result.pos_errors[0] <= 3.0 * math.sqrt(3) * 0.1
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _near(valid):
+    """A value the schema accepts, or any JSON tree in its place."""
+    return st.one_of(valid, valid, _JSON)
+
+
+def _triple(lo, hi):
+    return st.lists(st.floats(lo, hi) | st.integers(-3, 3), min_size=3, max_size=3)
+
+
+_ARRAY_DICT = st.fixed_dictionaries(
+    {},
+    optional={
+        "n_y": _near(st.integers(1, 16)),
+        "n_z": _near(st.integers(1, 16)),
+        "carrier_freq": _near(st.floats(1e9, 1e11)),
+        "spacing": _near(st.none() | st.floats(1e-3, 0.1)),
+    },
+)
+_ER_DICT = st.fixed_dictionaries(
+    {"prior_position": _near(_triple(-5.0, 5.0))},
+    optional={
+        "error_bounds": _near(_triple(0.0, 0.3)),
+        "weight": _near(st.floats(0.0, 1.0)),
+        "reflection": _near(st.floats(-60.0, 60.0) | st.lists(_FINITE, min_size=2, max_size=2)),
+        "vr": _near(st.none() | st.lists(st.integers(-2, 300), min_size=2, max_size=2)),
+    },
+)
+_CONFIG_DICT = st.fixed_dictionaries(
+    {},
+    optional={
+        "array": _near(_ARRAY_DICT),
+        "ers": _near(st.lists(_near(_ER_DICT), max_size=3)),
+        "noise_power": _near(st.floats(1e-18, 1e-12)),
+        "p_max": _near(st.floats(0.01, 10.0)),
+        "block_len": _near(st.integers(-1, 500)),
+        "eta": _near(st.floats(0.0, 1.0)),
+        "n_alpha": _near(st.integers(0, 130)),
+        "gamma": _near(st.floats(0.0, 1e5)),
+        "trials": _near(st.integers(-1, 200)),
+        "master_seed": _near(st.integers(-1, 2**70)),
+        "scheme": _near(st.sampled_from(SCHEMES)),
+    },
+)
+
+
+class TestConfigFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(data=_near(_CONFIG_DICT))
+    def test_any_json_tree_is_a_config_or_a_value_error(self, data):
+        try:
+            cfg = config_from_dict(data)
+        except ValueError as exc:
+            assert str(exc)
+            return
+        assert isinstance(cfg, ScenarioConfig)
+        hash(cfg)  # the planning memo keys on the config's values
+
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            ({"array": 5}, "array"),
+            ({"ers": 5}, "ers"),
+            ({"ers": [5]}, "ers"),
+            ({"ers": [{"prior_position": 5}]}, "prior_position"),
+            ({"ers": [{"prior_position": [1.0, 2.0, 3.0], "error_bounds": 0.1}]}, "error_bounds"),
+            ({"ers": [{"prior_position": [1.0, 2.0, 3.0], "vr": [1]}]}, "vr"),
+            ({"ers": [{"prior_position": [1.0, 2.0, 3.0], "vr": [1.5, 200]}]}, "vr"),
+            ({"ers": [{"prior_position": [1.0, 2.0, 3.0], "vr": [9, 3]}]}, "vr"),
+            ({"ers": [{"prior_position": [1.0, 2.0, 3.0], "reflection": "a"}]}, "reflection"),
+            ({"ers": [{"prior_position": [1.0, 2.0, 3.0], "reflection": [1, "a"]}]}, "reflection"),
+            ({"ers": [{"prior_position": [1.0, 2.0, 3.0], "reflection": [1.7e308] * 2}]}, "reflection"),
+            ({"noise_power": 10**400}, "noise_power"),
+            ({"array": {"n_y": 2**30, "n_z": 2**30}}, "n_y"),
+        ],
+    )
+    def test_a_malformed_shape_is_a_value_error_naming_the_key(self, payload, key):
+        with pytest.raises(ValueError, match=key):
+            config_from_dict(payload)
+
+    def test_a_malformed_shape_is_a_one_line_cli_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({"ers": [{"prior_position": [1, 2, 3], "vr": [1]}]}))
+        code = main(["crb", "--config", str(cfg_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("nfwpt: error: vr ")
+        assert captured.err.count("\n") == 1
 
 
 class TestConfigFiles:
@@ -566,6 +726,37 @@ class TestCli:
         assert re.search(r"er1: crb1_nominal_m2=\d\.\d{12}e[+-]\d{2}", out)
         assert re.search(r"er2: .*vr=\[20,50\]", out)
         assert re.search(r"gamma_m2=.* tau_star=\d+ block_len=200", out)
+
+    def test_crb_on_the_built_in_scenario_is_unchanged(self, capsys):
+        assert main(["crb"]) == 0
+        assert capsys.readouterr().out == (
+            "er1: crb1_nominal_m2=3.410932020671e-01 crb1_worst_m2=1.222918053937e+02 vr=[1,256]\n"
+            "er2: crb1_nominal_m2=8.689404966254e+00 crb1_worst_m2=1.272909146697e+05 vr=[1,256]\n"
+            "gamma_m2=4.000000000000e+04 tau_star=4 block_len=200\n"
+        )
+
+    def test_each_command_plans_from_scratch(self, tmp_path, capsys):
+        cfg_path = self._write_config(tmp_path)
+        for _ in range(2):
+            assert main(["simulate", "--config", str(cfg_path), "--trials", "3"]) == 0
+            info = plan.cache_info()
+            assert (info.misses, info.hits) == (1, 2)
+        capsys.readouterr()
+
+    def test_crb_plans_no_vr_like_the_harness(self, tmp_path, capsys):
+        import re
+
+        cfg_path = self._write_config(tmp_path)
+        taus = {}
+        for scheme in ("proposed", "no_vr"):
+            assert main(["crb", "--config", str(cfg_path), "--scheme", scheme]) == 0
+            report = capsys.readouterr().out
+            taus[scheme] = int(re.search(r"tau_star=(\d+)", report).group(1))
+            assert main(["simulate", "--config", str(cfg_path), "--scheme", scheme]) == 0
+            row = capsys.readouterr().out.splitlines()[1].split(",")
+            assert float(row[2]) == taus[scheme]
+        assert "vr=[1,64]" in report
+        assert taus["no_vr"] > taus["proposed"]
 
     def test_infeasible_gamma_grid_fails_before_any_trial(self, tmp_path, capsys, monkeypatch):
         cfg_path = self._write_config(tmp_path)

@@ -1,7 +1,11 @@
 """Tests for power-level estimation and window-search region identification."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfwpt import build_upa, estimate_power_levels, identify_vr, scaling_factor
 from nfwpt.channel import ErState, VisibilityRegion, channel, min_vr_span
@@ -29,6 +33,32 @@ def _brute_force_vr(y_bar, eta, alpha):
     if best is None:
         raise InfeasibleWindowError("no feasible window")
     return VisibilityRegion(*best_window)
+
+
+def _prefix_scan_vr(y_bar, eta, alpha):
+    """Exact-rounding oracle: score every window start with the expression
+    identify_vr scores its nominated windows with, one start at a time."""
+    mags = np.abs(np.asarray(y_bar))
+    n = mags.size
+    span = min_vr_span(n, eta)
+    start_max = math.floor((1.0 - eta) * n)
+    if start_max < 1 or 1 + span > n:
+        raise InfeasibleWindowError("no feasible window")
+    prefix = np.concatenate([[0.0], np.cumsum(mags)])
+    total = prefix[n]
+    best = None  # (cost, size, start)
+    best_end = 0
+    for s in range(1, start_max + 1):
+        ends = np.arange(s + span, n + 1)
+        if ends.size == 0:  # start_max may round past n - span
+            continue
+        costs = prefix[s - 1] + (total - prefix[ends]) + alpha * (ends - s + 1)
+        i = int(np.argmin(costs))  # first minimum, so the smallest end for this start
+        key = (float(costs[i]), int(ends[i] - s + 1), s)
+        if best is None or key < best:
+            best = key
+            best_end = int(ends[i])
+    return VisibilityRegion(best[2], best_end)
 
 
 def test_constant_vector_power_levels():
@@ -137,3 +167,57 @@ def test_infeasible_window_constraints_raise():
     y = np.ones(8, dtype=complex)
     with pytest.raises(InfeasibleWindowError):
         identify_vr(y, 0.999, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(8, 300),
+    eta=st.floats(0.05, 0.7),
+    levels=st.integers(1, 4),
+    half_alpha=st.integers(0, 10),
+    unit=st.sampled_from([1.0, 0.1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_window_search_matches_the_prefix_scan_on_tie_heavy_input(
+    n, eta, levels, half_alpha, unit, seed
+):
+    # Small-integer magnitudes with an integer or half-integer rate make many
+    # windows cost exactly the same, so the (cost, size, start) tie-break
+    # decides. In tenths the same ties are broken by rounding alone, which
+    # the separated sum does differently from the scored expression.
+    rng = np.random.default_rng(seed)
+    mags = rng.integers(0, levels + 1, n) * unit
+    y = mags.astype(complex)
+    alpha = half_alpha / 2.0 * unit
+    try:
+        ref = _prefix_scan_vr(y, eta, alpha)
+    except InfeasibleWindowError:
+        with pytest.raises(InfeasibleWindowError):
+            identify_vr(y, eta, alpha)
+        return
+    got = identify_vr(y, eta, alpha)
+    assert (got.start, got.end) == (ref.start, ref.end)
+
+
+def test_window_search_matches_the_prefix_scan_on_noisy_input():
+    rng = np.random.default_rng(29)
+    for n in (256, 1024):
+        for _ in range(10):
+            y = np.abs(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            width = int(rng.integers(n // 4 + 1, n // 2 + 1))
+            start = int(rng.integers(0, n - width))
+            y[start : start + width] *= rng.uniform(1.0, 4.0)
+            alpha = float(rng.uniform(0.5, 3.0))
+            got = identify_vr(y, 0.25, alpha)
+            ref = _prefix_scan_vr(y, 0.25, alpha)
+            assert (got.start, got.end) == (ref.start, ref.end)
+
+
+def test_rejects_non_finite_input():
+    y = np.ones(16, dtype=complex)
+    for alpha in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError):
+            identify_vr(y, 0.25, alpha)
+    y[3] = math.nan
+    with pytest.raises(ValueError):
+        identify_vr(y, 0.25, 1.0)
