@@ -34,10 +34,6 @@ class BeamformerSolution:
     objective: float
     certificate: float
 
-    @property
-    def covariance(self) -> np.ndarray:
-        return self.power * np.outer(self.direction, self.direction.conj())
-
 
 @dataclass(frozen=True)
 class WeightedChannels:
@@ -59,10 +55,6 @@ class WeightedChannels:
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return np.array(self.factor, dtype=dtype, copy=True if copy is None else copy)
-
-    def dense(self) -> np.ndarray:
-        """The N x N matrix A itself, for tests and reference computations."""
-        return self.factor @ self.factor.conj().T
 
 
 def weighted_channel_matrix(channels, weights) -> WeightedChannels:
@@ -162,11 +154,3 @@ def average_harvested_power(
     duty = (block_len - n_ers * tau) / block_len
     return duty * harvested_power(h_true, solution)
 
-
-def isotropic_covariance(p_max: float, n_elements: int) -> np.ndarray:
-    """Unfocused covariance that spreads the budget evenly: (P / N) I."""
-    if p_max <= 0:
-        raise ValueError(f"power budget must be positive, got {p_max}")
-    if n_elements < 1:
-        raise ValueError(f"element count must be positive, got {n_elements}")
-    return (p_max / n_elements) * np.eye(n_elements)

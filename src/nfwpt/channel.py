@@ -20,9 +20,6 @@ import numpy as np
 from .errors import SingularGeometryError
 from .geometry import UpaGeometry
 
-_AXES = {"x": 0, "y": 1, "z": 2}
-
-
 def min_vr_span(n: int, eta: float) -> int:
     """Smallest allowed index span (end - start) of a visibility region."""
     if n < 2:
@@ -121,10 +118,11 @@ def response_derivatives(
     rows=slice(None),
     axes=slice(None),
 ) -> np.ndarray:
-    """Partial derivatives of the responses at one point along the given axes.
+    """Partial derivatives of the responses at points along the given axes.
 
-    dists and entries are the point's (n_rows,) results of array_response;
-    the result has one row per selected axis (all three by default).
+    point is one point (3,) or a stack (..., 3), and dists and entries are
+    its (..., n_rows) results of array_response; the result has shape
+    (..., n_axes, n_rows), one row per selected axis (all three by default).
     Differentiating amplitude and phase of each entry gives
 
         d a_n / d u = a_n(l) * ( (u_n - u) / d_n^2 + j 2 pi (u_n - u) / (lambda d_n) ),
@@ -132,9 +130,11 @@ def response_derivatives(
     with u_n the element coordinate on axis u.
     """
     pos = np.asarray(point, dtype=float)
-    diff = geom.positions[rows, axes].T - pos[axes, None]
-    radial = diff / dists
-    return entries * (radial / dists + 2j * np.pi / geom.wavelength * radial)
+    diff = geom.positions[rows, axes].T - pos[..., axes, None]
+    radial = diff / dists[..., None, :]
+    return entries[..., None, :] * (
+        radial / dists[..., None, :] + 2j * np.pi / geom.wavelength * radial
+    )
 
 
 def response_hessians(
@@ -178,19 +178,3 @@ def channel(geom: UpaGeometry, er: ErState) -> np.ndarray:
     """Effective channel of a receiver: masked array response at its position."""
     return steering_vector(geom, er.position) * vr_cover(er.vr, geom.n_elements)
 
-
-def channel_derivative(geom: UpaGeometry, point, vr: VisibilityRegion, axis: str) -> np.ndarray:
-    """Partial derivative of the masked channel with respect to one coordinate.
-
-    Row `axis` of response_derivatives over the full aperture; entries outside
-    the visibility region are zero.
-    """
-    if axis not in _AXES:
-        raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
-    pos = _as_point(point)
-    dists, entries = array_response(geom, pos[:, None])
-    col = _AXES[axis]
-    deriv = response_derivatives(
-        geom, pos, dists.reshape(-1), entries.reshape(-1), axes=slice(col, col + 1)
-    )
-    return deriv[0] * vr_cover(vr, geom.n_elements)

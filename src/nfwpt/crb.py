@@ -22,6 +22,16 @@ quadratic form factors as u^H S* v = conj(x^T u) (x^T v). fim() therefore
 projects h and the three derivatives onto the probe once and builds each form
 from two scalars, in O(N) with no N x N array.
 
+Planning needs the FIM at the 27 points of each receiver's prior lattice, so
+fim() takes the lattice as per-axis offsets and evaluates every point in one
+call: one array_response over the grid, one derivative pass over a
+(points, 3, N) array, and one eigvalsh, cond and inv over the (points, 5, 5)
+stack. The matrix is ill-conditioned, so the order of every sum counts: the
+per-point probe projections (x @ u) and inner products (vdot) stay separate
+BLAS reductions over C-contiguous rows, combined in the same scalar order as
+for a single point. A reduction batched across points, or one over a strided
+row, rounds differently and moves the worst CRB in its last digits.
+
 Every block is proportional to tau, so F(tau) = tau * F(1) exactly and the
 position CRB scales as 1 / tau. FisherInfo therefore stores the per-symbol
 matrix F(1) and reconstructs F(tau) on demand, which keeps the scaling law
@@ -32,11 +42,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from .channel import ErState, channel, channel_derivative, steering_vector, vr_cover
+from .channel import (
+    ErState,
+    array_response,
+    channel,
+    response_derivatives,
+    steering_vector,
+    vr_cover,
+)
 from .errors import DegenerateChannelError, InfeasibleBlockError, SingularFimError
 from .geometry import UpaGeometry
 
@@ -48,7 +64,8 @@ class FisherInfo:
     """5x5 real Fisher information in the order (x, y, z, Re b, Im b).
 
     base_matrix holds the information contributed by a single probe symbol;
-    the full matrix for the slot is tau * base_matrix.
+    the full matrix for the slot is tau * base_matrix. fim() over a lattice
+    stacks one such matrix per point along a leading axis.
     """
 
     base_matrix: np.ndarray
@@ -71,75 +88,101 @@ class CrbReport:
     tau: int
 
 
-def sample_covariance(probe: np.ndarray, slot_len: int) -> np.ndarray:
-    """Per-symbol sample covariance of the probe, constant over the slot.
-
-    This is the dense N x N form x x^H; fim() uses its rank-one factors.
-    """
-    if slot_len < 1:
-        raise ValueError(f"slot length must be >= 1, got {slot_len}")
-    x = np.asarray(probe, dtype=complex)
-    if x.ndim != 1:
-        raise ValueError(f"probe must be a vector, got shape {x.shape}")
-    return np.outer(x, x.conj())
-
-
 def fim(
     geom: UpaGeometry,
     er_nominal: ErState,
     probe: np.ndarray,
     slot_len: int,
     noise_power: float,
+    offsets=None,
 ) -> FisherInfo:
-    """Closed-form Fisher information at a nominal receiver state."""
+    """Closed-form Fisher information at a nominal receiver state.
+
+    offsets, when given, is (dx, dy, dz), one 1-D displacement array per
+    axis: the information is then evaluated at the nominal position plus
+    every displacement of their product, and base_matrix stacks one 5 x 5
+    matrix per point along a leading axis, in product order. Without
+    offsets the nominal position is the only point and base_matrix is 5 x 5.
+    A point's matrix has the same bits whatever other points share the call
+    (see the module docstring), and a failing check raises at the first
+    failing point in product order.
+    """
     if noise_power <= 0:
         raise ValueError(f"noise power must be positive, got {noise_power}")
     if slot_len < 1:
         raise ValueError(f"slot length must be >= 1, got {slot_len}")
-    h = channel(geom, er_nominal)
-    if not np.any(h):
-        raise DegenerateChannelError("nominal channel is identically zero")
-    derivs = [
-        channel_derivative(geom, er_nominal.position, er_nominal.vr, ax)
-        for ax in ("x", "y", "z")
-    ]
+    n = geom.n_elements
     x = np.asarray(probe, dtype=complex)
-    if x.shape != h.shape:
-        raise ValueError(f"probe shape {x.shape} does not match channel shape {h.shape}")
+    if x.shape != (n,):
+        raise ValueError(f"probe shape {x.shape} does not match channel shape {(n,)}")
+    center = er_nominal.position
+    if offsets is None:
+        grid = center[:, None]
+    else:
+        if len(offsets) != 3:
+            raise ValueError(f"offsets must hold one array per axis, got {len(offsets)}")
+        grid = [
+            center[ax] + np.asarray(d, dtype=float).reshape(-1) for ax, d in enumerate(offsets)
+        ]
+        if not all(np.all(np.isfinite(coords)) for coords in grid):
+            raise ValueError("position must be finite")
+    dists, entries = array_response(geom, grid)
+    dists = dists.reshape(-1, n)
+    entries = entries.reshape(-1, n)
+    points = np.stack(np.meshgrid(*grid, indexing="ij"), axis=-1).reshape(-1, 3)
+    cover = vr_cover(er_nominal.vr, n)
+    channels = entries * cover
+    # C order puts each (point, axis) row in one contiguous run: a strided
+    # row would make the BLAS reductions below sum in another order.
+    derivatives = np.multiply(
+        response_derivatives(geom, points, dists, entries), cover, order="C"
+    )
     b = er_nominal.reflection
-    # x^T u for u = h and each derivative: u^H S* v = conj(x^T u) (x^T v).
-    xh = x @ h
-    xd = [x @ d for d in derivs]
+    b2, b_conj = abs(b) ** 2, np.conj(b)
+    mats = np.zeros((len(points), 5, 5))
+    for h, derivs, mat in zip(channels, derivatives, mats):
+        # x^T u for u = h and each derivative: u^H S* v = conj(x^T u) (x^T v).
+        xh = x @ h
+        xd = [x @ d for d in derivs]
+        xh_conj = np.conj(xh)
+        xd_conj = [np.conj(v) for v in xd]
+        dh = [np.vdot(d, h) for d in derivs]
+        hd = [np.vdot(h, d) for d in derivs]
 
-    hh = np.vdot(h, h).real
-    hsh = np.conj(xh) * xh
-    mat = np.zeros((5, 5))
-    for i in range(3):
-        for j in range(i, 3):
-            g_uv = abs(b) ** 2 * (
-                np.vdot(derivs[i], derivs[j]) * hsh
-                + np.vdot(derivs[i], h) * np.conj(xh) * xd[j]
-                + np.vdot(h, derivs[j]) * np.conj(xd[i]) * xh
-                + hh * np.conj(xd[i]) * xd[j]
-            )
-            mat[i, j] = mat[j, i] = g_uv.real
-    for i in range(3):
-        g_ub = (
-            np.vdot(derivs[i], h) * np.conj(b) * hsh
-            + hh * np.conj(b) * np.conj(xd[i]) * xh
-        )
-        mat[i, 3] = mat[3, i] = g_ub.real
-        mat[i, 4] = mat[4, i] = -g_ub.imag
-    g_bb = hh * hsh
-    mat[3, 3] = mat[4, 4] = g_bb.real
-    mat[3, 4] = mat[4, 3] = -g_bb.imag
-    mat *= 2.0 / noise_power
+        hh = np.vdot(h, h).real
+        hsh = xh_conj * xh
+        for i in range(3):
+            for j in range(i, 3):
+                g_uv = b2 * (
+                    np.vdot(derivs[i], derivs[j]) * hsh
+                    + dh[i] * xh_conj * xd[j]
+                    + hd[j] * xd_conj[i] * xh
+                    + hh * xd_conj[i] * xd[j]
+                )
+                mat[i, j] = mat[j, i] = g_uv.real
+        for i in range(3):
+            g_ub = dh[i] * b_conj * hsh + hh * b_conj * xd_conj[i] * xh
+            mat[i, 3] = mat[3, i] = g_ub.real
+            mat[i, 4] = mat[4, i] = -g_ub.imag
+        g_bb = hh * hsh
+        mat[3, 3] = mat[4, 4] = g_bb.real
+        mat[3, 4] = mat[4, 3] = -g_bb.imag
+    mats *= 2.0 / noise_power
 
-    scale = np.abs(mat).max()
-    if scale > 0 and np.linalg.eigvalsh(mat).min() < -1e-8 * scale:
+    zero = ~channels.any(axis=1)
+    scale = np.abs(mats).max(axis=(1, 2))
+    lost = (scale > 0) & (np.linalg.eigvalsh(mats).min(axis=1) < -1e-8 * scale)
+    failed = zero | lost
+    if failed.any():
+        if zero[failed.argmax()]:
+            raise DegenerateChannelError("nominal channel is identically zero")
         raise ArithmeticError("Fisher information lost positive semidefiniteness")
-    mat.setflags(write=False)
-    return FisherInfo(base_matrix=mat, tau=int(slot_len), noise_power=float(noise_power))
+    mats.setflags(write=False)
+    return FisherInfo(
+        base_matrix=mats if offsets is not None else mats[0],
+        tau=int(slot_len),
+        noise_power=float(noise_power),
+    )
 
 
 def fim_finite_difference(
@@ -199,21 +242,34 @@ def crb_position(info: FisherInfo) -> CrbReport:
     same scaling. Inverting the per-symbol matrix and dividing by tau keeps
     crb(tau) * tau exactly constant.
     """
-    base = info.base_matrix
-    diag = np.diag(base).copy()
-    if np.any(diag <= 0) or not np.all(np.isfinite(base)):
-        raise SingularFimError("Fisher information has a nonpositive diagonal entry")
-    scale = 1.0 / np.sqrt(diag)
-    balanced = base * scale[:, None] * scale[None, :]
+    per_axis = tuple(float(v) for v in _axis_crbs(info.base_matrix[None], info.tau)[0])
+    return CrbReport(crb_total=float(sum(per_axis)), per_axis=per_axis, tau=info.tau)
+
+
+def _axis_crbs(base: np.ndarray, tau: int) -> np.ndarray:
+    """Per-axis position CRBs, shape (P, 3), of a (P, 5, 5) stack of per-symbol FIMs.
+
+    The conditioning and the inverse of every matrix come from one call on
+    the stack. Like a loop over crb_position, this raises at the first point
+    in stack order with a nonpositive diagonal or an ill-conditioned matrix.
+    """
+    diag = np.diagonal(base, axis1=1, axis2=2)
+    valid = np.all(diag > 0, axis=1) & np.all(np.isfinite(base), axis=(1, 2))
+    # Only the points before the first invalid one can raise first.
+    usable = len(valid) if valid.all() else int(valid.argmin())
+    scale = 1.0 / np.sqrt(diag[:usable])
+    balanced = base[:usable] * scale[:, :, None] * scale[:, None, :]
     cond = np.linalg.cond(balanced)
-    if not np.isfinite(cond) or cond >= _COND_LIMIT:
+    bad = ~np.isfinite(cond) | (cond >= _COND_LIMIT)
+    if bad.any():
         raise SingularFimError(
-            f"equilibrated Fisher information condition number {cond:.3e} "
+            f"equilibrated Fisher information condition number {cond[bad.argmax()]:.3e} "
             f"exceeds {_COND_LIMIT:.0e}"
         )
-    cov = np.linalg.inv(balanced) * scale[:, None] * scale[None, :] / info.tau
-    per_axis = (float(cov[0, 0]), float(cov[1, 1]), float(cov[2, 2]))
-    return CrbReport(crb_total=float(sum(per_axis)), per_axis=per_axis, tau=info.tau)
+    if usable < len(valid):
+        raise SingularFimError("Fisher information has a nonpositive diagonal entry")
+    cov = np.linalg.inv(balanced) * scale[:, :, None] * scale[:, None, :] / tau
+    return np.diagonal(cov, axis1=1, axis2=2)[:, :3]
 
 
 @dataclass(frozen=True)
@@ -240,7 +296,10 @@ def lattice_crb(
     priors lists one (position, visibility region, reflection) triple per
     receiver; error_bounds is one (D_x, D_y, D_z) triple shared by all priors
     or one triple per prior. Each prior is displaced over the lattice
-    {-D, 0, +D}^3 in product order, one fim() call per point at tau = 1.
+    {-D, 0, +D}^3, and one fim() call at tau = 1 evaluates all 27 points in
+    product order. The first failing point raises the error it raises on its
+    own, except that fim()'s checks (zero channel, lost semidefiniteness)
+    cover the whole lattice before any point's conditioning is judged.
     """
     if not priors:
         raise ValueError("at least one receiver prior is required")
@@ -256,25 +315,22 @@ def lattice_crb(
 
     out = []
     for (position, vr, reflection), dvec in zip(priors, bounds):
-        center = np.asarray(position, dtype=float)
-        crbs = [
-            crb_position(
-                fim(geom, ErState(center + np.asarray(off), vr, reflection), probe, 1, noise_power)
-            ).crb_total
-            for off in product(*[(-d, 0.0, d) for d in dvec])
-        ]
+        state = ErState(position, vr, reflection)
+        info = fim(geom, state, probe, 1, noise_power, offsets=[(-d, 0.0, d) for d in dvec])
+        per_axis = _axis_crbs(info.base_matrix, info.tau)
+        # Summed as crb_position sums its Python floats: (x + y) + z.
+        crbs = ((per_axis[:, 0] + per_axis[:, 1]) + per_axis[:, 2]).tolist()
         out.append(LatticeCrb(nominal=crbs[_NOMINAL_CORNER], worst=max(crbs)))
     return tuple(out)
 
 
-def min_sensing_duration(crbs, gamma: float, block_len: int, robust: bool = True) -> int:
+def min_sensing_duration(crbs, gamma: float, block_len: int) -> int:
     """Smallest slot length whose position CRB meets the target gamma.
 
-    crbs holds one LatticeCrb per receiver, as lattice_crb() returns them.
-    With robust=True the worst point of every lattice decides; otherwise only
-    the nominal points count. The CRB scales exactly as 1 / tau, so
-    tau = max(1, ceil(worst / gamma)). Every receiver senses for tau symbols,
-    and some of the block must be left for charging.
+    crbs holds one LatticeCrb per receiver, as lattice_crb() returns them,
+    and the worst point of every lattice decides. The CRB scales exactly as
+    1 / tau, so tau = max(1, ceil(worst / gamma)). Every receiver senses for
+    tau symbols, and some of the block must be left for charging.
     """
     if not crbs:
         raise ValueError("at least one receiver CRB is required")
@@ -282,7 +338,7 @@ def min_sensing_duration(crbs, gamma: float, block_len: int, robust: bool = True
         raise ValueError(f"accuracy target must be positive, got {gamma}")
     if block_len < 1:
         raise ValueError(f"block length must be >= 1, got {block_len}")
-    worst = max(c.worst if robust else c.nominal for c in crbs)
+    worst = max(c.worst for c in crbs)
     tau = max(1, math.ceil(worst / gamma))
     if len(crbs) * tau >= block_len:
         raise InfeasibleBlockError(

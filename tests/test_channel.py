@@ -9,13 +9,13 @@ from nfwpt.channel import (
     VisibilityRegion,
     array_response,
     channel,
-    channel_derivative,
     min_vr_span,
     response_hessians,
     steering_vector,
     vr_cover,
 )
 from nfwpt.errors import SingularGeometryError
+from oracles import channel_derivative
 
 
 def _high_precision_steering(geom, point):

@@ -5,21 +5,33 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfwpt import (
     build_upa,
+    crb,
     crb_position,
     fim,
     fim_finite_difference,
     lattice_crb,
     min_sensing_duration,
-    sample_covariance,
 )
-from nfwpt.channel import ErState, VisibilityRegion, channel, channel_derivative
+from nfwpt.channel import ErState, VisibilityRegion, channel
+from nfwpt.cli import main
 from nfwpt.crb import FisherInfo
 from nfwpt.echo import uniform_probe
-from nfwpt.errors import InfeasibleBlockError, SingularFimError
+from nfwpt.errors import DegenerateChannelError, InfeasibleBlockError, SingularFimError
 from nfwpt.harness import ArraySpec, ErSpec, ScenarioConfig, default_config, plan
+from oracles import (
+    channel_derivative,
+    crb_per_point,
+    fim_per_point,
+    lattice_crb_per_point,
+    lattice_points,
+    nominal_sensing_duration,
+    sample_covariance,
+)
 
 
 def _scene(seed, n_y=4, n_z=4, reflection=None):
@@ -293,8 +305,8 @@ class TestMinSensingDuration:
         geom, priors, probe, nominal = self._setup(2)
         gamma = nominal / 7.3
         crbs = lattice_crb(geom, priors, (0.15,) * 3, probe, 1e-15)
-        robust = min_sensing_duration(crbs, gamma, 10**6, robust=True)
-        relaxed = min_sensing_duration(crbs, gamma, 10**6, robust=False)
+        robust = min_sensing_duration(crbs, gamma, 10**6)
+        relaxed = nominal_sensing_duration(crbs, gamma)
         assert relaxed <= robust
         assert relaxed == 8
 
@@ -327,3 +339,139 @@ class TestMinSensingDuration:
             lattice_crb(geom, priors, (0.15, 0.15), probe, 1e-15)
         with pytest.raises(ValueError):
             lattice_crb(geom, priors, (-0.1,) * 3, probe, 1e-15)
+
+
+def _assert_lattice_matches_the_oracle(geom, priors, bounds_per_prior, probe, noise_power):
+    """Every lattice FIM and every LatticeCrb equals the per-point route bit for bit."""
+    for (position, vr, reflection), bounds in zip(priors, bounds_per_prior):
+        state = ErState(np.asarray(position, dtype=float), vr, reflection)
+        stack = fim(
+            geom, state, probe, 1, noise_power, offsets=[(-d, 0.0, d) for d in bounds]
+        ).base_matrix
+        assert stack.shape == (27, 5, 5)
+        for k, point in enumerate(lattice_points(position, bounds)):
+            oracle = fim_per_point(geom, ErState(point, vr, reflection), probe, 1, noise_power)
+            np.testing.assert_array_equal(stack[k], oracle.base_matrix)
+    batched = lattice_crb(geom, priors, bounds_per_prior, probe, noise_power)
+    assert batched == lattice_crb_per_point(geom, priors, bounds_per_prior, probe, noise_power)
+    return batched
+
+
+def _builtin_priors(geom, cfg):
+    return [
+        (spec.prior_position, VisibilityRegion(1, geom.n_elements), abs(spec.reflection))
+        for spec in cfg.ers
+    ]
+
+
+class TestBatchedFimMatchesThePerPointOracle:
+    """crb.fim over a lattice keeps every bit of the one-point-at-a-time route.
+
+    The FIM is ill-conditioned, so a last-bit change in one entry moves the
+    worst CRB, every planned slot that sits near an integer, and the default
+    gamma grid derived from it; the comparisons are therefore exact.
+    """
+
+    @pytest.mark.parametrize("size", [16, 32])
+    def test_builtin_priors(self, size):
+        cfg = default_config()
+        geom = build_upa(size, size, 28e9)
+        priors = _builtin_priors(geom, cfg)
+        bounds = [spec.error_bounds for spec in cfg.ers]
+        probe = uniform_probe(geom, cfg.p_max)
+        _assert_lattice_matches_the_oracle(geom, priors, bounds, probe, cfg.noise_power)
+
+    def test_pinned_partial_visibility_region(self):
+        cfg = default_config()
+        geom = build_upa(16, 16, 28e9)
+        priors = [(spec.prior_position, VisibilityRegion(40, 200), 50.0) for spec in cfg.ers]
+        _assert_lattice_matches_the_oracle(
+            geom, priors, [(0.15, 0.15, 0.15)] * 2, uniform_probe(geom, cfg.p_max), cfg.noise_power
+        )
+
+    def test_zero_width_axis_keeps_the_centre_as_nominal(self):
+        geom, er, probe = _scene(11, n_y=16, n_z=16)
+        priors = [(er.position, er.vr, abs(er.reflection))]
+        bounds = (0.15, 0.0, 0.1)
+        (crbs,) = _assert_lattice_matches_the_oracle(geom, priors, [bounds], probe, 1e-15)
+        nominal = ErState(er.position, er.vr, abs(er.reflection))
+        centre = crb_per_point(fim_per_point(geom, nominal, probe, 1, 1e-15)).crb_total
+        assert crbs.nominal == centre
+        (flat,) = lattice_crb(geom, priors, (0.0, 0.0, 0.0), probe, 1e-15)
+        assert flat.nominal == flat.worst == centre
+
+    def test_per_receiver_bounds(self):
+        geom, er, probe = _scene(12, n_y=12, n_z=12)
+        other = ErState(er.position + np.array([0.3, -0.2, 0.1]), er.vr, er.reflection)
+        priors = [(s.position, s.vr, abs(s.reflection)) for s in (er, other)]
+        _assert_lattice_matches_the_oracle(
+            geom, priors, [(0.1, 0.05, 0.2), (0.02, 0.3, 0.0)], probe, 1e-15
+        )
+
+    def test_a_single_point_is_the_one_point_lattice(self):
+        for seed in range(5):
+            geom, er, probe = _scene(seed, n_y=8, n_z=6)
+            single = fim(geom, er, probe, 3, 1e-15)
+            assert single.base_matrix.shape == (5, 5)
+            np.testing.assert_array_equal(
+                single.base_matrix, fim_per_point(geom, er, probe, 3, 1e-15).base_matrix
+            )
+            assert crb_position(single) == crb_per_point(single)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_y=st.integers(4, 12),
+        n_z=st.integers(4, 12),
+        seed=st.integers(0, 2**32 - 1),
+        bounds=st.tuples(*[st.sampled_from([0.0, 0.01, 0.1, 0.25])] * 3),
+    )
+    def test_random_small_lattices(self, n_y, n_z, seed, bounds):
+        geom, er, probe = _scene(seed, n_y=n_y, n_z=n_z)
+        priors = [(er.position, er.vr, abs(er.reflection))]
+        try:
+            lattice_crb_per_point(geom, priors, [bounds], probe, 1e-15)
+        except SingularFimError as exc:
+            with pytest.raises(SingularFimError) as raised:
+                lattice_crb(geom, priors, bounds, probe, 1e-15)
+            assert str(raised.value) == str(exc)
+            return
+        _assert_lattice_matches_the_oracle(geom, priors, [bounds], probe, 1e-15)
+
+
+class TestLatticeErrors:
+    def test_ill_conditioned_8x8_names_the_first_failing_point(self, tmp_path, capsys):
+        # Several lattice points exceed the limit; the first in product order
+        # reads 2.754e+12, while the largest would read 3.829e+12.
+        config = tmp_path / "cfg.json"
+        config.write_text('{"array": {"n_y": 8, "n_z": 8}, "n_alpha": 16}')
+        assert main(["crb", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            "nfwpt: error: equilibrated Fisher information condition number "
+            "2.754e+12 exceeds 1e+12\n"
+        )
+
+    def test_a_nonpositive_diagonal_before_an_ill_conditioned_point_raises_first(self):
+        good = np.eye(5)
+        ill = np.outer(np.arange(1.0, 6.0), np.arange(1.0, 6.0)) + 1e-13 * np.eye(5)
+        flat = np.eye(5)
+        flat[1, 1] = 0.0
+        with pytest.raises(SingularFimError, match="nonpositive diagonal"):
+            crb._axis_crbs(np.stack([good, flat, ill]), 1)
+        with pytest.raises(SingularFimError, match="condition number"):
+            crb._axis_crbs(np.stack([good, ill, flat]), 1)
+
+    def test_a_zero_channel_raises_at_every_lattice_size(self, monkeypatch):
+        geom, er, probe = _scene(13, n_y=6, n_z=6)
+        monkeypatch.setattr(crb, "vr_cover", lambda vr, n: np.zeros(n))
+        for offsets in (None, [(-0.1, 0.0, 0.1)] * 3):
+            with pytest.raises(DegenerateChannelError, match="identically zero"):
+                fim(geom, er, probe, 1, 1e-15, offsets=offsets)
+
+    def test_rejects_malformed_offsets(self):
+        geom, er, probe = _scene(14)
+        with pytest.raises(ValueError):
+            fim(geom, er, probe, 1, 1e-15, offsets=[(0.0, 0.1)] * 2)
+        with pytest.raises(ValueError):
+            fim(geom, er, probe, 1, 1e-15, offsets=[(0.0,), (np.inf,), (0.0,)])
+        with pytest.raises(ValueError):
+            fim(geom, er, np.ones(3, dtype=complex), 1, 1e-15)
