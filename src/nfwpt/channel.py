@@ -84,28 +84,39 @@ def _as_point(point) -> np.ndarray:
     return pos
 
 
-def array_response(geom: UpaGeometry, grid, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-    """Distances and free-space responses of the elements in rows over a grid.
+def grid_distances(geom: UpaGeometry, grid, rows=slice(None), out=None) -> np.ndarray:
+    """Distances from the elements in rows to every point of a grid.
 
     grid is (xs, ys, zs), one 1-D coordinate array per axis, and names every
-    point (x, y, z) of their product. Both results have shape
-    (len(xs), len(ys), len(zs), n_rows). The squared offsets are summed one
-    axis at a time, in the order (x + y) + z that np.linalg.norm also uses, so
-    no (points, elements, 3) array forms. A single point is the grid
-    point[:, None].
+    point (x, y, z) of their product; the result has shape
+    (len(xs), len(ys), len(zs), n_rows) and is written to out when given. The
+    squared offsets are summed one axis at a time, in the order (x + y) + z
+    that np.linalg.norm also uses, so no (points, elements, 3) array forms.
+    Raises SingularGeometryError when a point coincides with an element.
     """
     elems = geom.positions[rows]
-    sq = None
+    parts = []
     for ax, coords in enumerate(grid):
         part = np.subtract.outer(np.asarray(coords, dtype=float), elems[:, ax])
         part *= part
         shape = [1, 1, 1, elems.shape[0]]
         shape[ax] = part.shape[0]
-        part = part.reshape(shape)
-        sq = part if sq is None else sq + part
-    dists = np.sqrt(sq, out=sq)
+        parts.append(part.reshape(shape))
+    dists = np.add(parts[0] + parts[1], parts[2], out=out)
+    np.sqrt(dists, out=dists)
     if np.any(dists == 0.0):
         raise SingularGeometryError("a candidate point coincides with an array element")
+    return dists
+
+
+def array_response(geom: UpaGeometry, grid, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """Distances and free-space responses of the elements in rows over a grid.
+
+    grid is (xs, ys, zs) as in grid_distances, and both results have shape
+    (len(xs), len(ys), len(zs), n_rows). A single point is the grid
+    point[:, None].
+    """
+    dists = grid_distances(geom, grid, rows)
     amp = geom.wavelength / (4.0 * np.pi * dists)
     return dists, amp * np.exp(-2j * np.pi / geom.wavelength * dists)
 

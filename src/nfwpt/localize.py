@@ -11,7 +11,18 @@ evaluation runs on that slice of the aperture only.
 
 The search has three parts.
 
-- A coarse lattice over the prior uncertainty box picks the seed.
+- A coarse lattice over the prior uncertainty box picks the seed: the
+  lattice point with the highest q, the first one in lattice order on a tie.
+  A prefilter scores every point cheaply, one x-plane at a time in buffers
+  reused across planes. With t = d_n / lambda, it reduces the phase exactly
+  in float64 to 2 pi (t - floor t), rounds it to float32 and takes
+  single-precision cos and sin; the amplitude 1 / d_n stays in float64 (the
+  factor lambda / 4 pi cancels from q). If rho bounds the error of each
+  phasor, then |s~ - s| <= rho sqrt(e) ||y_bar||, which bounds the prefilter
+  score q~ within dq = rho ||y_bar|| (2 sqrt(q~) + rho ||y_bar||) of q. Only
+  points with q~ + dq >= max(q~ - dq) can hold the maximum. They are scored
+  again with the double-precision response, and the first maximum among them
+  is the seed.
 - A bound-constrained Levenberg-Marquardt ascent climbs from it. With
   s = h^H y_bar and e = ||h||^2, the analytic first and second derivatives of
   h give the gradient g and the Hessian H of q in closed form; for example
@@ -35,6 +46,7 @@ The search has three parts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +54,7 @@ import numpy as np
 from .channel import (
     VisibilityRegion,
     array_response,
+    grid_distances,
     response_derivatives,
     response_hessians,
     steering_vector,
@@ -55,6 +68,17 @@ from .geometry import UpaGeometry
 _MU_START = 1e-3
 _MU_FACTOR = 8.0
 _MU_CAP = 1e8
+
+# Bound rho on |p~ - p| for one prefilter phasor p~ against the exact
+# exp(-j 2 pi d / lambda). The reduced phase 2 pi (t - floor t) carries only
+# float64 rounding (about 1e-12 rad while d is below 1e3 wavelengths);
+# rounding it to float32 on [0, 2 pi) moves it by at most 2^-22, about
+# 2.4e-7 rad; float32 cos and sin are each within a few float32 ulps, 6e-8
+# near 1. Together that is below 5e-7 (3.0e-7 measured). The float64 sums of
+# q~ and of the exact re-score each add at most n * 1.1e-16 per term, below
+# 3e-13 for the 2304 elements of a 48x48 array. rho keeps a margin of 20 over
+# all of it, so the point that the exact score ranks first always survives.
+_PHASOR_ERROR = 1e-5
 
 
 @dataclass(frozen=True)
@@ -133,6 +157,73 @@ def _ascent_model(geom: UpaGeometry, y: np.ndarray, rows: slice, at: _Probe):
     return grad, hess, gn_diag
 
 
+def prefilter_scores(
+    geom: UpaGeometry, y: np.ndarray, rows: slice, grid
+) -> tuple[np.ndarray, np.ndarray]:
+    """Prefilter scores q~ of every lattice point and their bounds dq.
+
+    y is the echo on the region slice rows and grid is (xs, ys, zs). Both
+    results are flat, in lattice order, and |q~ - q| <= dq for the exact
+    score q of each point (module docstring).
+    """
+    n = y.size
+    plane = (1, grid[1].size, grid[2].size)
+    count = plane[1] * plane[2]
+    dists = np.empty(plane + (n,))
+    flat = dists.reshape(count, n)
+    phase = np.empty((count, n))
+    phase32 = np.empty((count, n), dtype=np.float32)
+    amp = np.empty((count, n))
+    parts = np.empty((2 * count, n))
+    cos, sin = parts[:count], parts[count:]
+    sums = np.empty((2 * count, 2))
+    echo = np.stack([y.real, y.imag], axis=1)
+    power = np.empty((grid[0].size, count))
+    energy = np.empty((grid[0].size, count))
+    inv_wavelength = 1.0 / geom.wavelength
+    for i in range(grid[0].size):
+        grid_distances(geom, (grid[0][i : i + 1], grid[1], grid[2]), rows, out=dists)
+        np.multiply(flat, inv_wavelength, out=phase)
+        np.subtract(phase, np.floor(phase, out=amp), out=phase)
+        phase *= 2.0 * np.pi
+        phase32[...] = phase
+        np.reciprocal(flat, out=amp)
+        np.cos(phase32, out=cos)
+        cos *= amp
+        np.sin(phase32, out=sin)
+        sin *= amp
+        # s = sum_n amp_n (cos - j sin)(Re y_n - j Im y_n).
+        np.matmul(parts, echo, out=sums)
+        re = sums[:count, 0] - sums[count:, 1]
+        im = sums[:count, 1] + sums[count:, 0]
+        power[i] = re * re + im * im
+        energy[i] = np.einsum("ij,ij->i", amp, amp)
+    q = (power / energy).reshape(-1)
+    reach = _PHASOR_ERROR * math.sqrt(np.vdot(y, y).real)
+    return q, reach * (2.0 * np.sqrt(q) + reach)
+
+
+def lattice_seed(geom: UpaGeometry, y: np.ndarray, rows: slice, grid) -> int:
+    """Flat lattice-order index of the first lattice point with the highest q.
+
+    The prefilter keeps the points that may hold the maximum, and one
+    array_response over the product of their distinct per-axis coordinates
+    scores them exactly. When every point survives, as for a zero echo, that
+    is the whole lattice.
+    """
+    q, dq = prefilter_scores(geom, y, rows, grid)
+    survivors = np.flatnonzero(q + dq >= np.max(q - dq))
+    index = np.unravel_index(survivors, tuple(g.size for g in grid))
+    axes = [np.unique(i) for i in index]
+    _, entries = array_response(geom, [g[a] for g, a in zip(grid, axes)], rows)
+    entries = entries.reshape(-1, y.size)
+    scores = np.abs(entries @ y.conj()) ** 2 / (np.abs(entries) ** 2).sum(axis=1)
+    within = np.ravel_multi_index(
+        [np.searchsorted(a, i) for a, i in zip(axes, index)], [a.size for a in axes]
+    )
+    return int(survivors[np.argmax(scores[within])])
+
+
 def _ray_samples(origin, point, lo, hi, count):
     """Evenly spaced points of the ray from origin through point inside the box."""
     direction = point - origin
@@ -164,9 +255,12 @@ def locate_er(
     """Lattice seed, bound-constrained Newton ascent and ray check, then b.
 
     The lattice has coarse_grid points per axis (one on a zero-width axis).
-    The ascent described in the module docstring runs for at most max_iters
-    linearizations in total. It stops at a stationary point: a kept step
-    shorter than tol that puts no axis on a box face, no free axis, or a
+    lattice_seed picks its point with the highest q, the first in lattice
+    order on a tie: the single-precision prefilter bounds every score within
+    dq, and only the points it cannot rule out are scored in double
+    precision. The ascent described in the module docstring runs for at most
+    max_iters linearizations in total. It stops at a stationary point: a kept
+    step shorter than tol that puts no axis on a box face, no free axis, or a
     damping past its cap. The ray check then either restarts it or ends the
     search. Every iterate stays in the box and pinned axes never move.
     """
@@ -192,12 +286,10 @@ def locate_er(
     y = np.asarray(y_bar, dtype=complex)[rows]
     pinned = hi <= lo
     grid = [np.linspace(lo[i], hi[i], 1 if pinned[i] else counts[i]) for i in range(3)]
-    _, entries = array_response(geom, grid, rows)
-    entries = entries.reshape(-1, y.size)
-    scores = np.abs(entries @ y.conj()) ** 2 / (np.abs(entries) ** 2).sum(axis=1)
-    best = np.unravel_index(int(np.argmax(scores)), [g.size for g in grid])
+    shape = tuple(g.size for g in grid)
+    best = np.unravel_index(lattice_seed(geom, y, rows, grid), shape)
     current = _probe(geom, y, rows, np.array([grid[i][best[i]] for i in range(3)]))
-    evaluations = scores.size + 1
+    evaluations = math.prod(shape) + 1
     origin = geom.positions[rows].mean(axis=0)
 
     mu = _MU_START

@@ -13,6 +13,9 @@ computes another way, kept so the tests can arbitrate the fast path:
   the N x N matrices the package never forms.
 - nominal_sensing_duration: slot planning from the nominal lattice points
   only.
+- lattice_scores: the localizer's seed lattice scored in one double-precision
+  array_response over every point; np.argmax of it is the seed that
+  localize.lattice_seed must pick.
 """
 
 from __future__ import annotations
@@ -180,3 +183,10 @@ def nominal_sensing_duration(crbs, gamma: float) -> int:
     if gamma <= 0:
         raise ValueError(f"accuracy target must be positive, got {gamma}")
     return max(1, math.ceil(max(c.nominal for c in crbs) / gamma))
+
+
+def lattice_scores(geom, y, rows, grid) -> np.ndarray:
+    """Concentrated score |h^H y|^2 / ||h||^2 of every lattice point, in lattice order."""
+    _, entries = array_response(geom, grid, rows)
+    entries = entries.reshape(-1, y.size)
+    return np.abs(entries @ y.conj()) ** 2 / (np.abs(entries) ** 2).sum(axis=1)

@@ -9,6 +9,7 @@ from nfwpt.channel import (
     VisibilityRegion,
     array_response,
     channel,
+    grid_distances,
     min_vr_span,
     response_hessians,
     steering_vector,
@@ -200,6 +201,21 @@ def test_grid_response_matches_pointwise_steering_vectors():
     for i, j, k in np.ndindex(3, 4, 2):
         point = (grid[0][i], grid[1][j], grid[2][k])
         np.testing.assert_array_equal(entries[i, j, k], steering_vector(geom, point)[rows])
+
+
+def test_grid_distances_plane_by_plane_match_the_whole_grid():
+    geom = build_upa(8, 8, 28e9)
+    grid = [np.linspace(0.5, 1.5, 3), np.linspace(-0.4, 0.4, 4), np.array([0.2, 0.7])]
+    rows = slice(9, 41)
+    whole, _ = array_response(geom, grid, rows)
+    plane = np.empty((1, 4, 2, 32))
+    for i in range(3):
+        out = grid_distances(geom, (grid[0][i : i + 1], grid[1], grid[2]), rows, out=plane)
+        assert out is plane
+        np.testing.assert_array_equal(plane[0], whole[i])
+    on_element = ([0.0], geom.positions[20:24, 1], geom.positions[[20, 40], 2])
+    with pytest.raises(SingularGeometryError):
+        grid_distances(geom, on_element, rows, out=plane)
 
 
 def test_derivative_rejects_unknown_axis():

@@ -797,6 +797,38 @@ class TestCli:
         assert str(missing) in captured.err
         assert captured.err.count("\n") == 1
 
+    def test_python_dash_m_runs_the_cli(self, tmp_path, capsys):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import nfwpt
+
+        src = str(Path(nfwpt.__file__).resolve().parents[1])
+        path = [src, os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+        def run(*args):
+            return subprocess.run(
+                [sys.executable, "-m", "nfwpt", *args],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=120,
+            )
+
+        done = run("crb")
+        assert main(["crb"]) == 0
+        assert done.returncode == 0
+        assert done.stdout == capsys.readouterr().out
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"warp": 9}')
+        failed = run("crb", "--config", str(bad))
+        assert failed.returncode == 2
+        assert failed.stdout == ""
+        assert failed.stderr == "nfwpt: error: unknown config keys: warp\n"
+
     def test_rejects_an_unknown_scheme(self):
         with pytest.raises(SystemExit):
             main(["simulate", "--scheme", "warpdrive"])

@@ -8,9 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfwpt import build_upa, concentrated_objective, default_config, estimate_b, harness, locate_er
+from nfwpt import (
+    build_upa,
+    concentrated_objective,
+    default_config,
+    estimate_b,
+    harness,
+    locate_er,
+    localize,
+)
 from nfwpt.channel import ErState, VisibilityRegion, channel
 from nfwpt.echo import aggregate, simulate_echo, uniform_probe
+from nfwpt.errors import SingularGeometryError
+from oracles import lattice_scores
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -227,8 +237,8 @@ def _golden_oracle(geom, y, vr, box, tol=1e-4, max_cycles=50, line_iters=30):
     return point, best
 
 
-def _run_trial_inputs(monkeypatch, schemes, trials):
-    """locate_er arguments of run_trial on the built-in 16x16 scenario."""
+def _run_trial_inputs(monkeypatch, schemes, trials, side=16):
+    """locate_er arguments of run_trial on the built-in scenario, side x side."""
     captured = []
     real = harness.locate_er
 
@@ -237,8 +247,10 @@ def _run_trial_inputs(monkeypatch, schemes, trials):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(harness, "locate_er", record)
+    base = default_config()
+    base = replace(base, array=replace(base.array, n_y=side, n_z=side))
     for scheme in schemes:
-        cfg = replace(default_config(), scheme=scheme)
+        cfg = replace(base, scheme=scheme)
         for t in range(trials):
             harness.run_trial(cfg, t)
     return captured
@@ -295,3 +307,85 @@ def test_estimate_stays_in_the_box_and_beats_the_lattice(problem):
     again = locate_er(geom, y, vr, box, probe, 1)
     assert again.position_hat.tobytes() == point.tobytes()
     assert again.objective == result.objective
+
+
+def _seed_inputs(y_bar, vr, box):
+    """Echo slice, region rows and 9 x 9 x 9 lattice axes as locate_er builds them."""
+    lo, hi = (np.asarray(c, dtype=float) for c in box)
+    rows = slice(vr.start - 1, vr.end)
+    grid = [np.linspace(lo[i], hi[i], 1 if hi[i] <= lo[i] else 9) for i in range(3)]
+    return np.asarray(y_bar, dtype=complex)[rows], rows, grid
+
+
+def _assert_seed_matches_the_oracle(geom, y, rows, grid):
+    exact = lattice_scores(geom, y, rows, grid)
+    q, dq = localize.prefilter_scores(geom, y, rows, grid)
+    assert np.all(np.abs(q - exact) <= dq / 10)
+    assert localize.lattice_seed(geom, y, rows, grid) == np.argmax(exact)
+
+
+@pytest.mark.parametrize("side", [16, 32])
+def test_seed_is_the_full_lattice_argmax_on_run_trial_inputs(monkeypatch, side):
+    inputs = _run_trial_inputs(monkeypatch, ("proposed", "no_vr", "equal_time"), 3, side)
+    assert len(inputs) >= 12
+    for geom, y_bar, vr, box, _, _ in inputs:
+        _assert_seed_matches_the_oracle(geom, *_seed_inputs(y_bar, vr, box))
+
+
+@st.composite
+def _seed_problems(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    side = draw(st.integers(4, 24))
+    pinned = draw(st.lists(st.booleans(), min_size=3, max_size=3))
+    two_elements = draw(st.booleans())
+    snr_db = draw(st.one_of(st.none(), st.floats(-20.0, 60.0)))
+    rng = np.random.default_rng(seed)
+    geom = build_upa(side, side, 28e9)
+    n = geom.n_elements
+    start = int(rng.integers(1, n))
+    end = start + 1 if two_elements else int(rng.integers(start + 1, n + 1))
+    vr = VisibilityRegion(start, end)
+    center = rng.uniform([0.5, -1.0, -1.0], [3.0, 1.0, 1.0])
+    half = np.where(pinned, 0.0, rng.uniform(0.02, 0.3, size=3))
+    y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    if snr_db is not None:
+        truth = center + rng.uniform(-half, half)
+        h = channel(geom, ErState(position=truth, vr=vr))
+        y += math.sqrt(2 * vr.size * 10 ** (snr_db / 10)) * h / np.linalg.norm(h)
+    return geom, y, vr, (center - half, center + half)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_seed_problems())
+def test_seed_prefilter_is_within_its_bound_and_keeps_the_argmax(problem):
+    geom, y_bar, vr, box = problem
+    _assert_seed_matches_the_oracle(geom, *_seed_inputs(y_bar, vr, box))
+
+
+def test_zero_echo_scores_the_whole_lattice_once(monkeypatch):
+    geom, er, probe, _, tau = _noiseless_scene(12)
+    box = (er.position - 0.2, er.position + 0.2)
+    y, rows, grid = _seed_inputs(np.zeros(geom.n_elements), er.vr, box)
+    calls = []
+    real = localize.array_response
+
+    def record(geom, grid, rows=slice(None)):
+        calls.append([len(g) for g in grid])
+        return real(geom, grid, rows)
+
+    monkeypatch.setattr(localize, "array_response", record)
+    assert localize.lattice_seed(geom, y, rows, grid) == 0
+    assert calls == [[9, 9, 9]]
+    result = locate_er(geom, np.zeros(geom.n_elements, dtype=complex), er.vr, box, probe, tau)
+    np.testing.assert_array_equal(result.position_hat, box[0])
+
+
+@pytest.mark.parametrize("corner", [0, 1])
+def test_a_lattice_point_on_an_element_is_rejected(corner):
+    geom = build_upa(8, 8, 28e9)
+    element = geom.positions[27]
+    box = (element, element + 0.2) if corner == 0 else (element - 0.2, element)
+    y = np.ones(geom.n_elements, dtype=complex)
+    probe = uniform_probe(geom, 1.0)
+    with pytest.raises(SingularGeometryError):
+        locate_er(geom, y, VisibilityRegion(1, geom.n_elements), box, probe, 1)
