@@ -138,14 +138,19 @@ def response_derivatives(
 
         d a_n / d u = a_n(l) * ( (u_n - u) / d_n^2 + j 2 pi (u_n - u) / (lambda d_n) ),
 
-    with u_n the element coordinate on axis u.
+    with u_n the element coordinate on axis u. The bracket is written as the
+    real and imaginary parts of the result, which then takes the product in
+    place, so the only complex array is the result itself. Its bits are those
+    of entries * (radial / d + (2j pi / lambda) * radial), and its memory
+    layout is that of radial = (u_n - u) / d_n.
     """
     pos = np.asarray(point, dtype=float)
-    diff = geom.positions[rows, axes].T - pos[..., axes, None]
-    radial = diff / dists[..., None, :]
-    return entries[..., None, :] * (
-        radial / dists[..., None, :] + 2j * np.pi / geom.wavelength * radial
-    )
+    radial = geom.positions[rows, axes].T - pos[..., axes, None]
+    radial /= dists[..., None, :]
+    out = np.empty_like(radial, dtype=complex)
+    np.divide(radial, dists[..., None, :], out=out.real)
+    np.multiply(radial, 2.0 * np.pi / geom.wavelength, out=out.imag)
+    return np.multiply(entries[..., None, :], out, out=out)
 
 
 def response_hessians(

@@ -24,13 +24,15 @@ from two scalars, in O(N) with no N x N array.
 
 Planning needs the FIM at the 27 points of each receiver's prior lattice, so
 fim() takes the lattice as per-axis offsets and evaluates every point in one
-call: one array_response over the grid, one derivative pass over a
-(points, 3, N) array, and one eigvalsh, cond and inv over the (points, 5, 5)
-stack. The matrix is ill-conditioned, so the order of every sum counts: the
-per-point probe projections (x @ u) and inner products (vdot) stay separate
-BLAS reductions over C-contiguous rows, combined in the same scalar order as
-for a single point. A reduction batched across points, or one over a strided
-row, rounds differently and moves the worst CRB in its last digits.
+call: one array_response over the grid, then, one point at a time, that
+point's (3, N) derivative rows and its 5 x 5 matrix, and finally one eigvalsh,
+cond and inv over the (points, 5, 5) stack. No array spans points, axes and
+elements at once, so every temporary of the loop stays small. The matrix is
+ill-conditioned, so the order of every sum counts: the per-point probe
+projections (x @ u) and inner products (vdot) stay separate BLAS reductions
+over C-contiguous rows, combined in the same scalar order as for a single
+point. A reduction batched across points, or one over a strided row, rounds
+differently and moves the worst CRB in its last digits.
 
 Every block is proportional to tau, so F(tau) = tau * F(1) exactly and the
 position CRB scales as 1 / tau. FisherInfo therefore stores the per-symbol
@@ -103,9 +105,11 @@ def fim(
     every displacement of their product, and base_matrix stacks one 5 x 5
     matrix per point along a leading axis, in product order. Without
     offsets the nominal position is the only point and base_matrix is 5 x 5.
-    A point's matrix has the same bits whatever other points share the call
-    (see the module docstring), and a failing check raises at the first
-    failing point in product order.
+    The grid's responses come from one array_response; each point's channel,
+    derivative rows and matrix are then built on their own, so a point's
+    matrix has the same bits whatever other points share the call (see the
+    module docstring). A failing check raises at the first failing point in
+    product order.
     """
     if noise_power <= 0:
         raise ValueError(f"noise power must be positive, got {noise_power}")
@@ -131,30 +135,34 @@ def fim(
     entries = entries.reshape(-1, n)
     points = np.stack(np.meshgrid(*grid, indexing="ij"), axis=-1).reshape(-1, 3)
     cover = vr_cover(er_nominal.vr, n)
-    channels = entries * cover
-    # C order puts each (point, axis) row in one contiguous run: a strided
-    # row would make the BLAS reductions below sum in another order.
-    derivatives = np.multiply(
-        response_derivatives(geom, points, dists, entries), cover, order="C"
-    )
     b = er_nominal.reflection
-    b2, b_conj = abs(b) ** 2, np.conj(b)
+    b2, b_conj = abs(b) ** 2, b.conjugate()
     mats = np.zeros((len(points), 5, 5))
-    for h, derivs, mat in zip(channels, derivatives, mats):
+    zero = np.zeros(len(points), dtype=bool)
+    for k, (point, dist, entry, mat) in enumerate(zip(points, dists, entries, mats)):
+        h = entry * cover
+        zero[k] = not h.any()
+        # C order puts each axis row in one contiguous run: a strided row
+        # would make the BLAS reductions below sum in another order.
+        derivs = np.multiply(response_derivatives(geom, point, dist, entry), cover, order="C")
         # x^T u for u = h and each derivative: u^H S* v = conj(x^T u) (x^T v).
-        xh = x @ h
-        xd = [x @ d for d in derivs]
-        xh_conj = np.conj(xh)
-        xd_conj = [np.conj(v) for v in xd]
-        dh = [np.vdot(d, h) for d in derivs]
-        hd = [np.vdot(h, d) for d in derivs]
+        # Each BLAS result becomes a Python scalar once; the algebra on them
+        # rounds as numpy scalars do, in the same order.
+        xh = complex(x @ h)
+        xd = [complex(x @ d) for d in derivs]
+        xh_conj = xh.conjugate()
+        xd_conj = [v.conjugate() for v in xd]
+        dh = [complex(np.vdot(d, h)) for d in derivs]
+        # vdot(h, d) is the exact conjugate of vdot(d, h) (tests/oracles.py
+        # takes vdot(h, d) and the oracle tests compare bits).
+        hd = [v.conjugate() for v in dh]
 
-        hh = np.vdot(h, h).real
+        hh = float(np.vdot(h, h).real)
         hsh = xh_conj * xh
         for i in range(3):
             for j in range(i, 3):
                 g_uv = b2 * (
-                    np.vdot(derivs[i], derivs[j]) * hsh
+                    complex(np.vdot(derivs[i], derivs[j])) * hsh
                     + dh[i] * xh_conj * xd[j]
                     + hd[j] * xd_conj[i] * xh
                     + hh * xd_conj[i] * xd[j]
@@ -169,7 +177,6 @@ def fim(
         mat[3, 4] = mat[4, 3] = -g_bb.imag
     mats *= 2.0 / noise_power
 
-    zero = ~channels.any(axis=1)
     scale = np.abs(mats).max(axis=(1, 2))
     lost = (scale > 0) & (np.linalg.eigvalsh(mats).min(axis=1) < -1e-8 * scale)
     failed = zero | lost
@@ -240,8 +247,15 @@ def crb_position(info: FisherInfo) -> CrbReport:
     judged after symmetric diagonal equilibration, which measures actual
     parameter coupling rather than units; the inverse is computed through the
     same scaling. Inverting the per-symbol matrix and dividing by tau keeps
-    crb(tau) * tau exactly constant.
+    crb(tau) * tau exactly constant. A lattice FisherInfo, which stacks one
+    matrix per point, is rejected: lattice_crb() reduces such a stack.
     """
+    shape = np.shape(info.base_matrix)
+    if shape != (5, 5):
+        raise ValueError(
+            f"crb_position takes one 5 x 5 Fisher information, got shape {shape}; "
+            "use lattice_crb for a lattice"
+        )
     per_axis = tuple(float(v) for v in _axis_crbs(info.base_matrix[None], info.tau)[0])
     return CrbReport(crb_total=float(sum(per_axis)), per_axis=per_axis, tau=info.tau)
 

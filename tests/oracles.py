@@ -4,6 +4,9 @@ Each helper here is a slower or denser route to something the package
 computes another way, kept so the tests can arbitrate the fast path:
 
 - channel_derivative: one masked derivative row at one point.
+- response_derivatives_expression: channel.response_derivatives as one
+  expression with complex temporaries; the kernel must match its bits and
+  its memory layout.
 - fim_per_point, crb_per_point, lattice_crb_per_point: the Fisher
   information and position CRB built one point and one axis at a time, from
   channel() and three channel_derivative() rows, and the planning lattice
@@ -56,6 +59,20 @@ def channel_derivative(geom, point, vr: VisibilityRegion, axis: str) -> np.ndarr
         geom, pos, dists.reshape(-1), entries.reshape(-1), axes=slice(col, col + 1)
     )
     return deriv[0] * vr_cover(vr, geom.n_elements)
+
+
+def response_derivatives_expression(
+    geom, point, dists, entries, rows=slice(None), axes=slice(None)
+) -> np.ndarray:
+    """entries * (radial / d + (2j pi / lambda) * radial), radial = (u_n - u) / d."""
+    pos = np.asarray(point, dtype=float)
+    diff = geom.positions[rows, axes].T - pos[..., axes, None]
+    radial = diff / dists[..., None, :]
+    bracket = radial / dists[..., None, :] + 2j * np.pi / geom.wavelength * radial
+    # Named, so numpy cannot reuse an unnamed temporary of 256 KB or more in
+    # place: it would multiply as bracket * entries, and numpy's complex
+    # product does not round symmetrically in its operands.
+    return entries[..., None, :] * bracket
 
 
 def fim_per_point(

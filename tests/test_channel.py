@@ -11,12 +11,13 @@ from nfwpt.channel import (
     channel,
     grid_distances,
     min_vr_span,
+    response_derivatives,
     response_hessians,
     steering_vector,
     vr_cover,
 )
 from nfwpt.errors import SingularGeometryError
-from oracles import channel_derivative
+from oracles import channel_derivative, response_derivatives_expression
 
 
 def _high_precision_steering(geom, point):
@@ -216,6 +217,32 @@ def test_grid_distances_plane_by_plane_match_the_whole_grid():
     on_element = ([0.0], geom.positions[20:24, 1], geom.positions[[20, 40], 2])
     with pytest.raises(SingularGeometryError):
         grid_distances(geom, on_element, rows, out=plane)
+
+
+@pytest.mark.parametrize("size", [(8, 8), (9, 7), (32, 32)])
+@pytest.mark.parametrize("rows", [slice(None), slice(5, 40), slice(17, 19)])
+@pytest.mark.parametrize("axes", [slice(None), slice(0, 1), slice(1, 3), slice(2, 3)])
+def test_derivative_kernel_keeps_the_bits_and_layout_of_the_expression(size, rows, axes):
+    # The localizer's BLAS products and the FIM's reductions sum in an order
+    # that depends on the memory layout, so strides must match as well.
+    geom = build_upa(*size, 28e9)
+    rng = np.random.default_rng(size[0] * 100 + size[1])
+    center = rng.uniform([0.3, -0.8, -0.8], [2.5, 0.8, 0.8])
+    grid = [center[ax] + np.array([-0.15, 0.0, 0.15]) for ax in range(3)]
+    dists, entries = array_response(geom, grid, rows)
+    points = np.stack(np.meshgrid(*grid, indexing="ij"), axis=-1)
+    n = dists.shape[-1]
+    cases = [
+        (points, dists, entries),
+        (points.reshape(27, 3), dists.reshape(27, n), entries.reshape(27, n)),
+        (points[1, 2, 0], dists[1, 2, 0], entries[1, 2, 0]),
+    ]
+    for point, d, e in cases:
+        kernel = response_derivatives(geom, point, d, e, rows, axes)
+        expected = response_derivatives_expression(geom, point, d, e, rows, axes)
+        assert kernel.shape == expected.shape
+        assert kernel.strides == expected.strides
+        assert kernel.tobytes() == expected.tobytes()
 
 
 def test_derivative_rejects_unknown_axis():

@@ -1,6 +1,7 @@
 """Tests for Fisher information, the position CRB, and slot-length planning."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -17,7 +18,7 @@ from nfwpt import (
     lattice_crb,
     min_sensing_duration,
 )
-from nfwpt.channel import ErState, VisibilityRegion, channel
+from nfwpt.channel import ErState, VisibilityRegion, array_response, channel
 from nfwpt.cli import main
 from nfwpt.crb import FisherInfo
 from nfwpt.echo import uniform_probe
@@ -218,6 +219,12 @@ class TestCrbPosition:
                 FisherInfo(base_matrix=near_rank_one, tau=1, noise_power=1.0)
             )
 
+    def test_rejects_a_lattice_and_points_to_lattice_crb(self):
+        geom, er, probe = _scene(9, n_y=8, n_z=8)
+        info = fim(geom, er, probe, 1, 1e-15, offsets=[(-0.1, 0.0, 0.1)] * 3)
+        with pytest.raises(ValueError, match=r"\(27, 5, 5\).*lattice_crb"):
+            crb_position(info)
+
 
 def _lattice_worst(geom, priors, bounds, probe, tau, noise_power):
     """Independent worst-case CRB over the displacement lattice, recomputed at tau."""
@@ -372,7 +379,7 @@ class TestBatchedFimMatchesThePerPointOracle:
     gamma grid derived from it; the comparisons are therefore exact.
     """
 
-    @pytest.mark.parametrize("size", [16, 32])
+    @pytest.mark.parametrize("size", [16, 32, 48])
     def test_builtin_priors(self, size):
         cfg = default_config()
         geom = build_upa(size, size, 28e9)
@@ -436,6 +443,32 @@ class TestBatchedFimMatchesThePerPointOracle:
             assert str(raised.value) == str(exc)
             return
         _assert_lattice_matches_the_oracle(geom, priors, [bounds], probe, 1e-15)
+
+
+class TestFimFootprint:
+    def test_peak_stays_near_one_grid_response(self):
+        # The lattice FIM holds no array over every point x axis x element:
+        # its traced peak is that of the grid's array_response plus one
+        # point's (3, N) rows.
+        cfg = default_config()
+        geom = build_upa(32, 32, 28e9)
+        probe = uniform_probe(geom, cfg.p_max)
+        spec = cfg.ers[1]
+        state = ErState(spec.prior_position, VisibilityRegion(1, geom.n_elements), 1.0)
+        offsets = [(-d, 0.0, d) for d in spec.error_bounds]
+        grid = [state.position[ax] + np.asarray(d) for ax, d in enumerate(offsets)]
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        response = peak(lambda: array_response(geom, grid))
+        lattice = peak(lambda: fim(geom, state, probe, 1, cfg.noise_power, offsets=offsets))
+        assert lattice <= 1.25 * response
 
 
 class TestLatticeErrors:
