@@ -92,19 +92,33 @@ def grid_distances(geom: UpaGeometry, grid, rows=slice(None), out=None) -> np.nd
     (len(xs), len(ys), len(zs), n_rows) and is written to out when given. The
     squared offsets are summed one axis at a time, in the order (x + y) + z
     that np.linalg.norm also uses, so no (points, elements, 3) array forms.
-    Raises SingularGeometryError when a point coincides with an element.
+    Each axis reads one contiguous row of geom.coords. A single point given
+    as a (3, 1) array, the form steering_vector and the localizer's probes
+    use, takes its three offset rows from one subtraction, with the same
+    arithmetic and so the same bits. Raises SingularGeometryError when a
+    point coincides with an element.
     """
-    elems = geom.positions[rows]
-    parts = []
-    for ax, coords in enumerate(grid):
-        part = np.subtract.outer(np.asarray(coords, dtype=float), elems[:, ax])
+    elems = geom.coords[:, rows]
+    n = elems.shape[1]
+    if isinstance(grid, np.ndarray) and grid.shape == (3, 1) and (
+        out is None or out.shape == (1, 1, 1, n)
+    ):
+        part = np.subtract(grid.astype(float, copy=False), elems)
         part *= part
-        shape = [1, 1, 1, elems.shape[0]]
-        shape[ax] = part.shape[0]
-        parts.append(part.reshape(shape))
-    dists = np.add(parts[0] + parts[1], parts[2], out=out)
+        total = np.add(part[0] + part[1], part[2], out=None if out is None else out[0, 0, 0])
+        dists = total.reshape(1, 1, 1, n) if out is None else out
+    else:
+        parts = []
+        for ax, coords in enumerate(grid):
+            part = np.subtract.outer(np.asarray(coords, dtype=float), elems[ax])
+            part *= part
+            shape = [1, 1, 1, n]
+            shape[ax] = part.shape[0]
+            parts.append(part.reshape(shape))
+        dists = np.add(parts[0] + parts[1], parts[2], out=out)
     np.sqrt(dists, out=dists)
-    if np.any(dists == 0.0):
+    # Counts NaN as nonzero, as np.any(dists == 0.0) does, in one cheap pass.
+    if np.count_nonzero(dists) < dists.size:
         raise SingularGeometryError("a candidate point coincides with an array element")
     return dists
 
@@ -128,6 +142,7 @@ def response_derivatives(
     entries: np.ndarray,
     rows=slice(None),
     axes=slice(None),
+    out=None,
 ) -> np.ndarray:
     """Partial derivatives of the responses at points along the given axes.
 
@@ -141,13 +156,19 @@ def response_derivatives(
     with u_n the element coordinate on axis u. The bracket is written as the
     real and imaginary parts of the result, which then takes the product in
     place, so the only complex array is the result itself. Its bits are those
-    of entries * (radial / d + (2j pi / lambda) * radial), and its memory
-    layout is that of radial = (u_n - u) / d_n.
+    of entries * (radial / d + (2j pi / lambda) * radial). Without out, its
+    memory layout is that of radial = (u_n - u) / d_n taken from
+    positions[rows, axes].T, which is not C-ordered: the localizer's BLAS
+    products over it round by that layout. With out, a complex array of the
+    result's shape, the result is written there, and radial is taken from the
+    C-contiguous rows of geom.coords; the bits are the same.
     """
     pos = np.asarray(point, dtype=float)
-    radial = geom.positions[rows, axes].T - pos[..., axes, None]
+    elems = geom.positions[rows, axes].T if out is None else geom.coords[axes, rows]
+    radial = elems - pos[..., axes, None]
     radial /= dists[..., None, :]
-    out = np.empty_like(radial, dtype=complex)
+    if out is None:
+        out = np.empty_like(radial, dtype=complex)
     np.divide(radial, dists[..., None, :], out=out.real)
     np.multiply(radial, 2.0 * np.pi / geom.wavelength, out=out.imag)
     return np.multiply(entries[..., None, :], out, out=out)

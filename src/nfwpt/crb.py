@@ -26,13 +26,16 @@ Planning needs the FIM at the 27 points of each receiver's prior lattice, so
 fim() takes the lattice as per-axis offsets and evaluates every point in one
 call: one array_response over the grid, then, one point at a time, that
 point's (3, N) derivative rows and its 5 x 5 matrix, and finally one eigvalsh,
-cond and inv over the (points, 5, 5) stack. No array spans points, axes and
-elements at once, so every temporary of the loop stays small. The matrix is
-ill-conditioned, so the order of every sum counts: the per-point probe
-projections (x @ u) and inner products (vdot) stay separate BLAS reductions
-over C-contiguous rows, combined in the same scalar order as for a single
-point. A reduction batched across points, or one over a strided row, rounds
-differently and moves the worst CRB in its last digits.
+cond and inv over the (points, 5, 5) stack. The derivative rows of every
+point are written into one C-ordered (3, N) buffer that the loop reuses, and
+a full-aperture region, where the cover is all ones, skips the cover product.
+No array spans points, axes and elements at once, so every temporary of the
+loop stays small. The matrix is ill-conditioned, so the order of every sum
+counts: the per-point probe projections (x . u) and inner products (vdot)
+stay separate BLAS reductions over C-contiguous rows, combined in the same
+scalar order as for a single point. A reduction batched across points, or
+one over a strided row, rounds differently and moves the worst CRB in its
+last digits.
 
 Every block is proportional to tau, so F(tau) = tau * F(1) exactly and the
 position CRB scales as 1 / tau. FisherInfo therefore stores the per-symbol
@@ -135,21 +138,28 @@ def fim(
     entries = entries.reshape(-1, n)
     points = np.stack(np.meshgrid(*grid, indexing="ij"), axis=-1).reshape(-1, 3)
     cover = vr_cover(er_nominal.vr, n)
+    # Multiplying by a cover of ones changes no value (at most the sign of a
+    # zero), so a full-aperture region, the planning case of a scene whose
+    # regions are not pinned, skips it.
+    full = cover.all()
     b = er_nominal.reflection
     b2, b_conj = abs(b) ** 2, b.conjugate()
     mats = np.zeros((len(points), 5, 5))
     zero = np.zeros(len(points), dtype=bool)
+    # C order puts each axis row in one contiguous run: a strided row would
+    # make the BLAS reductions below sum in another order.
+    derivs = np.empty((3, n), dtype=complex)
     for k, (point, dist, entry, mat) in enumerate(zip(points, dists, entries, mats)):
-        h = entry * cover
+        h = entry if full else entry * cover
         zero[k] = not h.any()
-        # C order puts each axis row in one contiguous run: a strided row
-        # would make the BLAS reductions below sum in another order.
-        derivs = np.multiply(response_derivatives(geom, point, dist, entry), cover, order="C")
+        response_derivatives(geom, point, dist, entry, out=derivs)
+        if not full:
+            np.multiply(derivs, cover, out=derivs)
         # x^T u for u = h and each derivative: u^H S* v = conj(x^T u) (x^T v).
         # Each BLAS result becomes a Python scalar once; the algebra on them
         # rounds as numpy scalars do, in the same order.
-        xh = complex(x @ h)
-        xd = [complex(x @ d) for d in derivs]
+        xh = complex(x.dot(h))
+        xd = [complex(x.dot(d)) for d in derivs]
         xh_conj = xh.conjugate()
         xd_conj = [v.conjugate() for v in xd]
         dh = [complex(np.vdot(d, h)) for d in derivs]

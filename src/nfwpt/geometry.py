@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,6 +16,12 @@ class UpaGeometry:
     Element n (1-based) sits at ``positions[n - 1]``. The linear index runs
     y-major, n = (i_z - 1) * n_y + i_y with i_y in 1..n_y and i_z in 1..n_z,
     so a contiguous index window covers whole rows of constant height z.
+
+    coords is positions.T as its own read-only, C-contiguous (3, N) array,
+    built with the geometry: row u holds every element's coordinate on axis
+    u in one contiguous run, which the per-point distance and derivative
+    kernels read. positions itself stays C-ordered (N, 3), so a mean over
+    its rows sums as it always has.
     """
 
     n_y: int
@@ -24,6 +30,12 @@ class UpaGeometry:
     wavelength: float
     spacing: float
     positions: np.ndarray
+    coords: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        coords = np.ascontiguousarray(self.positions.T)
+        coords.setflags(write=False)
+        object.__setattr__(self, "coords", coords)
 
     @property
     def n_elements(self) -> int:

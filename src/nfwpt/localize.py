@@ -268,6 +268,8 @@ def locate_er(
     hi = np.asarray(search_box[1], dtype=float)
     if lo.shape != (3,) or hi.shape != (3,):
         raise ValueError("search box must give (3,) lower and upper corners")
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError(f"search box must be finite: lower {lo}, upper {hi}")
     if np.any(lo > hi):
         raise ValueError(f"search box is empty: lower {lo} exceeds upper {hi}")
     counts = tuple(int(c) for c in coarse_grid)

@@ -221,6 +221,51 @@ def test_grid_distances_plane_by_plane_match_the_whole_grid():
 
 @pytest.mark.parametrize("size", [(8, 8), (9, 7), (32, 32)])
 @pytest.mark.parametrize("rows", [slice(None), slice(5, 40), slice(17, 19)])
+def test_one_point_distances_equal_the_grid_path(size, rows):
+    # A (3, 1) array takes the one-point path; the same point as three
+    # one-element axes takes the broadcast grid path.
+    geom = build_upa(*size, 28e9)
+    rng = np.random.default_rng(size[0] * 10 + size[1])
+    for point in rng.uniform([-2.5, -0.8, -0.8], [2.5, 0.8, 0.8], size=(20, 3)):
+        axes = [point[ax : ax + 1] for ax in range(3)]
+        expected = grid_distances(geom, axes, rows)
+        got = grid_distances(geom, point[:, None], rows)
+        assert got.shape == expected.shape == (1, 1, 1, expected.shape[-1])
+        assert got.tobytes() == expected.tobytes()
+        out = np.full(expected.shape, -1.0)
+        assert grid_distances(geom, point[:, None], rows, out=out) is out
+        assert out.tobytes() == expected.tobytes()
+        dists, entries = array_response(geom, point[:, None], rows)
+        grid_dists, grid_entries = array_response(geom, axes, rows)
+        assert dists.tobytes() == grid_dists.tobytes()
+        assert entries.tobytes() == grid_entries.tobytes()
+
+
+@pytest.mark.parametrize("one_point", [True, False])
+def test_distance_kernel_rejects_an_element_and_passes_nan(one_point):
+    # Either path raises exactly when np.any(dists == 0.0) would: on an
+    # element, but not for a NaN distance.
+    geom = build_upa(8, 8, 28e9)
+    rows = slice(9, 41)
+
+    def form(point):
+        point = np.asarray(point, dtype=float)
+        return point[:, None] if one_point else [point[ax : ax + 1] for ax in range(3)]
+
+    for element in (geom.positions[9], geom.positions[40]):
+        with pytest.raises(SingularGeometryError):
+            grid_distances(geom, form(element), rows)
+        with pytest.raises(SingularGeometryError):
+            grid_distances(geom, form(element), rows, out=np.empty((1, 1, 1, 32)))
+    # An element outside rows is no singularity for the rows.
+    assert grid_distances(geom, form(geom.positions[8]), rows).all()
+    with np.errstate(invalid="ignore"):
+        nan = grid_distances(geom, form([np.nan, 0.1, 0.2]), rows)
+    assert np.isnan(nan).all()
+
+
+@pytest.mark.parametrize("size", [(8, 8), (9, 7), (32, 32)])
+@pytest.mark.parametrize("rows", [slice(None), slice(5, 40), slice(17, 19)])
 @pytest.mark.parametrize("axes", [slice(None), slice(0, 1), slice(1, 3), slice(2, 3)])
 def test_derivative_kernel_keeps_the_bits_and_layout_of_the_expression(size, rows, axes):
     # The localizer's BLAS products and the FIM's reductions sum in an order
@@ -243,6 +288,10 @@ def test_derivative_kernel_keeps_the_bits_and_layout_of_the_expression(size, row
         assert kernel.shape == expected.shape
         assert kernel.strides == expected.strides
         assert kernel.tobytes() == expected.tobytes()
+        # With out, the same bits land in the caller's C-ordered buffer.
+        buf = np.full(expected.shape, np.nan, dtype=complex)
+        assert response_derivatives(geom, point, d, e, rows, axes, out=buf) is buf
+        assert buf.tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
 def test_derivative_rejects_unknown_axis():

@@ -388,10 +388,15 @@ class TestBatchedFimMatchesThePerPointOracle:
         probe = uniform_probe(geom, cfg.p_max)
         _assert_lattice_matches_the_oracle(geom, priors, bounds, probe, cfg.noise_power)
 
-    def test_pinned_partial_visibility_region(self):
+    @pytest.mark.parametrize("size", [16, 32, 48])
+    def test_pinned_partial_visibility_region(self, size):
+        # fim skips the cover product on a full aperture (the built-in
+        # priors above) and takes it here; both keep the oracle's bits.
         cfg = default_config()
-        geom = build_upa(16, 16, 28e9)
-        priors = [(spec.prior_position, VisibilityRegion(40, 200), 50.0) for spec in cfg.ers]
+        geom = build_upa(size, size, 28e9)
+        n = geom.n_elements
+        vr = VisibilityRegion(40 * n // 256, 200 * n // 256)
+        priors = [(spec.prior_position, vr, 50.0) for spec in cfg.ers]
         _assert_lattice_matches_the_oracle(
             geom, priors, [(0.15, 0.15, 0.15)] * 2, uniform_probe(geom, cfg.p_max), cfg.noise_power
         )

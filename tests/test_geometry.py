@@ -99,3 +99,18 @@ def test_out_of_range_element_index_is_rejected():
         linear_index(geom, 5, 1)
     with pytest.raises(ValueError):
         linear_index(geom, 1, 0)
+
+
+@pytest.mark.parametrize("size", [(1, 1), (1, 2), (4, 4), (9, 7), (32, 32)])
+def test_coords_are_a_read_only_c_contiguous_transpose_of_positions(size):
+    geom = build_upa(*size, 28e9)
+    assert geom.coords.shape == (3, geom.n_elements)
+    assert geom.coords.flags.c_contiguous
+    assert not geom.coords.flags.writeable
+    assert geom.coords.tobytes() == np.ascontiguousarray(geom.positions.T).tobytes()
+    # positions keeps its (N, 3) C order: the localizer's ray origin is a
+    # mean over its rows.
+    assert geom.positions.flags.c_contiguous
+    assert not geom.positions.flags.writeable
+    with pytest.raises(ValueError):
+        geom.coords[0, 0] = 1.0

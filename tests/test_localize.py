@@ -389,3 +389,13 @@ def test_a_lattice_point_on_an_element_is_rejected(corner):
     probe = uniform_probe(geom, 1.0)
     with pytest.raises(SingularGeometryError):
         locate_er(geom, y, VisibilityRegion(1, geom.n_elements), box, probe, 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("corner", [0, 1])
+def test_a_non_finite_search_box_is_rejected_up_front(bad, corner):
+    geom, er, probe, y, tau = _noiseless_scene(10)
+    box = [er.position - 0.2, er.position + 0.2]
+    box[corner][1] = bad
+    with pytest.raises(ValueError, match="search box must be finite"):
+        locate_er(geom, y, er.vr, box, probe, tau)
