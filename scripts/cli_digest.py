@@ -27,6 +27,7 @@ COMMANDS = (
     f"crb --config {ELAA}",
     "simulate --trials 100",
     "simulate --trials 30 --scheme no_vr",
+    "simulate --trials 30 --scheme equal_time",
     f"simulate --trials 20 --config {ELAA}",
     "sweep-gamma --trials 10",
     "sweep-power --trials 10",

@@ -141,14 +141,13 @@ def response_derivatives(
     dists: np.ndarray,
     entries: np.ndarray,
     rows=slice(None),
-    axes=slice(None),
     out=None,
 ) -> np.ndarray:
-    """Partial derivatives of the responses at points along the given axes.
+    """Partial derivatives of the responses at points along x, y and z.
 
     point is one point (3,) or a stack (..., 3), and dists and entries are
     its (..., n_rows) results of array_response; the result has shape
-    (..., n_axes, n_rows), one row per selected axis (all three by default).
+    (..., 3, n_rows), one row per axis.
     Differentiating amplitude and phase of each entry gives
 
         d a_n / d u = a_n(l) * ( (u_n - u) / d_n^2 + j 2 pi (u_n - u) / (lambda d_n) ),
@@ -158,14 +157,14 @@ def response_derivatives(
     place, so the only complex array is the result itself. Its bits are those
     of entries * (radial / d + (2j pi / lambda) * radial). Without out, its
     memory layout is that of radial = (u_n - u) / d_n taken from
-    positions[rows, axes].T, which is not C-ordered: the localizer's BLAS
+    positions[rows].T, which is not C-ordered: the localizer's BLAS
     products over it round by that layout. With out, a complex array of the
     result's shape, the result is written there, and radial is taken from the
     C-contiguous rows of geom.coords; the bits are the same.
     """
     pos = np.asarray(point, dtype=float)
-    elems = geom.positions[rows, axes].T if out is None else geom.coords[axes, rows]
-    radial = elems - pos[..., axes, None]
+    elems = geom.positions[rows].T if out is None else geom.coords[:, rows]
+    radial = elems - pos[..., None]
     radial /= dists[..., None, :]
     if out is None:
         out = np.empty_like(radial, dtype=complex)

@@ -31,14 +31,18 @@ _DEFAULT_POWER_GRID = "0.1,0.31622776601683794,1.0,3.1622776601683795"
 _DEFAULT_WEIGHT_GRID = "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9"
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_scenario(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--config", default=None, help="JSON scenario file (built-in scenario when omitted)"
     )
+    parser.add_argument("--scheme", choices=SCHEMES, default=None, help="override the scheme")
+
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    _add_scenario(parser)
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
     parser.add_argument("--trials", type=int, default=None, help="override the trial budget")
     parser.add_argument("--out", default=None, help="write results as CSV to this path")
-    parser.add_argument("--scheme", choices=SCHEMES, default=None, help="override the scheme")
 
 
 def _resolve_config(args: argparse.Namespace) -> ScenarioConfig:
@@ -122,7 +126,9 @@ def main(argv=None) -> int:
     )
 
     p_crb = sub.add_parser("crb", help="report the planning CRB and slot length")
-    _add_common(p_crb)
+    # The plan reads neither the seed nor the trial budget, and crb writes no CSV.
+    _add_scenario(p_crb)
+    p_crb.set_defaults(seed=None, trials=None)
 
     args = parser.parse_args(argv)
     # Each command plans from scratch, as in a fresh process, so what one

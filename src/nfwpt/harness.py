@@ -22,7 +22,7 @@ import functools
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +37,6 @@ from .channel import (
     VisibilityRegion,
     channel,
     min_vr_span,
-    steering_vector,
-    vr_cover,
 )
 from .crb import LatticeCrb, lattice_crb, min_sensing_duration
 from .echo import aggregate, simulate_echo, uniform_probe
@@ -54,7 +52,6 @@ SCHEMES = ("proposed", "perfect_csi", "isotropic", "equal_time", "no_vr")
 # transfer down to 0.1 W.
 DEFAULT_GAMMA = 4e4
 
-_SENSING_SCHEMES = ("proposed", "equal_time", "no_vr")
 _PLANNED_SCHEMES = ("proposed", "no_vr")
 
 
@@ -420,9 +417,7 @@ def run_trial(cfg: ScenarioConfig, trial_index: int) -> TrialResult:
         loc = locate_er(
             geom, y_bar, vr_hat, (prior - reach, prior + reach), probe, tau
         )
-        est_channels.append(
-            steering_vector(geom, loc.position_hat) * vr_cover(vr_hat, n)
-        )
+        est_channels.append(channel(geom, ErState(loc.position_hat, vr_hat)))
         hits.append(vr_hat == er.vr)
         errors.append(float(np.linalg.norm(loc.position_hat - er.position)))
 
@@ -520,21 +515,9 @@ def sweep_beta(cfg: ScenarioConfig, beta2_grid) -> list[SweepRow]:
 
 # --- configuration files and CSV output ------------------------------------
 
-_ARRAY_KEYS = {"n_y", "n_z", "carrier_freq", "spacing"}
-_ER_KEYS = {"prior_position", "error_bounds", "weight", "reflection", "vr"}
-_CONFIG_KEYS = {
-    "array",
-    "ers",
-    "noise_power",
-    "p_max",
-    "block_len",
-    "eta",
-    "n_alpha",
-    "gamma",
-    "trials",
-    "master_seed",
-    "scheme",
-}
+_ARRAY_KEYS = {f.name for f in fields(ArraySpec)}
+_ER_KEYS = {f.name for f in fields(ErSpec)}
+_CONFIG_KEYS = {f.name for f in fields(ScenarioConfig)}
 
 
 def _reject_unknown(data: dict, allowed: set, where: str) -> None:

@@ -20,9 +20,10 @@ The search has three parts.
   factor lambda / 4 pi cancels from q). If rho bounds the error of each
   phasor, then |s~ - s| <= rho sqrt(e) ||y_bar||, which bounds the prefilter
   score q~ within dq = rho ||y_bar|| (2 sqrt(q~) + rho ||y_bar||) of q. Only
-  points with q~ + dq >= max(q~ - dq) can hold the maximum. They are scored
-  again with the double-precision response, and the first maximum among them
-  is the seed.
+  points with q~ + dq >= max(q~ - dq) can hold the maximum. Each of them is
+  probed exactly, one at a time in lattice order, by the same double-precision
+  kernel as every other candidate, and the first maximum among them is the
+  seed.
 - A bound-constrained Levenberg-Marquardt ascent climbs from it. With
   s = h^H y_bar and e = ||h||^2, the analytic first and second derivatives of
   h give the gradient g and the Hessian H of q in closed form; for example
@@ -53,12 +54,11 @@ import numpy as np
 
 from .channel import (
     VisibilityRegion,
+    _as_point,
     array_response,
     grid_distances,
     response_derivatives,
     response_hessians,
-    steering_vector,
-    vr_cover,
 )
 from .errors import DegenerateChannelError, UnidentifiableReflectionError
 from .geometry import UpaGeometry
@@ -87,8 +87,8 @@ class LocalizationResult:
 
     objective is concentrated_objective at the estimate. iterations counts
     linearizations of the ascent (gradient and Hessian evaluations);
-    evaluations counts the candidates the search scored: lattice points,
-    ascent trials and ray samples. converged means the search stopped at a
+    evaluations counts the candidates the search scored: lattice points, the
+    prefilter survivors probed exactly, ascent trials and ray samples. converged means the search stopped at a
     stationary point that no ray sample beats, not at the iteration cap.
     """
 
@@ -103,12 +103,25 @@ class LocalizationResult:
 def concentrated_objective(
     geom: UpaGeometry, y_bar: np.ndarray, candidate, vr_hat: VisibilityRegion
 ) -> float:
-    """Concentrated likelihood score of one candidate position."""
-    h = steering_vector(geom, candidate) * vr_cover(vr_hat, geom.n_elements)
-    norm_sq = np.vdot(h, h).real
-    if norm_sq == 0.0:
-        raise DegenerateChannelError("masked response is identically zero")
-    return float(abs(np.vdot(h, y_bar)) ** 2 / norm_sq)
+    """Concentrated likelihood score q of one candidate position.
+
+    One probe of the region slice: the mask zeroes the rest of the aperture.
+    """
+    rows = _region_rows(geom, vr_hat, y_bar=y_bar)
+    return _probe(geom, np.asarray(y_bar, dtype=complex)[rows], rows, _as_point(candidate)).q
+
+
+def _region_rows(geom: UpaGeometry, vr: VisibilityRegion, **vectors) -> slice:
+    """Rows of the region's slice, once vr and each named vector fit the array."""
+    n = geom.n_elements
+    if vr.end > n:
+        raise ValueError(f"visibility region end {vr.end} exceeds array size {n}")
+    for name, v in vectors.items():
+        if np.shape(v) != (n,):
+            raise ValueError(
+                f"{name} must have one entry per element, shape ({n},), got {np.shape(v)}"
+            )
+    return slice(vr.start - 1, vr.end)
 
 
 @dataclass(frozen=True)
@@ -128,6 +141,8 @@ def _probe(geom: UpaGeometry, y: np.ndarray, rows: slice, point: np.ndarray) -> 
     h = resp.reshape(-1)
     s = complex(np.vdot(h, y))
     e = float(np.vdot(h, h).real)
+    if e == 0.0:
+        raise DegenerateChannelError("masked response is identically zero")
     return _Probe(point, dists.reshape(-1), h, s, e, abs(s) ** 2 / e)
 
 
@@ -203,25 +218,19 @@ def prefilter_scores(
     return q, reach * (2.0 * np.sqrt(q) + reach)
 
 
-def lattice_seed(geom: UpaGeometry, y: np.ndarray, rows: slice, grid) -> int:
-    """Flat lattice-order index of the first lattice point with the highest q.
+def lattice_seed(geom: UpaGeometry, y: np.ndarray, rows: slice, grid) -> tuple[_Probe, int]:
+    """Probe of the first lattice point with the highest q, and the probe count.
 
-    The prefilter keeps the points that may hold the maximum, and one
-    array_response over the product of their distinct per-axis coordinates
-    scores them exactly. When every point survives, as for a zero echo, that
-    is the whole lattice.
+    The prefilter keeps the points that may hold the maximum, and each of them
+    is probed exactly, in lattice order. When every point survives, as for a
+    zero echo, that is the whole lattice.
     """
     q, dq = prefilter_scores(geom, y, rows, grid)
     survivors = np.flatnonzero(q + dq >= np.max(q - dq))
     index = np.unravel_index(survivors, tuple(g.size for g in grid))
-    axes = [np.unique(i) for i in index]
-    _, entries = array_response(geom, [g[a] for g, a in zip(grid, axes)], rows)
-    entries = entries.reshape(-1, y.size)
-    scores = np.abs(entries @ y.conj()) ** 2 / (np.abs(entries) ** 2).sum(axis=1)
-    within = np.ravel_multi_index(
-        [np.searchsorted(a, i) for a, i in zip(axes, index)], [a.size for a in axes]
-    )
-    return int(survivors[np.argmax(scores[within])])
+    points = np.stack([g[i] for g, i in zip(grid, index)], axis=1)
+    # max keeps the first of equal scores, as np.argmax does.
+    return max((_probe(geom, y, rows, p) for p in points), key=lambda at: at.q), survivors.size
 
 
 def _ray_samples(origin, point, lo, hi, count):
@@ -257,11 +266,11 @@ def locate_er(
     The lattice has coarse_grid points per axis (one on a zero-width axis).
     lattice_seed picks its point with the highest q, the first in lattice
     order on a tie: the single-precision prefilter bounds every score within
-    dq, and only the points it cannot rule out are scored in double
-    precision. The ascent described in the module docstring runs for at most
-    max_iters linearizations in total. It stops at a stationary point: a kept
-    step shorter than tol that puts no axis on a box face, no free axis, or a
-    damping past its cap. The ray check then either restarts it or ends the
+    dq, and only the points it cannot rule out are probed exactly. The
+    ascent described in the module docstring starts from the best of those
+    probes and runs for at most max_iters linearizations in total. It stops
+    at a stationary point: a kept step shorter than tol that puts no axis on
+    a box face, no free axis, or a damping past its cap. The ray check then either restarts it or ends the
     search. Every iterate stays in the box and pinned axes never move.
     """
     lo = np.asarray(search_box[0], dtype=float)
@@ -279,19 +288,12 @@ def locate_er(
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    if vr_hat.end > geom.n_elements:
-        raise ValueError(
-            f"visibility region end {vr_hat.end} exceeds array size {geom.n_elements}"
-        )
-
-    rows = slice(vr_hat.start - 1, vr_hat.end)
+    rows = _region_rows(geom, vr_hat, y_bar=y_bar, probe=probe)
     y = np.asarray(y_bar, dtype=complex)[rows]
     pinned = hi <= lo
     grid = [np.linspace(lo[i], hi[i], 1 if pinned[i] else counts[i]) for i in range(3)]
-    shape = tuple(g.size for g in grid)
-    best = np.unravel_index(lattice_seed(geom, y, rows, grid), shape)
-    current = _probe(geom, y, rows, np.array([grid[i][best[i]] for i in range(3)]))
-    evaluations = math.prod(shape) + 1
+    current, probed = lattice_seed(geom, y, rows, grid)
+    evaluations = math.prod(g.size for g in grid) + probed
     origin = geom.positions[rows].mean(axis=0)
 
     mu = _MU_START
@@ -379,17 +381,17 @@ def estimate_b(
     """Least-squares reflection coefficient at a hypothesized position.
 
     Projects the aggregated echo on the model direction, so at the true
-    position with the true region the noiseless estimate is exact.
+    position with the true region the noiseless estimate is exact. One probe
+    of the region slice gives the direction: the mask zeroes the rest of the
+    aperture, for the echo and the probe alike.
     """
     if slot_len < 1:
         raise ValueError(f"slot length must be >= 1, got {slot_len}")
-    h = steering_vector(geom, position_hat) * vr_cover(vr_hat, geom.n_elements)
-    norm_sq = np.vdot(h, h).real
-    if norm_sq == 0.0:
-        raise DegenerateChannelError("masked response is identically zero")
-    through = h @ np.asarray(probe, dtype=complex)
+    rows = _region_rows(geom, vr_hat, y_bar=y_bar, probe=probe)
+    at = _probe(geom, np.asarray(y_bar, dtype=complex)[rows], rows, _as_point(position_hat))
+    through = at.h @ np.asarray(probe, dtype=complex)[rows]
     if through == 0:
         raise UnidentifiableReflectionError(
             "probe is orthogonal to the hypothesized channel"
         )
-    return complex(np.vdot(h, y_bar) / (slot_len * through * norm_sq))
+    return complex(at.s / (slot_len * through * at.e))

@@ -19,6 +19,9 @@ computes another way, kept so the tests can arbitrate the fast path:
 - lattice_scores: the localizer's seed lattice scored in one double-precision
   array_response over every point; np.argmax of it is the seed that
   localize.lattice_seed must pick.
+- full_aperture_objective, full_aperture_b: localize.concentrated_objective
+  and localize.estimate_b from the masked full-aperture channel() instead of
+  one probe of the region slice.
 """
 
 from __future__ import annotations
@@ -37,7 +40,11 @@ from nfwpt.channel import (
     vr_cover,
 )
 from nfwpt.crb import CrbReport, FisherInfo, LatticeCrb
-from nfwpt.errors import DegenerateChannelError, SingularFimError
+from nfwpt.errors import (
+    DegenerateChannelError,
+    SingularFimError,
+    UnidentifiableReflectionError,
+)
 
 _AXES = {"x": 0, "y": 1, "z": 2}
 
@@ -54,19 +61,14 @@ def channel_derivative(geom, point, vr: VisibilityRegion, axis: str) -> np.ndarr
     if pos.shape != (3,):
         raise ValueError(f"point must have shape (3,), got {pos.shape}")
     dists, entries = array_response(geom, pos[:, None])
-    col = _AXES[axis]
-    deriv = response_derivatives(
-        geom, pos, dists.reshape(-1), entries.reshape(-1), axes=slice(col, col + 1)
-    )
-    return deriv[0] * vr_cover(vr, geom.n_elements)
+    deriv = response_derivatives(geom, pos, dists.reshape(-1), entries.reshape(-1))
+    return deriv[_AXES[axis]] * vr_cover(vr, geom.n_elements)
 
 
-def response_derivatives_expression(
-    geom, point, dists, entries, rows=slice(None), axes=slice(None)
-) -> np.ndarray:
+def response_derivatives_expression(geom, point, dists, entries, rows=slice(None)) -> np.ndarray:
     """entries * (radial / d + (2j pi / lambda) * radial), radial = (u_n - u) / d."""
     pos = np.asarray(point, dtype=float)
-    diff = geom.positions[rows, axes].T - pos[..., axes, None]
+    diff = geom.positions[rows].T - pos[..., None]
     radial = diff / dists[..., None, :]
     bracket = radial / dists[..., None, :] + 2j * np.pi / geom.wavelength * radial
     # Named, so numpy cannot reuse an unnamed temporary of 256 KB or more in
@@ -207,3 +209,27 @@ def lattice_scores(geom, y, rows, grid) -> np.ndarray:
     _, entries = array_response(geom, grid, rows)
     entries = entries.reshape(-1, y.size)
     return np.abs(entries @ y.conj()) ** 2 / (np.abs(entries) ** 2).sum(axis=1)
+
+
+def _masked_response(geom, point, vr) -> np.ndarray:
+    h = channel(geom, ErState(point, vr))
+    if np.vdot(h, h).real == 0.0:
+        raise DegenerateChannelError("masked response is identically zero")
+    return h
+
+
+def full_aperture_objective(geom, y_bar, candidate, vr) -> float:
+    """|h^H y|^2 / ||h||^2 with h the masked N-element response at the candidate."""
+    h = _masked_response(geom, candidate, vr)
+    return float(abs(np.vdot(h, y_bar)) ** 2 / np.vdot(h, h).real)
+
+
+def full_aperture_b(geom, y_bar, position, vr, probe, slot_len: int) -> complex:
+    """h^H y / (slot_len (h^T x) ||h||^2) with h the masked N-element response."""
+    if slot_len < 1:
+        raise ValueError(f"slot length must be >= 1, got {slot_len}")
+    h = _masked_response(geom, position, vr)
+    through = h @ np.asarray(probe, dtype=complex)
+    if through == 0:
+        raise UnidentifiableReflectionError("probe is orthogonal to the hypothesized channel")
+    return complex(np.vdot(h, y_bar) / (slot_len * through * np.vdot(h, h).real))

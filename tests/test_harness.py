@@ -736,6 +736,15 @@ class TestCli:
             "gamma_m2=4.000000000000e+04 tau_star=4 block_len=200\n"
         )
 
+    @pytest.mark.parametrize("option", ["--out", "--seed", "--trials"])
+    def test_crb_rejects_options_it_would_ignore(self, tmp_path, capsys, option):
+        value = str(tmp_path / "crb.csv") if option == "--out" else "3"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["crb", option, value])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_each_command_plans_from_scratch(self, tmp_path, capsys):
         cfg_path = self._write_config(tmp_path)
         for _ in range(2):

@@ -19,8 +19,12 @@ from nfwpt import (
 )
 from nfwpt.channel import ErState, VisibilityRegion, channel
 from nfwpt.echo import aggregate, simulate_echo, uniform_probe
-from nfwpt.errors import SingularGeometryError
-from oracles import lattice_scores
+from nfwpt.errors import (
+    DegenerateChannelError,
+    SingularGeometryError,
+    UnidentifiableReflectionError,
+)
+from oracles import full_aperture_b, full_aperture_objective, lattice_scores
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -90,7 +94,7 @@ def test_degenerate_box_returns_the_single_point():
     result = locate_er(geom, y, er.vr, box, probe, tau)
     np.testing.assert_array_equal(result.position_hat, er.position)
     assert result.converged
-    # One lattice point on a fully pinned box, probed once more for the ascent.
+    # One lattice point on a fully pinned box, the one survivor probed exactly.
     assert result.evaluations == 2
 
 
@@ -129,15 +133,90 @@ def test_zero_observation_gives_zero_reflection():
 
 
 def test_orthogonal_probe_makes_the_reflection_unidentifiable():
-    from nfwpt.channel import steering_vector, vr_cover
-    from nfwpt.errors import UnidentifiableReflectionError
-
     geom, er, _, y, tau = _noiseless_scene(5)
-    h = steering_vector(geom, er.position) * vr_cover(er.vr, geom.n_elements)
+    h = channel(geom, er)
     probe = np.zeros(geom.n_elements, dtype=complex)
     probe[0], probe[1] = h[1], -h[0]
     with pytest.raises(UnidentifiableReflectionError):
         estimate_b(geom, y, er.position, er.vr, probe, tau)
+
+
+@st.composite
+def _region_problems(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    side = draw(st.integers(2, 24))
+    region = draw(st.sampled_from(["any", "two elements", "first element", "last element"]))
+    rng = np.random.default_rng(seed)
+    geom = build_upa(side, side, 28e9)
+    n = geom.n_elements
+    start = 1 if region == "first element" else int(rng.integers(1, n))
+    if region == "two elements":
+        end = start + 1
+    else:
+        end = n if region == "last element" else int(rng.integers(start + 1, n + 1))
+    y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    probe = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    points = rng.uniform([0.3, -1.0, -1.0], [3.0, 1.0, 1.0], size=(4, 3))
+    return geom, y, VisibilityRegion(start, end), probe, points
+
+
+@settings(max_examples=60, deadline=None)
+@given(_region_problems())
+def test_region_slice_scores_match_the_full_aperture_forms(problem):
+    geom, y, vr, probe, points = problem
+    for point in points:
+        assert concentrated_objective(geom, y, point, vr) == pytest.approx(
+            full_aperture_objective(geom, y, point, vr), rel=1e-12
+        )
+        assert estimate_b(geom, y, point, vr, probe, 3) == pytest.approx(
+            full_aperture_b(geom, y, point, vr, probe, 3), rel=1e-12
+        )
+
+
+def test_region_slice_scores_raise_what_the_full_aperture_forms_raise():
+    geom, er, probe, y, tau = _noiseless_scene(13, n_y=8, n_z=8)
+    i = er.vr.start - 1
+    h = channel(geom, er)
+    orthogonal = np.zeros(geom.n_elements, dtype=complex)
+    orthogonal[i], orthogonal[i + 1] = h[i + 1], -h[i]
+    # At this carrier every |h_n|^2 underflows to zero.
+    tiny = build_upa(4, 4, 1e170)
+    scored = [
+        (ValueError, (geom, y, er.position, VisibilityRegion(2, geom.n_elements + 1))),
+        (ValueError, (geom, y, er.position[:2], er.vr)),
+        (ValueError, (geom, np.append(y, 0.0), er.position, er.vr)),
+        (SingularGeometryError, (geom, y, geom.positions[i + 1], er.vr)),
+        (DegenerateChannelError, (tiny, np.ones(16), [1.0, 0.0, 0.0], VisibilityRegion(3, 9))),
+    ]
+    for error, args in scored:
+        b_args = (*args, np.ones(args[0].n_elements, dtype=complex), 1)
+        for fn, fn_args in [
+            (concentrated_objective, args),
+            (full_aperture_objective, args),
+            (estimate_b, b_args),
+            (full_aperture_b, b_args),
+        ]:
+            with pytest.raises(error):
+                fn(*fn_args)
+    # The probe and the slot length reach only the reflection estimate.
+    for error, x, slot_len in [
+        (UnidentifiableReflectionError, orthogonal, tau),
+        (ValueError, probe, 0),
+        (ValueError, np.append(probe, 0.0), tau),
+    ]:
+        for fn in (estimate_b, full_aperture_b):
+            with pytest.raises(error):
+                fn(geom, y, er.position, er.vr, x, slot_len)
+
+
+def test_an_element_outside_the_region_is_no_singularity():
+    geom, er, probe, y, tau = _noiseless_scene(14)
+    vr = VisibilityRegion(10, 60)
+    outside = geom.positions[4]
+    with pytest.raises(SingularGeometryError):
+        full_aperture_objective(geom, y, outside, vr)
+    assert concentrated_objective(geom, y, outside, vr) >= 0.0
+    assert np.isfinite(estimate_b(geom, y, outside, vr, probe, tau))
 
 
 def test_locate_validates_box_grid_and_tolerance():
@@ -151,6 +230,10 @@ def test_locate_validates_box_grid_and_tolerance():
         locate_er(geom, y, er.vr, (lo, hi), probe, tau, tol=0.0)
     with pytest.raises(ValueError):
         locate_er(geom, y, er.vr, (lo, hi), probe, tau, max_iters=0)
+    with pytest.raises(ValueError, match="one entry per element"):
+        locate_er(geom, y[:-1], er.vr, (lo, hi), probe, tau)
+    with pytest.raises(ValueError, match="one entry per element"):
+        locate_er(geom, y, er.vr, (lo, hi), np.append(probe, 0.0), tau)
 
 
 def test_result_reports_reflection_consistent_with_estimate():
@@ -321,7 +404,12 @@ def _assert_seed_matches_the_oracle(geom, y, rows, grid):
     exact = lattice_scores(geom, y, rows, grid)
     q, dq = localize.prefilter_scores(geom, y, rows, grid)
     assert np.all(np.abs(q - exact) <= dq / 10)
-    assert localize.lattice_seed(geom, y, rows, grid) == np.argmax(exact)
+    seed, probed = localize.lattice_seed(geom, y, rows, grid)
+    index = np.unravel_index(np.argmax(exact), tuple(g.size for g in grid))
+    at = localize._probe(geom, y, rows, np.array([g[i] for g, i in zip(grid, index)]))
+    assert seed.point.tobytes() == at.point.tobytes()
+    assert (seed.s, seed.e, seed.q) == (at.s, at.e, at.q)
+    assert 1 <= probed <= exact.size
 
 
 @pytest.mark.parametrize("side", [16, 32])
@@ -366,16 +454,20 @@ def test_zero_echo_scores_the_whole_lattice_once(monkeypatch):
     geom, er, probe, _, tau = _noiseless_scene(12)
     box = (er.position - 0.2, er.position + 0.2)
     y, rows, grid = _seed_inputs(np.zeros(geom.n_elements), er.vr, box)
-    calls = []
-    real = localize.array_response
+    probed = []
+    real = localize._probe
 
-    def record(geom, grid, rows=slice(None)):
-        calls.append([len(g) for g in grid])
-        return real(geom, grid, rows)
+    def record(geom, y, rows, point):
+        probed.append(point)
+        return real(geom, y, rows, point)
 
-    monkeypatch.setattr(localize, "array_response", record)
-    assert localize.lattice_seed(geom, y, rows, grid) == 0
-    assert calls == [[9, 9, 9]]
+    monkeypatch.setattr(localize, "_probe", record)
+    seed, count = localize.lattice_seed(geom, y, rows, grid)
+    # Every point ties at q = 0, so every point survives; the seed is index 0.
+    lattice = np.stack(np.meshgrid(*grid, indexing="ij"), axis=-1).reshape(-1, 3)
+    np.testing.assert_array_equal(np.array(probed), lattice)
+    assert count == len(lattice)
+    np.testing.assert_array_equal(seed.point, lattice[0])
     result = locate_er(geom, np.zeros(geom.n_elements, dtype=complex), er.vr, box, probe, tau)
     np.testing.assert_array_equal(result.position_hat, box[0])
 
