@@ -6,7 +6,8 @@ computes another way, kept so the tests can arbitrate the fast path:
 - channel_derivative: one masked derivative row at one point.
 - response_derivatives_expression: channel.response_derivatives as one
   expression with complex temporaries; the kernel must match its bits and
-  its memory layout.
+  its memory layout, and any subset of its axis rows must match the
+  expression formed on those axes alone.
 - fim_per_point, crb_per_point, lattice_crb_per_point: the Fisher
   information and position CRB built one point and one axis at a time, from
   channel() and three channel_derivative() rows, and the planning lattice
@@ -65,10 +66,15 @@ def channel_derivative(geom, point, vr: VisibilityRegion, axis: str) -> np.ndarr
     return deriv[_AXES[axis]] * vr_cover(vr, geom.n_elements)
 
 
-def response_derivatives_expression(geom, point, dists, entries, rows=slice(None)) -> np.ndarray:
-    """entries * (radial / d + (2j pi / lambda) * radial), radial = (u_n - u) / d."""
+def response_derivatives_expression(
+    geom, point, dists, entries, rows=slice(None), axes=slice(None)
+) -> np.ndarray:
+    """entries * (radial / d + (2j pi / lambda) * radial), radial = (u_n - u) / d.
+
+    axes selects the derivative axes to form, all three by default.
+    """
     pos = np.asarray(point, dtype=float)
-    diff = geom.positions[rows].T - pos[..., None]
+    diff = geom.positions[rows, axes].T - pos[..., axes, None]
     radial = diff / dists[..., None, :]
     bracket = radial / dists[..., None, :] + 2j * np.pi / geom.wavelength * radial
     # Named, so numpy cannot reuse an unnamed temporary of 256 KB or more in

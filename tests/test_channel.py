@@ -266,7 +266,8 @@ def test_distance_kernel_rejects_an_element_and_passes_nan(one_point):
 
 @pytest.mark.parametrize("size", [(8, 8), (9, 7), (32, 32)])
 @pytest.mark.parametrize("rows", [slice(None), slice(5, 40), slice(17, 19)])
-def test_derivative_kernel_keeps_the_bits_and_layout_of_the_expression(size, rows):
+@pytest.mark.parametrize("axes", [slice(None), slice(0, 1), slice(1, 3), slice(2, 3)])
+def test_derivative_kernel_keeps_the_bits_and_layout_of_the_expression(size, rows, axes):
     # The localizer's BLAS products and the FIM's reductions sum in an order
     # that depends on the memory layout, so strides must match as well.
     geom = build_upa(*size, 28e9)
@@ -287,6 +288,10 @@ def test_derivative_kernel_keeps_the_bits_and_layout_of_the_expression(size, row
         assert kernel.shape == expected.shape
         assert kernel.strides == expected.strides
         assert kernel.tobytes() == expected.tobytes()
+        # The rows of some axes carry the bits of the expression formed on
+        # those axes alone, so channel_derivative may take one row of three.
+        alone = response_derivatives_expression(geom, point, d, e, rows, axes)
+        assert kernel[..., axes, :].tobytes() == alone.tobytes()
         # With out, the same bits land in the caller's C-ordered buffer.
         buf = np.full(expected.shape, np.nan, dtype=complex)
         assert response_derivatives(geom, point, d, e, rows, out=buf) is buf
