@@ -30,6 +30,7 @@ COMMANDS = (
     "simulate --trials 30 --scheme equal_time",
     f"simulate --trials 20 --config {ELAA}",
     "sweep-gamma --trials 10",
+    "sweep-gamma --trials 10 --scheme equal_time",
     "sweep-power --trials 10",
     "sweep-weight --trials 5",
 )

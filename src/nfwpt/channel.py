@@ -107,6 +107,9 @@ def grid_distances(geom: UpaGeometry, grid, rows=slice(None), out=None) -> np.nd
         part *= part
         total = np.add(part[0] + part[1], part[2], out=None if out is None else out[0, 0, 0])
         dists = total.reshape(1, 1, 1, n) if out is None else out
+        np.sqrt(dists, out=dists)
+        # Counts NaN as nonzero, as np.any(dists == 0.0) does, in one cheap pass.
+        singular = np.count_nonzero(dists) < n
     else:
         parts = []
         for ax, coords in enumerate(grid):
@@ -116,9 +119,12 @@ def grid_distances(geom: UpaGeometry, grid, rows=slice(None), out=None) -> np.nd
             shape[ax] = part.shape[0]
             parts.append(part.reshape(shape))
         dists = np.add(parts[0] + parts[1], parts[2], out=out)
-    np.sqrt(dists, out=dists)
-    # Counts NaN as nonzero, as np.any(dists == 0.0) does, in one cheap pass.
-    if np.count_nonzero(dists) < dists.size:
+        np.sqrt(dists, out=dists)
+        # The min is cheaper than counting over a whole grid. A NaN min hides
+        # whether a zero sits beside the NaN, so only then count.
+        low = dists.min(initial=np.inf)
+        singular = low == 0 or (np.isnan(low) and np.count_nonzero(dists) < dists.size)
+    if singular:
         raise SingularGeometryError("a candidate point coincides with an array element")
     return dists
 

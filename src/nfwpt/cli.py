@@ -20,6 +20,7 @@ from .harness import (
     load_config,
     plan,
     rows_to_csv,
+    sense,
     simulate,
     sweep_beta,
     sweep_gamma,
@@ -131,10 +132,11 @@ def main(argv=None) -> int:
     p_crb.set_defaults(seed=None, trials=None)
 
     args = parser.parse_args(argv)
-    # Each command plans from scratch, as in a fresh process, so what one
-    # command costs does not depend on the commands run before it in the
-    # same interpreter.
+    # Each command plans and senses from scratch, as in a fresh process, so
+    # what one command costs does not depend on the commands run before it in
+    # the same interpreter.
     plan.cache_clear()
+    sense.cache_clear()
     try:
         _run(args)
     except (ValueError, OSError) as exc:

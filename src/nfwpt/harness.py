@@ -42,7 +42,7 @@ from .crb import LatticeCrb, lattice_crb, min_sensing_duration
 from .echo import aggregate, simulate_echo, uniform_probe
 from .errors import InfeasibleBlockError
 from .geometry import UpaGeometry, build_upa
-from .localize import locate_er
+from .localize import LocalizationResult, locate_er
 from .visibility import estimate_power_levels, identify_vr, scaling_factor
 
 SCHEMES = ("proposed", "perfect_csi", "isotropic", "equal_time", "no_vr")
@@ -279,24 +279,41 @@ def _draw_vr(n: int, eta: float, n_alpha: int, rng: np.random.Generator) -> Visi
     return VisibilityRegion(start, start + size - 1)
 
 
+def _receiver_key(spec: ErSpec) -> tuple:
+    """What a trial's scene and sensing read of a receiver: all but its weight.
+
+    A real reflection is a magnitude whose phase is drawn per trial, and a
+    complex one pins the coefficient. 50.0 and 50+0j compare and hash equal,
+    so the key also says which of the two it is.
+    """
+    refl = spec.reflection
+    return (spec.prior_position, spec.error_bounds, spec.vr, refl, isinstance(refl, complex))
+
+
 def _draw_scene(
-    cfg: ScenarioConfig, geom: UpaGeometry, rng: np.random.Generator
-) -> list[ErState]:
+    receivers: tuple, n: int, eta: float, n_alpha: int, stream: np.random.SeedSequence
+) -> tuple[ErState, ...]:
+    """Ground truth of each receiver given by its _receiver_key.
+
+    The states carry no receiver weight (ErState's default), since the scene
+    of a trial is shared by configurations that differ only in weights.
+    """
+    rng = np.random.default_rng(stream)
     states = []
-    for spec in cfg.ers:
-        prior = np.asarray(spec.prior_position)
-        bounds = np.asarray(spec.error_bounds)
+    for prior_position, error_bounds, pinned_vr, reflection, pinned_phase in receivers:
+        prior = np.asarray(prior_position)
+        bounds = np.asarray(error_bounds)
         position = prior + rng.uniform(-bounds, bounds)
-        if spec.vr is not None:
-            vr = VisibilityRegion(*spec.vr)
+        if pinned_vr is not None:
+            vr = VisibilityRegion(*pinned_vr)
         else:
-            vr = _draw_vr(geom.n_elements, cfg.eta, cfg.n_alpha, rng)
-        if isinstance(spec.reflection, complex):
-            b = spec.reflection
+            vr = _draw_vr(n, eta, n_alpha, rng)
+        if pinned_phase:
+            b = reflection
         else:
-            b = float(spec.reflection) * np.exp(2j * np.pi * rng.uniform())
-        states.append(ErState(position=position, vr=vr, reflection=b, weight=spec.weight))
-    return states
+            b = float(reflection) * np.exp(2j * np.pi * rng.uniform())
+        states.append(ErState(position=position, vr=vr, reflection=b))
+    return tuple(states)
 
 
 @dataclass(frozen=True)
@@ -343,7 +360,7 @@ def plan(cfg: ScenarioConfig) -> SensingPlan:
 def _plan(
     array: ArraySpec, p_max: float, noise_power: float, priors: tuple, bounds: tuple
 ) -> SensingPlan:
-    geom = build_upa(array.n_y, array.n_z, array.carrier_freq, array.spacing)
+    geom = _geometry(array)
     priors = [(position, VisibilityRegion(*vr), refl) for position, vr, refl in priors]
     crbs = lattice_crb(geom, priors, bounds, uniform_probe(geom, p_max), noise_power)
     return SensingPlan(tuple(vr for _, vr, _ in priors), crbs)
@@ -354,81 +371,177 @@ plan.cache_info = _plan.cache_info
 plan.cache_clear = _plan.cache_clear
 
 
-def run_trial(cfg: ScenarioConfig, trial_index: int) -> TrialResult:
-    """Simulate one transmission block and score the configured scheme."""
+@dataclass(frozen=True)
+class Sensing:
+    """First stage of one trial: the scene it drew and what sensing found.
+
+    Per receiver, in the order of cfg.ers: its ground truth (without its
+    weight), the identified visibility region (the full aperture under
+    no_vr) and the localizer's result.
+    """
+
+    scene: tuple[ErState, ...]
+    regions: tuple[VisibilityRegion, ...]
+    locations: tuple[LocalizationResult, ...]
+
+
+def _geometry(array: ArraySpec) -> UpaGeometry:
+    return build_upa(array.n_y, array.n_z, array.carrier_freq, array.spacing)
+
+
+def _streams(master_seed: int, trial_index: int, n_ers: int) -> list:
+    """The trial's scene stream, then one echo-noise stream per receiver."""
     if trial_index < 0:
         raise ValueError(f"trial index must be nonnegative, got {trial_index}")
-    geom = build_upa(cfg.array.n_y, cfg.array.n_z, cfg.array.carrier_freq, cfg.array.spacing)
+    return np.random.SeedSequence((master_seed, trial_index)).spawn(1 + n_ers)
+
+
+def sense(cfg: ScenarioConfig, trial_index: int, tau: int) -> Sensing:
+    """First stage of a trial of a sensing scheme, with tau symbols per receiver.
+
+    Draws the trial's scene; then, for each receiver, simulates and
+    aggregates its echo, identifies its visibility region (every scheme but
+    no_vr, which models the full aperture) and locates it in its prior box
+    widened to +- 2 D.
+
+    Memoized on exactly what it reads: the array; per receiver, the prior,
+    the error bounds, the pinned region and the reflection with its type;
+    noise_power, p_max, eta and n_alpha; whether the scheme identifies
+    regions; tau, master_seed and the trial index. It reads no weight, gamma,
+    block_len or trial budget, so the cells of a weight sweep, and the
+    targets of a gamma sweep that plan the same tau, sense each trial once.
+    A hit returns the stored record, the bits a recompute would give. The
+    records are small (scene states, regions, localizer results; no
+    N-vector), and the memo keeps the last 128, so a cell of up to 128
+    trials, the default 100 among them, is shared in full by the next; a
+    larger cell evicts its first trials before the next cell can reuse them.
+    An exception is not stored, so a failing trial raises on every call, but
+    a warning raised while sensing is not raised again on a hit. cli.main
+    empties the memo at the start of every command.
+    """
+    receivers = tuple(_receiver_key(spec) for spec in cfg.ers)
+    return _sense(
+        cfg.array,
+        receivers,
+        cfg.noise_power,
+        cfg.p_max,
+        cfg.eta,
+        cfg.n_alpha,
+        cfg.scheme != "no_vr",
+        tau,
+        cfg.master_seed,
+        trial_index,
+    )
+
+
+@functools.lru_cache(maxsize=128)
+def _sense(
+    array: ArraySpec,
+    receivers: tuple,
+    noise_power: float,
+    p_max: float,
+    eta: float,
+    n_alpha: int,
+    identify: bool,
+    tau: int,
+    master_seed: int,
+    trial_index: int,
+) -> Sensing:
+    geom = _geometry(array)
     n = geom.n_elements
-    n_ers = len(cfg.ers)
-    seed = (cfg.master_seed, trial_index)
-    streams = np.random.SeedSequence(seed).spawn(1 + n_ers)
-    scene = _draw_scene(cfg, geom, np.random.default_rng(streams[0]))
-    true_channels = [channel(geom, er) for er in scene]
-    weights = [er.weight for er in scene]
-    block_len = cfg.block_len
-
-    if cfg.scheme == "isotropic":
-        powers = tuple(
-            (cfg.p_max / n) * np.vdot(h, h).real for h in true_channels
-        )
-        return TrialResult(powers, 0, False, (math.nan,) * n_ers, seed)
-
-    if cfg.scheme == "perfect_csi":
-        solution = solve_energy_covariance(
-            weighted_channel_matrix(true_channels, weights), cfg.p_max
-        )
-        powers = tuple(
-            average_harvested_power(h, solution, 0, n_ers, block_len)
-            for h in true_channels
-        )
-        return TrialResult(powers, 0, True, (0.0,) * n_ers, seed)
-
-    # Sensing schemes: pick the slot length, then probe each receiver in turn.
-    full_aperture = VisibilityRegion(1, n)
-    probe = uniform_probe(geom, cfg.p_max)
-    if cfg.scheme == "equal_time":
-        tau = block_len // (2 * n_ers)
-        if tau < 1:
-            raise InfeasibleBlockError(
-                f"block of {block_len} symbols cannot host {n_ers} half-block sensing slots"
-            )
-    else:
-        tau = plan(cfg).tau(cfg.gamma, block_len)
-
-    identify = cfg.scheme != "no_vr"
-    est_channels = []
-    hits = []
-    errors = []
-    for idx, (er, spec) in enumerate(zip(scene, cfg.ers)):
-        rng = np.random.default_rng(streams[1 + idx])
-        batch = simulate_echo(
-            true_channels[idx], er.reflection, probe, tau, cfg.noise_power, rng
-        )
+    streams = _streams(master_seed, trial_index, len(receivers))
+    scene = _draw_scene(receivers, n, eta, n_alpha, streams[0])
+    probe = uniform_probe(geom, p_max)
+    regions = []
+    locations = []
+    for er, stream, (prior_position, error_bounds, *_) in zip(scene, streams[1:], receivers):
+        rng = np.random.default_rng(stream)
+        batch = simulate_echo(channel(geom, er), er.reflection, probe, tau, noise_power, rng)
         y_bar = aggregate(batch)
         if identify:
-            p_out, p_in = estimate_power_levels(y_bar, cfg.n_alpha)
+            p_out, p_in = estimate_power_levels(y_bar, n_alpha)
             alpha = scaling_factor(p_out, p_in)
-            vr_hat = identify_vr(y_bar, cfg.eta, alpha)
+            vr_hat = identify_vr(y_bar, eta, alpha)
         else:
-            vr_hat = full_aperture
-        prior = np.asarray(spec.prior_position)
-        reach = 2.0 * np.asarray(spec.error_bounds)
-        loc = locate_er(
-            geom, y_bar, vr_hat, (prior - reach, prior + reach), probe, tau
+            vr_hat = VisibilityRegion(1, n)
+        prior = np.asarray(prior_position)
+        reach = 2.0 * np.asarray(error_bounds)
+        regions.append(vr_hat)
+        locations.append(
+            locate_er(geom, y_bar, vr_hat, (prior - reach, prior + reach), probe, tau)
         )
-        est_channels.append(channel(geom, ErState(loc.position_hat, vr_hat)))
-        hits.append(vr_hat == er.vr)
-        errors.append(float(np.linalg.norm(loc.position_hat - er.position)))
+    return Sensing(scene, tuple(regions), tuple(locations))
 
-    solution = solve_energy_covariance(
-        weighted_channel_matrix(est_channels, weights), cfg.p_max
-    )
-    powers = tuple(
-        average_harvested_power(h, solution, tau, n_ers, block_len)
+
+sense.cache_info = _sense.cache_info
+sense.cache_clear = _sense.cache_clear
+
+
+def charge(cfg: ScenarioConfig, sensed: Sensing, tau: int) -> tuple[float, ...]:
+    """Second stage of a trial: charge the receivers as they were sensed.
+
+    Builds each receiver's true channel from the scene and its estimated
+    channel from the identified region and position, focuses the beam on
+    the estimates with the weights of cfg.ers (never from the shared
+    sensing record) and returns each receiver's average harvested power over
+    a block whose first K tau symbols went to sensing.
+    """
+    geom = _geometry(cfg.array)
+    true_channels = [channel(geom, er) for er in sensed.scene]
+    estimates = [
+        channel(geom, ErState(loc.position_hat, vr_hat))
+        for vr_hat, loc in zip(sensed.regions, sensed.locations)
+    ]
+    return _focus(cfg, true_channels, estimates, tau)
+
+
+def _focus(cfg: ScenarioConfig, true_channels, estimates, tau: int) -> tuple[float, ...]:
+    """Average powers under the beam solved for the weighted estimated channels."""
+    weights = [spec.weight for spec in cfg.ers]
+    solution = solve_energy_covariance(weighted_channel_matrix(estimates, weights), cfg.p_max)
+    return tuple(
+        average_harvested_power(h, solution, tau, len(true_channels), cfg.block_len)
         for h in true_channels
     )
-    return TrialResult(powers, int(tau), all(hits), tuple(errors), seed)
+
+
+def run_trial(cfg: ScenarioConfig, trial_index: int) -> TrialResult:
+    """Simulate one transmission block and score the configured scheme.
+
+    A sensing scheme runs three stages: plan (the slot length tau; half the
+    block under equal_time), sense and charge.
+    """
+    n_ers = len(cfg.ers)
+    seed = (cfg.master_seed, trial_index)
+    if cfg.scheme in ("isotropic", "perfect_csi"):
+        geom = _geometry(cfg.array)
+        receivers = tuple(_receiver_key(spec) for spec in cfg.ers)
+        stream = _streams(*seed, n_ers)[0]
+        scene = _draw_scene(receivers, geom.n_elements, cfg.eta, cfg.n_alpha, stream)
+        true_channels = [channel(geom, er) for er in scene]
+        if cfg.scheme == "isotropic":
+            n = geom.n_elements
+            powers = tuple((cfg.p_max / n) * np.vdot(h, h).real for h in true_channels)
+            return TrialResult(powers, 0, False, (math.nan,) * n_ers, seed)
+        powers = _focus(cfg, true_channels, true_channels, 0)
+        return TrialResult(powers, 0, True, (0.0,) * n_ers, seed)
+
+    if cfg.scheme == "equal_time":
+        tau = cfg.block_len // (2 * n_ers)
+        if tau < 1:
+            raise InfeasibleBlockError(
+                f"block of {cfg.block_len} symbols cannot host {n_ers} half-block sensing slots"
+            )
+    else:
+        tau = plan(cfg).tau(cfg.gamma, cfg.block_len)
+    sensed = sense(cfg, trial_index, tau)
+    powers = charge(cfg, sensed, tau)
+    hit = all(vr_hat == er.vr for vr_hat, er in zip(sensed.regions, sensed.scene))
+    errors = tuple(
+        float(np.linalg.norm(loc.position_hat - er.position))
+        for loc, er in zip(sensed.locations, sensed.scene)
+    )
+    return TrialResult(powers, int(tau), hit, errors, seed)
 
 
 def run_trials(cfg: ScenarioConfig) -> list[TrialResult]:

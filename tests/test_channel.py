@@ -262,6 +262,15 @@ def test_distance_kernel_rejects_an_element_and_passes_nan(one_point):
     with np.errstate(invalid="ignore"):
         nan = grid_distances(geom, form([np.nan, 0.1, 0.2]), rows)
     assert np.isnan(nan).all()
+    if not one_point:
+        # A NaN beside a coincident point makes the grid's min NaN, which
+        # must not hide the coincidence.
+        x, y, z = geom.positions[20]
+        for xs in ([x, np.nan], [np.nan, x]):
+            with np.errstate(invalid="ignore"), pytest.raises(SingularGeometryError):
+                grid_distances(geom, (np.array(xs), [y], [z]), rows)
+        # An empty grid has no point on an element.
+        assert grid_distances(geom, (np.empty(0), [y], [z]), rows).shape == (0, 1, 1, 32)
 
 
 @pytest.mark.parametrize("size", [(8, 8), (9, 7), (32, 32)])

@@ -17,7 +17,7 @@ from nfwpt.beamform import harvested_power, weighted_channel_matrix
 from nfwpt.channel import ErState, VisibilityRegion, channel
 from nfwpt.echo import uniform_probe
 from nfwpt.crb import crb_position, fim
-from nfwpt.errors import InfeasibleBlockError
+from nfwpt.errors import DegenerateChannelError, InfeasibleBlockError
 from nfwpt.harness import (
     SCHEMES,
     ArraySpec,
@@ -31,6 +31,7 @@ from nfwpt.harness import (
     rows_to_csv,
     run_trial,
     run_trials,
+    sense,
     simulate,
     summarize,
     sweep_beta,
@@ -178,10 +179,6 @@ class TestRunTrial:
 
 
 class TestPlan:
-    @pytest.fixture(autouse=True)
-    def _empty_memo(self):
-        plan.cache_clear()
-
     def _count_fim_calls(self, monkeypatch):
         calls = []
         inner = crb.fim
@@ -233,6 +230,134 @@ class TestPlan:
             state = ErState(np.asarray(spec.prior_position), region, reflection=50.0)
             nominal = crb_position(fim(geom, state, uniform_probe(geom, 1.0), 1, 1e-15))
             assert lattice.nominal == nominal.crb_total
+
+
+def _count_locates(monkeypatch):
+    calls = []
+    inner = harness.locate_er
+    monkeypatch.setattr(harness, "locate_er", lambda *a, **k: calls.append(1) or inner(*a, **k))
+    return calls
+
+
+def _fresh(cfg, trial_index):
+    """The trial recomputed from an empty sensing memo."""
+    sense.cache_clear()
+    return run_trial(cfg, trial_index)
+
+
+def _spec_with(cfg, index, **changes):
+    ers = list(cfg.ers)
+    ers[index] = replace(ers[index], **changes)
+    return replace(cfg, ers=tuple(ers))
+
+
+# One change to each configuration input that sensing reads.
+_SENSING_INPUTS = {
+    "carrier_freq": lambda c: replace(c, array=replace(c.array, carrier_freq=30e9)),
+    "spacing": lambda c: replace(c, array=replace(c.array, spacing=0.006)),
+    "prior_position": lambda c: _spec_with(c, 0, prior_position=(1.0, 0.2, 0.31)),
+    "error_bounds": lambda c: _spec_with(c, 1, error_bounds=(0.1, 0.1, 0.11)),
+    "vr": lambda c: _spec_with(c, 1, vr=(20, 51)),
+    "vr_drawn": lambda c: _spec_with(c, 0, vr=None),
+    "reflection": lambda c: _spec_with(c, 0, reflection=60.0),
+    "noise_power": lambda c: replace(c, noise_power=2e-15),
+    "p_max": lambda c: replace(c, p_max=2.0),
+    "eta": lambda c: replace(c, eta=0.3),
+    "n_alpha": lambda c: replace(c, n_alpha=8),
+    "identify": lambda c: replace(c, scheme="no_vr"),
+    "master_seed": lambda c: replace(c, master_seed=1),
+}
+
+
+class TestSense:
+    @pytest.mark.parametrize("scheme", ["proposed", "equal_time", "no_vr"])
+    def test_a_hit_returns_the_bits_of_a_recompute(self, scheme):
+        cfg = _small_cfg(scheme=scheme, ers=tuple(replace(s, vr=None) for s in _small_cfg().ers))
+        for index in range(2):
+            sense.cache_clear()
+            first = run_trial(cfg, index)
+            again = run_trial(cfg, index)
+            info = sense.cache_info()
+            assert (info.misses, info.hits) == (1, 1)
+            assert first == again == _fresh(cfg, index)
+
+    def test_weights_gamma_and_block_len_do_not_reach_the_key(self):
+        cfg = _small_cfg()
+        tau = plan(cfg).tau(cfg.gamma, cfg.block_len)
+        first = run_trial(cfg, 0)
+        shared = [
+            _spec_with(_spec_with(cfg, 0, weight=0.9), 1, weight=0.1),
+            replace(cfg, gamma=cfg.gamma * 1.001),
+            replace(cfg, block_len=300),
+            replace(cfg, trials=7),
+        ]
+        for other in shared:
+            assert plan(other).tau(other.gamma, other.block_len) == tau
+        results = [run_trial(other, 0) for other in shared]
+        info = sense.cache_info()
+        assert (info.misses, info.hits) == (1, len(shared))
+        # The charging stage reads the weights of its own config, not of the
+        # config that filled the memo.
+        assert results[0].powers != first.powers
+        assert results[2].powers != first.powers
+        for other, result in zip(shared, results):
+            assert result == _fresh(other, 0)
+
+    @pytest.mark.parametrize("key", _SENSING_INPUTS)
+    def test_every_sensing_input_is_in_the_key(self, key):
+        cfg = _small_cfg()
+        sense(cfg, 0, 2)
+        sense(_SENSING_INPUTS[key](cfg), 0, 2)
+        info = sense.cache_info()
+        assert (info.misses, info.hits) == (2, 0)
+
+    def test_the_slot_length_and_the_trial_index_are_in_the_key(self):
+        cfg = _small_cfg()
+        for index, tau in ((0, 2), (0, 3), (1, 2)):
+            sense(cfg, index, tau)
+        info = sense.cache_info()
+        assert (info.misses, info.hits) == (3, 0)
+
+    def test_equal_time_and_proposed_share_a_slot_length_and_so_a_stage(self):
+        cfg = _small_cfg()
+        sense(cfg, 0, 2)
+        sense(replace(cfg, scheme="equal_time"), 0, 2)
+        info = sense.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_a_drawn_and_a_pinned_phase_do_not_share_a_scene(self):
+        drawn = _small_cfg()
+        pinned = _spec_with(drawn, 0, reflection=50 + 0j)
+        # As receiver specs they are the same, so a key made of the specs
+        # without their weights would reuse the drawn scene.
+        assert pinned.ers[0] == drawn.ers[0]
+        assert hash(pinned.ers[0]) == hash(drawn.ers[0])
+        scenes = [sense(cfg, 0, 2).scene[0].reflection for cfg in (drawn, pinned)]
+        assert sense.cache_info().misses == 2
+        assert abs(scenes[0]) == pytest.approx(50.0) and scenes[0] != 50
+        assert scenes[1] == 50 + 0j
+        assert run_trial(pinned, 0) == _fresh(pinned, 0)
+
+    def test_a_weight_sweep_locates_each_receiver_once_per_trial(self, monkeypatch):
+        calls = _count_locates(monkeypatch)
+        cfg = _small_cfg(trials=3)
+        rows = sweep_beta(cfg, [0.1 * k for k in range(1, 10)])
+        assert len(rows) == 9
+        assert len(calls) == len(cfg.ers) * cfg.trials
+
+    def test_a_failed_stage_is_not_stored(self, monkeypatch):
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            raise DegenerateChannelError("no energy")
+
+        monkeypatch.setattr(harness, "locate_er", failing)
+        for _ in range(2):
+            with pytest.raises(DegenerateChannelError):
+                run_trial(_small_cfg(), 0)
+        assert len(calls) == 2
+        assert sense.cache_info().currsize == 0
 
 
 class TestSummarize:
@@ -751,6 +876,18 @@ class TestCli:
             assert main(["simulate", "--config", str(cfg_path), "--trials", "3"]) == 0
             info = plan.cache_info()
             assert (info.misses, info.hits) == (1, 2)
+        capsys.readouterr()
+
+    def test_each_command_senses_from_scratch(self, tmp_path, capsys, monkeypatch):
+        calls = _count_locates(monkeypatch)
+        cfg_path = self._write_config(tmp_path)
+        argv = ["sweep-weight", "--config", str(cfg_path), "--trials", "2"]
+        for run in (1, 2):
+            assert main(argv) == 0
+            # Two receivers, two trials, nine weights: one stage per trial.
+            assert len(calls) == run * 2 * 2
+            info = sense.cache_info()
+            assert (info.misses, info.hits) == (2, 16)
         capsys.readouterr()
 
     def test_crb_plans_no_vr_like_the_harness(self, tmp_path, capsys):
