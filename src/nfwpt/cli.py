@@ -16,6 +16,7 @@ import numpy as np
 from .harness import (
     SCHEMES,
     ScenarioConfig,
+    array_geometry,
     default_config,
     load_config,
     plan,
@@ -132,9 +133,10 @@ def main(argv=None) -> int:
     p_crb.set_defaults(seed=None, trials=None)
 
     args = parser.parse_args(argv)
-    # Each command plans and senses from scratch, as in a fresh process, so
-    # what one command costs does not depend on the commands run before it in
-    # the same interpreter.
+    # Each command builds, plans and senses from scratch, as in a fresh
+    # process, so what one command costs does not depend on the commands run
+    # before it in the same interpreter.
+    array_geometry.cache_clear()
     plan.cache_clear()
     sense.cache_clear()
     try:

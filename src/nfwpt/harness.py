@@ -316,6 +316,17 @@ def _draw_scene(
     return tuple(states)
 
 
+@functools.lru_cache(maxsize=4)
+def array_geometry(array: ArraySpec) -> UpaGeometry:
+    """The array's geometry, built once and shared by every stage and trial.
+
+    Its position arrays are read-only, so one instance can serve every
+    caller. The memo holds the last 4 arrays; cli.main empties it at the
+    start of every command.
+    """
+    return build_upa(array.n_y, array.n_z, array.carrier_freq, array.spacing)
+
+
 @dataclass(frozen=True)
 class SensingPlan:
     """First-stage plan of one configuration: per receiver, the visibility
@@ -360,7 +371,7 @@ def plan(cfg: ScenarioConfig) -> SensingPlan:
 def _plan(
     array: ArraySpec, p_max: float, noise_power: float, priors: tuple, bounds: tuple
 ) -> SensingPlan:
-    geom = _geometry(array)
+    geom = array_geometry(array)
     priors = [(position, VisibilityRegion(*vr), refl) for position, vr, refl in priors]
     crbs = lattice_crb(geom, priors, bounds, uniform_probe(geom, p_max), noise_power)
     return SensingPlan(tuple(vr for _, vr, _ in priors), crbs)
@@ -377,16 +388,13 @@ class Sensing:
 
     Per receiver, in the order of cfg.ers: its ground truth (without its
     weight), the identified visibility region (the full aperture under
-    no_vr) and the localizer's result.
+    no_vr) and the localizer's result. Its position arrays are read-only,
+    since every memo hit hands out the same record.
     """
 
     scene: tuple[ErState, ...]
     regions: tuple[VisibilityRegion, ...]
     locations: tuple[LocalizationResult, ...]
-
-
-def _geometry(array: ArraySpec) -> UpaGeometry:
-    return build_upa(array.n_y, array.n_z, array.carrier_freq, array.spacing)
 
 
 def _streams(master_seed: int, trial_index: int, n_ers: int) -> list:
@@ -413,8 +421,10 @@ def sense(cfg: ScenarioConfig, trial_index: int, tau: int) -> Sensing:
     A hit returns the stored record, the bits a recompute would give. The
     records are small (scene states, regions, localizer results; no
     N-vector), and the memo keeps the last 128, so a cell of up to 128
-    trials, the default 100 among them, is shared in full by the next; a
-    larger cell evicts its first trials before the next cell can reuse them.
+    trials, the default 100 among them, is shared in full by the next. A
+    larger cell shares no sensing with the next at all: the next cell asks
+    for the same trials in the same order, and each has been evicted by the
+    time it is asked for.
     An exception is not stored, so a failing trial raises on every call, but
     a warning raised while sensing is not raised again on a hit. cli.main
     empties the memo at the start of every command.
@@ -447,7 +457,7 @@ def _sense(
     master_seed: int,
     trial_index: int,
 ) -> Sensing:
-    geom = _geometry(array)
+    geom = array_geometry(array)
     n = geom.n_elements
     streams = _streams(master_seed, trial_index, len(receivers))
     scene = _draw_scene(receivers, n, eta, n_alpha, streams[0])
@@ -466,10 +476,11 @@ def _sense(
             vr_hat = VisibilityRegion(1, n)
         prior = np.asarray(prior_position)
         reach = 2.0 * np.asarray(error_bounds)
+        loc = locate_er(geom, y_bar, vr_hat, (prior - reach, prior + reach), probe, tau)
+        # Every hit hands out this record, so no caller may write to it.
+        loc.position_hat.setflags(write=False)
         regions.append(vr_hat)
-        locations.append(
-            locate_er(geom, y_bar, vr_hat, (prior - reach, prior + reach), probe, tau)
-        )
+        locations.append(loc)
     return Sensing(scene, tuple(regions), tuple(locations))
 
 
@@ -486,7 +497,7 @@ def charge(cfg: ScenarioConfig, sensed: Sensing, tau: int) -> tuple[float, ...]:
     sensing record) and returns each receiver's average harvested power over
     a block whose first K tau symbols went to sensing.
     """
-    geom = _geometry(cfg.array)
+    geom = array_geometry(cfg.array)
     true_channels = [channel(geom, er) for er in sensed.scene]
     estimates = [
         channel(geom, ErState(loc.position_hat, vr_hat))
@@ -514,7 +525,7 @@ def run_trial(cfg: ScenarioConfig, trial_index: int) -> TrialResult:
     n_ers = len(cfg.ers)
     seed = (cfg.master_seed, trial_index)
     if cfg.scheme in ("isotropic", "perfect_csi"):
-        geom = _geometry(cfg.array)
+        geom = array_geometry(cfg.array)
         receivers = tuple(_receiver_key(spec) for spec in cfg.ers)
         stream = _streams(*seed, n_ers)[0]
         scene = _draw_scene(receivers, geom.n_elements, cfg.eta, cfg.n_alpha, stream)

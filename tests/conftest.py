@@ -7,11 +7,12 @@ from nfwpt import harness
 
 @pytest.fixture(autouse=True)
 def _empty_memos():
-    """Each test plans and senses from scratch, whatever ran before it.
+    """Each test builds, plans and senses from scratch, whatever ran before it.
 
-    The plan and sensing memos live as long as the interpreter, so without
-    this a test that counts the calls into a stage would see the entries
-    that earlier tests left behind.
+    The geometry, plan and sensing memos live as long as the interpreter,
+    so without this a test that counts the calls into a stage would see the
+    entries that earlier tests left behind.
     """
+    harness.array_geometry.cache_clear()
     harness.plan.cache_clear()
     harness.sense.cache_clear()

@@ -115,16 +115,31 @@ def _pinned_channels():
     return cfg, [channel(geom, er) for er in states]
 
 
+def _fresh(cfg, trial_index):
+    """The trial recomputed from an empty sensing memo."""
+    sense.cache_clear()
+    return run_trial(cfg, trial_index)
+
+
 class TestRunTrial:
     def test_identical_seeds_reproduce_the_trial_bitwise(self):
         cfg = _small_cfg()
-        assert run_trial(cfg, 1) == run_trial(cfg, 1)
+        assert _fresh(cfg, 1) == _fresh(cfg, 1)
 
     def test_trial_results_do_not_depend_on_batch_position(self):
         cfg = _small_cfg(trials=3)
         batch = run_trials(cfg)
-        assert batch[2] == run_trial(cfg, 2)
+        assert batch[2] == _fresh(cfg, 2)
         assert len(batch) == 3
+
+    def test_a_config_builds_its_array_once(self, monkeypatch):
+        calls = []
+        inner = harness.build_upa
+        monkeypatch.setattr(harness, "build_upa", lambda *a: calls.append(a) or inner(*a))
+        cfg = _small_cfg(trials=3)
+        for scheme in SCHEMES:
+            run_trials(replace(cfg, scheme=scheme))
+        assert calls == [(8, 8, cfg.array.carrier_freq, cfg.array.spacing)]
 
     def test_different_indices_draw_different_scenes(self):
         cfg = _small_cfg()
@@ -239,12 +254,6 @@ def _count_locates(monkeypatch):
     return calls
 
 
-def _fresh(cfg, trial_index):
-    """The trial recomputed from an empty sensing memo."""
-    sense.cache_clear()
-    return run_trial(cfg, trial_index)
-
-
 def _spec_with(cfg, index, **changes):
     ers = list(cfg.ers)
     ers[index] = replace(ers[index], **changes)
@@ -280,6 +289,14 @@ class TestSense:
             info = sense.cache_info()
             assert (info.misses, info.hits) == (1, 1)
             assert first == again == _fresh(cfg, index)
+
+    def test_the_shared_record_is_read_only(self):
+        sensed = sense(_small_cfg(), 0, 2)
+        assert sense(_small_cfg(), 0, 2) is sensed
+        for er, loc in zip(sensed.scene, sensed.locations):
+            for position in (er.position, loc.position_hat):
+                with pytest.raises(ValueError):
+                    position[0] = 0.0
 
     def test_weights_gamma_and_block_len_do_not_reach_the_key(self):
         cfg = _small_cfg()
@@ -729,6 +746,7 @@ class TestCsvOutput:
         rows = [simulate(cfg)]
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
         write_csv(first, rows)
+        sense.cache_clear()
         write_csv(second, [simulate(cfg)])
         assert first.read_bytes() == second.read_bytes()
         assert first.read_text() == rows_to_csv(rows)
