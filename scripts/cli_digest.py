@@ -4,10 +4,12 @@
 
 runs each command below as `python -m nfwpt ...` against CHECKOUT/src (the
 checkout holding this script by default), from CHECKOUT so that relative
-scenario paths resolve, with one BLAS thread. For each command it prints one
-line, `sha256-of-stdout exit-status command`. Two checkouts that print the
-same lines produce the same CSV bytes and exit statuses for every command, so
-a change that must keep the output byte for byte is checked with
+scenario paths resolve, with one BLAS thread. The pinned-input scenario is
+read from beside this script by absolute path, so a checkout that lacks the
+file runs the same scenario. For each command it prints one line,
+`sha256-of-stdout exit-status command`. Two checkouts that print the same
+lines produce the same CSV bytes and exit statuses for every command, so a
+change that must keep the output byte for byte is checked with
 
     diff <(python scripts/cli_digest.py OLD) <(python scripts/cli_digest.py NEW)
 """
@@ -21,6 +23,9 @@ import sys
 from pathlib import Path
 
 ELAA = "perfbench/scenarios/elaa_32x32.json"
+# Pinned visibility regions and a complex reflection coefficient: the pinned
+# region path of the planning FIM and the sense key's complex flag.
+PINNED = Path(__file__).resolve().parent / "pinned_8x8.json"
 
 COMMANDS = (
     "crb",
@@ -33,6 +38,9 @@ COMMANDS = (
     "sweep-gamma --trials 10 --scheme equal_time",
     "sweep-power --trials 10",
     "sweep-weight --trials 5",
+    f"crb --config {PINNED}",
+    f"simulate --trials 20 --config {PINNED}",
+    f"sweep-weight --trials 3 --config {PINNED}",
 )
 
 

@@ -59,7 +59,6 @@ class ErState:
     position: np.ndarray
     vr: VisibilityRegion
     reflection: complex = 1.0 + 0.0j
-    weight: float = 1.0
 
     def __post_init__(self) -> None:
         pos = np.asarray(self.position, dtype=float)
@@ -73,8 +72,6 @@ class ErState:
         if not (math.isfinite(refl.real) and math.isfinite(refl.imag)):
             raise ValueError("reflection coefficient must be finite")
         object.__setattr__(self, "reflection", refl)
-        if not self.weight >= 0:
-            raise ValueError(f"weight must be nonnegative, got {self.weight}")
 
 
 def _as_point(point) -> np.ndarray:

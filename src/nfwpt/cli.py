@@ -152,7 +152,7 @@ def _run(args: argparse.Namespace) -> None:
     if args.command == "simulate":
         _emit([simulate(cfg)], args.out)
     elif args.command == "sweep-gamma":
-        grid = _parse_grid(args.grid) if args.grid else _default_gamma_grid(cfg)
+        grid = _parse_grid(args.grid) if args.grid is not None else _default_gamma_grid(cfg)
         _emit(sweep_gamma(cfg, grid), args.out)
     elif args.command == "sweep-power":
         _emit(sweep_pmax(cfg, _parse_grid(args.grid)), args.out)

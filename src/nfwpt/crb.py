@@ -68,14 +68,14 @@ _COND_LIMIT = 1e12
 class FisherInfo:
     """5x5 real Fisher information in the order (x, y, z, Re b, Im b).
 
-    base_matrix holds the information contributed by a single probe symbol;
-    the full matrix for the slot is tau * base_matrix. fim() over a lattice
-    stacks one such matrix per point along a leading axis.
+    base_matrix holds the information contributed by a single probe symbol,
+    already scaled by 2 / noise_power; the full matrix for the slot is
+    tau * base_matrix. fim() over a lattice stacks one such matrix per point
+    along a leading axis.
     """
 
     base_matrix: np.ndarray
     tau: int
-    noise_power: float
 
     @property
     def matrix(self) -> np.ndarray:
@@ -195,11 +195,7 @@ def fim(
             raise DegenerateChannelError("nominal channel is identically zero")
         raise ArithmeticError("Fisher information lost positive semidefiniteness")
     mats.setflags(write=False)
-    return FisherInfo(
-        base_matrix=mats if offsets is not None else mats[0],
-        tau=int(slot_len),
-        noise_power=float(noise_power),
-    )
+    return FisherInfo(base_matrix=mats if offsets is not None else mats[0], tau=int(slot_len))
 
 
 def fim_finite_difference(
@@ -246,7 +242,7 @@ def fim_finite_difference(
     jac = np.column_stack(cols)
     mat = (2.0 / noise_power) * (jac.conj().T @ jac).real
     mat.setflags(write=False)
-    return FisherInfo(base_matrix=mat, tau=int(slot_len), noise_power=float(noise_power))
+    return FisherInfo(base_matrix=mat, tau=int(slot_len))
 
 
 def crb_position(info: FisherInfo) -> CrbReport:

@@ -13,25 +13,7 @@ sufficient statistic for (position, b).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class EchoBatch:
-    """One slot of received echo symbols, one column per symbol."""
-
-    samples: np.ndarray
-    slot_len: int
-    noise_power: float
-
-    def __post_init__(self) -> None:
-        if self.samples.ndim != 2 or self.samples.shape[1] != self.slot_len:
-            raise ValueError(
-                f"samples must have shape (n_elements, {self.slot_len}), "
-                f"got {self.samples.shape}"
-            )
 
 
 def uniform_probe(geom, p_max: float) -> np.ndarray:
@@ -48,11 +30,12 @@ def simulate_echo(
     slot_len: int,
     noise_power: float,
     rng: np.random.Generator,
-) -> EchoBatch:
+) -> np.ndarray:
     """Simulate one receiver's echo slot under the constant probe.
 
-    Each complex noise entry draws two independent zero-mean normals (real
-    block first, then imaginary), each with variance noise_power / 2.
+    Returns the read-only (N, slot_len) block, one column per symbol. Each
+    complex noise entry draws two independent zero-mean normals (real block
+    first, then imaginary), each with variance noise_power / 2.
     """
     h = np.asarray(h, dtype=complex)
     probe = np.asarray(probe, dtype=complex)
@@ -70,16 +53,16 @@ def simulate_echo(
         noise = noise + 1j * scale * rng.standard_normal((h.size, slot_len))
         samples = samples + noise
     samples.setflags(write=False)
-    return EchoBatch(samples=samples, slot_len=int(slot_len), noise_power=float(noise_power))
+    return samples
 
 
-def aggregate(batch: EchoBatch) -> np.ndarray:
+def aggregate(samples: np.ndarray) -> np.ndarray:
     """Column sum of the echo block, the statistic every later stage consumes.
 
     Columns are accumulated in time order, so the result is reproducible
     against any independent in-order summation.
     """
-    total = batch.samples[:, 0].copy()
-    for t in range(1, batch.samples.shape[1]):
-        total += batch.samples[:, t]
+    total = samples[:, 0].copy()
+    for t in range(1, samples.shape[1]):
+        total += samples[:, t]
     return total

@@ -77,27 +77,3 @@ def build_upa(
         spacing=float(spacing),
         positions=positions,
     )
-
-
-def element_position(geom: UpaGeometry, n: int) -> np.ndarray:
-    """Cartesian position of element n (1-based linear index)."""
-    if not 1 <= n <= geom.n_elements:
-        raise ValueError(f"element index {n} outside 1..{geom.n_elements}")
-    return geom.positions[n - 1].copy()
-
-
-def linear_index(geom: UpaGeometry, i_y: int, i_z: int) -> int:
-    """Map 1-based grid indices (i_y, i_z) to the 1-based linear index."""
-    if not 1 <= i_y <= geom.n_y:
-        raise ValueError(f"row index {i_y} outside 1..{geom.n_y}")
-    if not 1 <= i_z <= geom.n_z:
-        raise ValueError(f"column index {i_z} outside 1..{geom.n_z}")
-    return (i_z - 1) * geom.n_y + i_y
-
-
-def grid_indices(geom: UpaGeometry, n: int) -> tuple[int, int]:
-    """Inverse of linear_index: recover 1-based (i_y, i_z) from n."""
-    if not 1 <= n <= geom.n_elements:
-        raise ValueError(f"element index {n} outside 1..{geom.n_elements}")
-    i_z, i_y = divmod(n - 1, geom.n_y)
-    return i_y + 1, i_z + 1

@@ -295,8 +295,9 @@ def _draw_scene(
 ) -> tuple[ErState, ...]:
     """Ground truth of each receiver given by its _receiver_key.
 
-    The states carry no receiver weight (ErState's default), since the scene
-    of a trial is shared by configurations that differ only in weights.
+    The states carry no receiver weight: the weights enter only the second
+    stage, whose objective charge reads them from cfg.ers, so one scene serves
+    every configuration that differs from another only in weights.
     """
     rng = np.random.default_rng(stream)
     states = []
@@ -386,10 +387,10 @@ plan.cache_clear = _plan.cache_clear
 class Sensing:
     """First stage of one trial: the scene it drew and what sensing found.
 
-    Per receiver, in the order of cfg.ers: its ground truth (without its
-    weight), the identified visibility region (the full aperture under
-    no_vr) and the localizer's result. Its position arrays are read-only,
-    since every memo hit hands out the same record.
+    Per receiver, in the order of cfg.ers: its ground truth, the identified
+    visibility region (the full aperture under no_vr) and the localizer's
+    result. Its position arrays are read-only, since every memo hit hands out
+    the same record.
     """
 
     scene: tuple[ErState, ...]
@@ -466,8 +467,8 @@ def _sense(
     locations = []
     for er, stream, (prior_position, error_bounds, *_) in zip(scene, streams[1:], receivers):
         rng = np.random.default_rng(stream)
-        batch = simulate_echo(channel(geom, er), er.reflection, probe, tau, noise_power, rng)
-        y_bar = aggregate(batch)
+        samples = simulate_echo(channel(geom, er), er.reflection, probe, tau, noise_power, rng)
+        y_bar = aggregate(samples)
         if identify:
             p_out, p_in = estimate_power_levels(y_bar, n_alpha)
             alpha = scaling_factor(p_out, p_in)
@@ -588,11 +589,18 @@ def simulate(cfg: ScenarioConfig) -> SweepRow:
     return summarize(cfg, run_trials(cfg), sweep_value=cfg.gamma)
 
 
+def _positive_grid(name: str, values) -> list[float]:
+    """The grid as floats, rejected before any trial unless every value is
+    finite and positive."""
+    grid = [float(v) for v in values]
+    if not grid or not all(math.isfinite(v) and v > 0 for v in grid):
+        raise ValueError(f"{name} grid must be nonempty, finite and positive, got {values}")
+    return grid
+
+
 def sweep_gamma(cfg: ScenarioConfig, gamma_grid) -> list[SweepRow]:
     """Sweep the accuracy target for the configured scheme."""
-    grid = [float(g) for g in gamma_grid]
-    if not grid or any(g <= 0 for g in grid):
-        raise ValueError(f"gamma grid must be nonempty and positive, got {gamma_grid}")
+    grid = _positive_grid("gamma", gamma_grid)
     if cfg.scheme in _PLANNED_SCHEMES:
         # The slot never shortens as the target tightens, so planning the
         # smallest target first fails an infeasible grid before any trial.
@@ -606,9 +614,7 @@ def sweep_gamma(cfg: ScenarioConfig, gamma_grid) -> list[SweepRow]:
 
 def sweep_pmax(cfg: ScenarioConfig, pmax_grid) -> list[SweepRow]:
     """Sweep the power budget across all schemes."""
-    grid = [float(p) for p in pmax_grid]
-    if not grid or any(p <= 0 for p in grid):
-        raise ValueError(f"power grid must be nonempty and positive, got {pmax_grid}")
+    grid = _positive_grid("power", pmax_grid)
     rows = []
     for p in grid:
         for scheme in SCHEMES:
@@ -691,9 +697,14 @@ def config_from_dict(data: dict) -> ScenarioConfig:
 
 
 def load_config(path) -> ScenarioConfig:
-    """Load a scenario from a JSON file."""
+    """Load a scenario from a JSON file; a file that is not JSON is a
+    ValueError whose message starts with its path."""
     with open(path) as fh:
-        return config_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    return config_from_dict(data)
 
 
 def csv_header(n_ers: int) -> str:

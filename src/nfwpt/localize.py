@@ -80,6 +80,10 @@ _MU_CAP = 1e8
 # all of it, so the point that the exact score ranks first always survives.
 _PHASOR_ERROR = 1e-5
 
+# Seed lattice points per axis over the search box (one on a zero-width axis),
+# and the samples the ray check takes across it.
+_LATTICE_POINTS = 9
+
 
 @dataclass(frozen=True)
 class LocalizationResult:
@@ -257,13 +261,12 @@ def locate_er(
     search_box,
     probe: np.ndarray,
     slot_len: int,
-    coarse_grid: tuple[int, int, int] = (9, 9, 9),
     tol: float = 1e-4,
     max_iters: int = 50,
 ) -> LocalizationResult:
     """Lattice seed, bound-constrained Newton ascent and ray check, then b.
 
-    The lattice has coarse_grid points per axis (one on a zero-width axis).
+    The lattice has _LATTICE_POINTS points per axis (one on a zero-width axis).
     lattice_seed picks its point with the highest q, the first in lattice
     order on a tie: the single-precision prefilter bounds every score within
     dq, and only the points it cannot rule out are probed exactly. The
@@ -281,9 +284,6 @@ def locate_er(
         raise ValueError(f"search box must be finite: lower {lo}, upper {hi}")
     if np.any(lo > hi):
         raise ValueError(f"search box is empty: lower {lo} exceeds upper {hi}")
-    counts = tuple(int(c) for c in coarse_grid)
-    if len(counts) != 3 or any(c < 2 for c in counts):
-        raise ValueError(f"coarse grid needs >= 2 points per axis, got {coarse_grid}")
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iters < 1:
@@ -291,7 +291,7 @@ def locate_er(
     rows = _region_rows(geom, vr_hat, y_bar=y_bar, probe=probe)
     y = np.asarray(y_bar, dtype=complex)[rows]
     pinned = hi <= lo
-    grid = [np.linspace(lo[i], hi[i], 1 if pinned[i] else counts[i]) for i in range(3)]
+    grid = [np.linspace(lo[i], hi[i], 1 if pinned[i] else _LATTICE_POINTS) for i in range(3)]
     current, probed = lattice_seed(geom, y, rows, grid)
     evaluations = math.prod(g.size for g in grid) + probed
     origin = geom.positions[rows].mean(axis=0)
@@ -346,7 +346,7 @@ def locate_er(
         if stationary:
             samples = [
                 _probe(geom, y, rows, p)
-                for p in _ray_samples(origin, current.point, lo, hi, max(counts))
+                for p in _ray_samples(origin, current.point, lo, hi, _LATTICE_POINTS)
             ]
             evaluations += len(samples)
             better = max(samples, key=lambda c: c.q, default=current)

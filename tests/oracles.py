@@ -133,7 +133,7 @@ def fim_per_point(
     if scale > 0 and np.linalg.eigvalsh(mat).min() < -1e-8 * scale:
         raise ArithmeticError("Fisher information lost positive semidefiniteness")
     mat.setflags(write=False)
-    return FisherInfo(base_matrix=mat, tau=int(slot_len), noise_power=float(noise_power))
+    return FisherInfo(base_matrix=mat, tau=int(slot_len))
 
 
 def crb_per_point(info: FisherInfo) -> CrbReport:

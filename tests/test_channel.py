@@ -319,10 +319,8 @@ def test_er_state_validation():
         ErState(position=np.zeros(2), vr=vr, reflection=1.0)
     with pytest.raises(ValueError):
         ErState(position=np.array([1.0, np.nan, 0.0]), vr=vr, reflection=1.0)
-    with pytest.raises(ValueError):
-        ErState(position=np.zeros(3), vr=vr, reflection=1.0, weight=-0.5)
     # Zero reflection is a legal state: the echo model degrades to pure noise.
     er = ErState(position=np.array([1.0, 0.0, 0.0]), vr=vr, reflection=0.0)
     assert er.reflection == 0j
-    er = ErState(position=np.array([1.0, 0.0, 0.0]), vr=vr, reflection=2.0, weight=0.3)
+    er = ErState(position=np.array([1.0, 0.0, 0.0]), vr=vr, reflection=2.0)
     assert er.reflection == 2.0 + 0.0j

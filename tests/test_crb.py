@@ -170,7 +170,7 @@ class TestFim:
 
 class TestCrbPosition:
     def test_identity_information_gives_unit_axis_variances(self):
-        info = FisherInfo(base_matrix=np.eye(5), tau=1, noise_power=1.0)
+        info = FisherInfo(base_matrix=np.eye(5), tau=1)
         report = crb_position(info)
         assert report.crb_total == pytest.approx(3.0, rel=1e-14)
         assert report.per_axis == pytest.approx((1.0, 1.0, 1.0), rel=1e-14)
@@ -191,7 +191,7 @@ class TestCrbPosition:
             root = rng.standard_normal((5, 5)) + np.diag(rng.uniform(2, 4, 5))
             base = root @ root.T
             tau = int(rng.integers(1, 20))
-            info = FisherInfo(base_matrix=base, tau=tau, noise_power=1e-15)
+            info = FisherInfo(base_matrix=base, tau=tau)
             report = crb_position(info)
             oracle = _mpmath_crb(base, tau)
             np.testing.assert_allclose(report.per_axis, oracle, rtol=1e-8)
@@ -209,14 +209,14 @@ class TestCrbPosition:
         bad = np.eye(5)
         bad[2, 2] = 0.0
         with pytest.raises(SingularFimError):
-            crb_position(FisherInfo(base_matrix=bad, tau=1, noise_power=1.0))
+            crb_position(FisherInfo(base_matrix=bad, tau=1))
 
     def test_rejects_an_ill_conditioned_matrix(self):
         v = np.arange(1.0, 6.0)
         near_rank_one = np.outer(v, v) + 1e-13 * np.eye(5)
         with pytest.raises(SingularFimError):
             crb_position(
-                FisherInfo(base_matrix=near_rank_one, tau=1, noise_power=1.0)
+                FisherInfo(base_matrix=near_rank_one, tau=1)
             )
 
     def test_rejects_a_lattice_and_points_to_lattice_crb(self):

@@ -42,37 +42,35 @@ def test_probe_rejects_nonpositive_power():
 def test_noiseless_single_symbol_echo_is_exact():
     geom, er, h = _scene()
     x = uniform_probe(geom, 1.0)
-    batch = simulate_echo(h, er.reflection, x, 1, 0.0, np.random.default_rng(0))
+    samples = simulate_echo(h, er.reflection, x, 1, 0.0, np.random.default_rng(0))
     expected = er.reflection * h * (h @ x)
-    np.testing.assert_array_equal(batch.samples[:, 0], expected)
+    np.testing.assert_array_equal(samples[:, 0], expected)
 
 
 def test_zero_reflection_leaves_pure_noise_at_the_right_level():
     geom, er, h = _scene()
     x = uniform_probe(geom, 1.0)
     sigma2 = 2.5e-3
-    batch = simulate_echo(h, 0.0, x, 5000, sigma2, np.random.default_rng(3))
-    level = np.mean(np.abs(batch.samples) ** 2)
+    samples = simulate_echo(h, 0.0, x, 5000, sigma2, np.random.default_rng(3))
+    level = np.mean(np.abs(samples) ** 2)
     assert level == pytest.approx(sigma2, rel=5e-3)
 
 
-def test_echo_batch_is_deterministic_per_seed():
+def test_echo_block_is_deterministic_per_seed():
     geom, er, h = _scene()
     x = uniform_probe(geom, 1.0)
     a = simulate_echo(h, er.reflection, x, 7, 1e-15, np.random.default_rng(42))
     b = simulate_echo(h, er.reflection, x, 7, 1e-15, np.random.default_rng(42))
-    np.testing.assert_array_equal(a.samples, b.samples)
-    assert a.slot_len == b.slot_len == 7
-    assert a.noise_power == b.noise_power == 1e-15
+    np.testing.assert_array_equal(a, b)
 
 
-def test_batch_fields_are_read_only_and_validated():
+def test_echo_block_is_read_only_and_validated():
     geom, er, h = _scene()
     x = uniform_probe(geom, 1.0)
-    batch = simulate_echo(h, er.reflection, x, 3, 1e-15, np.random.default_rng(0))
-    assert batch.samples.shape == (64, 3)
+    samples = simulate_echo(h, er.reflection, x, 3, 1e-15, np.random.default_rng(0))
+    assert samples.shape == (64, 3)
     with pytest.raises(ValueError):
-        batch.samples[0, 0] = 0
+        samples[0, 0] = 0
     with pytest.raises(ValueError):
         simulate_echo(h, er.reflection, x, 0, 1e-15, np.random.default_rng(0))
     with pytest.raises(ValueError):
@@ -82,8 +80,8 @@ def test_batch_fields_are_read_only_and_validated():
 def test_aggregate_of_single_symbol_is_the_column():
     geom, er, h = _scene()
     x = uniform_probe(geom, 1.0)
-    batch = simulate_echo(h, er.reflection, x, 1, 1e-15, np.random.default_rng(1))
-    np.testing.assert_array_equal(aggregate(batch), batch.samples[:, 0])
+    samples = simulate_echo(h, er.reflection, x, 1, 1e-15, np.random.default_rng(1))
+    np.testing.assert_array_equal(aggregate(samples), samples[:, 0])
 
 
 def test_noiseless_aggregate_scales_linearly_with_slot_length():
@@ -98,8 +96,8 @@ def test_noiseless_aggregate_scales_linearly_with_slot_length():
 def test_aggregate_matches_independent_column_summation():
     geom, er, h = _scene()
     x = uniform_probe(geom, 1.0)
-    batch = simulate_echo(h, er.reflection, x, 5, 1e-15, np.random.default_rng(9))
+    samples = simulate_echo(h, er.reflection, x, 5, 1e-15, np.random.default_rng(9))
     total = np.zeros(64, dtype=complex)
     for t in range(5):
-        total = total + batch.samples[:, t]
-    np.testing.assert_array_equal(aggregate(batch), total)
+        total = total + samples[:, t]
+    np.testing.assert_array_equal(aggregate(samples), total)

@@ -1,9 +1,9 @@
-"""Tests for the planar-array geometry builder and index maps."""
+"""Tests for the planar-array geometry builder and its y-major element order."""
 
 import numpy as np
 import pytest
 
-from nfwpt import SPEED_OF_LIGHT, build_upa, element_position, grid_indices, linear_index
+from nfwpt import SPEED_OF_LIGHT, build_upa
 
 
 def test_default_array_matches_reference_scenario():
@@ -30,13 +30,13 @@ def test_two_by_two_corners_at_quarter_wavelength():
 def test_first_element_of_two_by_two_is_lower_corner():
     geom = build_upa(2, 2, 28e9)
     q = geom.wavelength / 4
-    np.testing.assert_allclose(element_position(geom, 1), [0.0, -q, -q])
+    np.testing.assert_allclose(geom.positions[0], [0.0, -q, -q])
 
 
 def test_last_element_mirrors_first_through_origin():
     geom = build_upa(16, 16, 28e9)
-    first = element_position(geom, 1)
-    last = element_position(geom, geom.n_elements)
+    first = geom.positions[0]
+    last = geom.positions[geom.n_elements - 1]
     np.testing.assert_allclose(last, -first, atol=1e-15)
 
 
@@ -46,24 +46,18 @@ def test_array_lies_in_yz_plane_and_is_centered():
     np.testing.assert_allclose(geom.positions.sum(axis=0), np.zeros(3), atol=1e-12)
 
 
-def test_index_maps_roundtrip_and_are_one_based():
-    geom = build_upa(6, 4, 28e9)
-    seen = set()
-    for i_z in range(1, 5):
-        for i_y in range(1, 7):
-            n = linear_index(geom, i_y, i_z)
-            assert grid_indices(geom, n) == (i_y, i_z)
-            seen.add(n)
-    assert seen == set(range(1, 25))
-    # y-major: advancing i_y by one advances n by one.
-    assert linear_index(geom, 2, 1) == linear_index(geom, 1, 1) + 1
-    assert linear_index(geom, 1, 2) == linear_index(geom, 1, 1) + 6
-
-
-def test_element_position_agrees_with_positions_row():
-    geom = build_upa(5, 3, 28e9)
-    for n in (1, 7, 15):
-        np.testing.assert_array_equal(element_position(geom, n), geom.positions[n - 1])
+def test_elements_run_y_major():
+    # n = (i_z - 1) * n_y + i_y: within a row, element n + 1 sits one y pitch
+    # from element n, and element n + n_y one z pitch above it.
+    geom = build_upa(6, 4, 28e9, spacing=0.01)
+    pos = geom.positions
+    step_y = pos[1:] - pos[:-1]
+    within_row = np.arange(geom.n_elements - 1) % geom.n_y != geom.n_y - 1
+    np.testing.assert_allclose(step_y[within_row], [[0.0, 0.01, 0.0]] * 20, atol=1e-15)
+    np.testing.assert_allclose(
+        pos[geom.n_y :] - pos[: -geom.n_y], [[0.0, 0.0, 0.01]] * 18, atol=1e-15
+    )
+    assert len({tuple(row) for row in pos}) == geom.n_elements
 
 
 def test_custom_spacing_is_honored():
@@ -86,19 +80,6 @@ def test_invalid_dimensions_and_frequency_are_rejected():
         build_upa(4, 4, 0.0)
     with pytest.raises(ValueError):
         build_upa(4, 4, 28e9, spacing=-0.01)
-
-
-def test_out_of_range_element_index_is_rejected():
-    geom = build_upa(4, 4, 28e9)
-    for bad in (0, 17, -3):
-        with pytest.raises(ValueError):
-            element_position(geom, bad)
-        with pytest.raises(ValueError):
-            grid_indices(geom, bad)
-    with pytest.raises(ValueError):
-        linear_index(geom, 5, 1)
-    with pytest.raises(ValueError):
-        linear_index(geom, 1, 0)
 
 
 @pytest.mark.parametrize("size", [(1, 1), (1, 2), (4, 4), (9, 7), (32, 32)])

@@ -3,7 +3,7 @@
 import functools
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -108,7 +108,6 @@ def _pinned_channels():
             position=np.array(spec.prior_position),
             vr=VisibilityRegion(*spec.vr),
             reflection=spec.reflection,
-            weight=spec.weight,
         )
         for spec in cfg.ers
     ]
@@ -193,6 +192,49 @@ class TestRunTrial:
             run_trial(_small_cfg(), -1)
 
 
+def _spec_with(cfg, index, **changes):
+    ers = list(cfg.ers)
+    ers[index] = replace(ers[index], **changes)
+    return replace(cfg, ers=tuple(ers))
+
+
+# One change to each field of ArraySpec, ErSpec and ScenarioConfig (their
+# names do not collide), and vr_drawn, which unpins a region.
+_CONFIG_CHANGES = {
+    "n_y": lambda c: replace(c, array=replace(c.array, n_y=9)),
+    "n_z": lambda c: replace(c, array=replace(c.array, n_z=9)),
+    "carrier_freq": lambda c: replace(c, array=replace(c.array, carrier_freq=30e9)),
+    "spacing": lambda c: replace(c, array=replace(c.array, spacing=0.006)),
+    "prior_position": lambda c: _spec_with(c, 0, prior_position=(1.0, 0.2, 0.31)),
+    "error_bounds": lambda c: _spec_with(c, 1, error_bounds=(0.1, 0.1, 0.11)),
+    "weight": lambda c: _spec_with(c, 0, weight=0.9),
+    "reflection": lambda c: _spec_with(c, 0, reflection=60.0),
+    "vr": lambda c: _spec_with(c, 1, vr=(20, 51)),
+    "vr_drawn": lambda c: _spec_with(c, 0, vr=None),
+    "array": lambda c: replace(c, array=ArraySpec(n_y=4, n_z=16)),
+    "ers": lambda c: replace(c, ers=c.ers[:1]),
+    "noise_power": lambda c: replace(c, noise_power=2e-15),
+    "p_max": lambda c: replace(c, p_max=2.0),
+    "block_len": lambda c: replace(c, block_len=300),
+    "eta": lambda c: replace(c, eta=0.3),
+    "n_alpha": lambda c: replace(c, n_alpha=8),
+    "gamma": lambda c: replace(c, gamma=c.gamma * 1.001),
+    "trials": lambda c: replace(c, trials=7),
+    "master_seed": lambda c: replace(c, master_seed=1),
+    "scheme": lambda c: replace(c, scheme="no_vr"),
+}
+# The fields each memoized stage does not read. Every other change above is
+# a keyed input of that stage.
+_NOT_SENSED = {"weight", "block_len", "gamma", "trials"}
+_NOT_PLANNED = _NOT_SENSED | {"eta", "n_alpha", "master_seed"}
+
+
+def test_every_config_field_has_a_memo_key_decision():
+    names = {f.name for cls in (ArraySpec, ErSpec, ScenarioConfig) for f in fields(cls)}
+    assert set(_CONFIG_CHANGES) == names | {"vr_drawn"}
+    assert _NOT_PLANNED <= names
+
+
 class TestPlan:
     def _count_fim_calls(self, monkeypatch):
         calls = []
@@ -219,6 +261,14 @@ class TestPlan:
         assert len(calls) == 4
         info = plan.cache_info()
         assert (info.misses, info.hits) == (2, 5)
+
+    @pytest.mark.parametrize("key", _CONFIG_CHANGES)
+    def test_each_config_field_is_keyed_or_not_read(self, key):
+        cfg = _small_cfg()
+        plan(cfg)
+        plan(_CONFIG_CHANGES[key](cfg))
+        info = plan.cache_info()
+        assert (info.misses, info.hits) == ((1, 1) if key in _NOT_PLANNED else (2, 0))
 
     def test_no_vr_and_unpinned_receivers_plan_with_the_full_aperture(self):
         pinned = plan(_small_cfg())
@@ -252,30 +302,6 @@ def _count_locates(monkeypatch):
     inner = harness.locate_er
     monkeypatch.setattr(harness, "locate_er", lambda *a, **k: calls.append(1) or inner(*a, **k))
     return calls
-
-
-def _spec_with(cfg, index, **changes):
-    ers = list(cfg.ers)
-    ers[index] = replace(ers[index], **changes)
-    return replace(cfg, ers=tuple(ers))
-
-
-# One change to each configuration input that sensing reads.
-_SENSING_INPUTS = {
-    "carrier_freq": lambda c: replace(c, array=replace(c.array, carrier_freq=30e9)),
-    "spacing": lambda c: replace(c, array=replace(c.array, spacing=0.006)),
-    "prior_position": lambda c: _spec_with(c, 0, prior_position=(1.0, 0.2, 0.31)),
-    "error_bounds": lambda c: _spec_with(c, 1, error_bounds=(0.1, 0.1, 0.11)),
-    "vr": lambda c: _spec_with(c, 1, vr=(20, 51)),
-    "vr_drawn": lambda c: _spec_with(c, 0, vr=None),
-    "reflection": lambda c: _spec_with(c, 0, reflection=60.0),
-    "noise_power": lambda c: replace(c, noise_power=2e-15),
-    "p_max": lambda c: replace(c, p_max=2.0),
-    "eta": lambda c: replace(c, eta=0.3),
-    "n_alpha": lambda c: replace(c, n_alpha=8),
-    "identify": lambda c: replace(c, scheme="no_vr"),
-    "master_seed": lambda c: replace(c, master_seed=1),
-}
 
 
 class TestSense:
@@ -320,13 +346,14 @@ class TestSense:
         for other, result in zip(shared, results):
             assert result == _fresh(other, 0)
 
-    @pytest.mark.parametrize("key", _SENSING_INPUTS)
-    def test_every_sensing_input_is_in_the_key(self, key):
+    @pytest.mark.parametrize("key", _CONFIG_CHANGES)
+    def test_each_config_field_is_keyed_or_not_read(self, key):
+        # tau is held, so only the config's own fields can tell the two apart.
         cfg = _small_cfg()
         sense(cfg, 0, 2)
-        sense(_SENSING_INPUTS[key](cfg), 0, 2)
+        sense(_CONFIG_CHANGES[key](cfg), 0, 2)
         info = sense.cache_info()
-        assert (info.misses, info.hits) == (2, 0)
+        assert (info.misses, info.hits) == ((1, 1) if key in _NOT_SENSED else (2, 0))
 
     def test_the_slot_length_and_the_trial_index_are_in_the_key(self):
         cfg = _small_cfg()
@@ -427,6 +454,24 @@ class TestSweeps:
             sweep_gamma(cfg, [])
         with pytest.raises(ValueError):
             sweep_gamma(cfg, [1.0, -2.0])
+
+    @pytest.mark.parametrize(
+        "sweep, name, grid",
+        [
+            (sweep_gamma, "gamma", [math.nan, 1e4]),
+            (sweep_gamma, "gamma", [1e4, math.nan]),
+            (sweep_gamma, "gamma", [1e4, math.inf]),
+            (sweep_pmax, "power", [math.nan, 1.0]),
+            (sweep_pmax, "power", [1.0, math.nan]),
+            (sweep_pmax, "power", [1.0, math.inf]),
+        ],
+    )
+    def test_a_non_finite_grid_fails_before_any_trial(self, monkeypatch, sweep, name, grid):
+        ran = []
+        monkeypatch.setattr(harness, "run_trial", lambda cfg, i: ran.append(i))
+        with pytest.raises(ValueError, match=f"^{name} grid must be nonempty, finite"):
+            sweep(_small_cfg(trials=1), grid)
+        assert ran == []
 
     def test_power_sweep_covers_every_scheme(self):
         cfg = _small_cfg(trials=1)
@@ -736,7 +781,7 @@ class TestCsvOutput:
         row = simulate(cfg)
         with pytest.raises(ValueError):
             rows_to_csv([])
-        from dataclasses import replace
+        from dataclasses import fields, replace
 
         with pytest.raises(ValueError):
             rows_to_csv([row, replace(row, powers=row.powers + (0.0,))])
@@ -830,6 +875,23 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert len(out.strip().split("\n")) == 3
+
+    @pytest.mark.parametrize(
+        "command, grid, name",
+        [
+            ("sweep-gamma", "nan,1e4", "gamma"),
+            ("sweep-gamma", "", "gamma"),
+            ("sweep-power", "1,inf", "power"),
+        ],
+    )
+    def test_a_bad_grid_is_a_one_line_error_naming_it(self, tmp_path, capsys, command, grid, name):
+        cfg_path = self._write_config(tmp_path)
+        code = main([command, "--config", str(cfg_path), "--trials", "1", "--grid", grid])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"nfwpt: error: {name} grid must be nonempty, finite")
+        assert captured.err.count("\n") == 1
 
     def test_sweep_power_emits_all_schemes_per_budget(self, tmp_path, capsys):
         cfg_path = self._write_config(tmp_path)
@@ -950,6 +1012,17 @@ class TestCli:
         assert code == 2
         assert captured.out == ""
         assert captured.err == "nfwpt: error: unknown config keys: warp\n"
+
+    @pytest.mark.parametrize("content", [b"", b"{", b"\xff"])
+    def test_malformed_config_file_is_a_one_line_error_naming_it(self, tmp_path, capsys, content):
+        cfg_path = tmp_path / "broken.json"
+        cfg_path.write_bytes(content)
+        code = main(["crb", "--config", str(cfg_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"nfwpt: error: {cfg_path}: ")
+        assert captured.err.count("\n") == 1
 
     def test_missing_config_file_is_a_one_line_error(self, tmp_path, capsys):
         missing = tmp_path / "absent.json"

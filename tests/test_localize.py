@@ -219,13 +219,11 @@ def test_an_element_outside_the_region_is_no_singularity():
     assert np.isfinite(estimate_b(geom, y, outside, vr, probe, tau))
 
 
-def test_locate_validates_box_grid_and_tolerance():
+def test_locate_validates_box_and_tolerance():
     geom, er, probe, y, tau = _noiseless_scene(10)
     lo, hi = er.position - 0.2, er.position + 0.2
     with pytest.raises(ValueError):
         locate_er(geom, y, er.vr, (hi, lo), probe, tau)
-    with pytest.raises(ValueError):
-        locate_er(geom, y, er.vr, (lo, hi), probe, tau, coarse_grid=(0, 9, 9))
     with pytest.raises(ValueError):
         locate_er(geom, y, er.vr, (lo, hi), probe, tau, tol=0.0)
     with pytest.raises(ValueError):
