@@ -17,7 +17,6 @@ from .harness import (
     SCHEMES,
     ScenarioConfig,
     array_geometry,
-    default_config,
     load_config,
     plan,
     rows_to_csv,
@@ -48,7 +47,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_config(args: argparse.Namespace) -> ScenarioConfig:
-    cfg = load_config(args.config) if args.config else default_config()
+    cfg = load_config(args.config) if args.config else ScenarioConfig()
     overrides = {}
     if args.seed is not None:
         overrides["master_seed"] = args.seed

@@ -358,10 +358,13 @@ def min_sensing_duration(crbs, gamma: float, block_len: int) -> int:
         raise ValueError(f"accuracy target must be positive, got {gamma}")
     if block_len < 1:
         raise ValueError(f"block length must be >= 1, got {block_len}")
-    worst = max(c.worst for c in crbs)
-    tau = max(1, math.ceil(worst / gamma))
-    if len(crbs) * tau >= block_len:
+    need = max(c.worst for c in crbs) / gamma
+    # From need >= block_len on, the slot alone fills the block. ceil is not
+    # taken there: it raises on an infinite need, and a huge finite one would
+    # print hundreds of digits.
+    tau = max(1, math.ceil(need)) if need < block_len else np.ceil(need)
+    if not len(crbs) * tau < block_len:
         raise InfeasibleBlockError(
-            f"sensing needs {len(crbs)} x {tau} symbols but the block has {block_len}"
+            f"sensing needs {len(crbs)} x {tau:.6g} symbols but the block has {block_len}"
         )
-    return int(tau)
+    return tau

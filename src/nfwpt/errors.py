@@ -9,10 +9,6 @@ class DegenerateChannelError(ValueError):
     """A channel vector is identically zero (empty effective visibility region)."""
 
 
-class UnidentifiableReflectionError(ValueError):
-    """The probe is orthogonal to the hypothesized channel, so b drops out of the model."""
-
-
 class InfeasibleWindowError(ValueError):
     """No index window satisfies the visibility-region size constraints."""
 

@@ -153,9 +153,10 @@ class ErSpec:
         refl = self.reflection
         parts = (refl.real, refl.imag) if isinstance(refl, complex) else (refl,)
         _require_finite("reflection", *parts)
+        # The Fisher information scales with |b|^2, which must stay finite too.
         magnitude = math.hypot(*parts)
-        if not math.isfinite(magnitude):
-            raise ValueError(f"reflection must be finite, got {refl!r}")
+        if not math.isfinite(magnitude * magnitude):
+            raise ValueError(f"reflection magnitude squared must be finite, got {refl!r}")
         if magnitude == 0:
             raise ValueError("reflection coefficient must be nonzero")
         if self.vr is not None:
@@ -232,11 +233,6 @@ class ScenarioConfig:
                 raise ValueError(
                     f"fixed visibility region {spec.vr} exceeds array size {n}"
                 )
-
-
-def default_config() -> ScenarioConfig:
-    """The built-in evaluation scenario."""
-    return ScenarioConfig()
 
 
 @dataclass(frozen=True)
@@ -477,11 +473,8 @@ def _sense(
             vr_hat = VisibilityRegion(1, n)
         prior = np.asarray(prior_position)
         reach = 2.0 * np.asarray(error_bounds)
-        loc = locate_er(geom, y_bar, vr_hat, (prior - reach, prior + reach), probe, tau)
-        # Every hit hands out this record, so no caller may write to it.
-        loc.position_hat.setflags(write=False)
         regions.append(vr_hat)
-        locations.append(loc)
+        locations.append(locate_er(geom, y_bar, vr_hat, (prior - reach, prior + reach)))
     return Sensing(scene, tuple(regions), tuple(locations))
 
 

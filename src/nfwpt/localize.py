@@ -60,7 +60,7 @@ from .channel import (
     response_derivatives,
     response_hessians,
 )
-from .errors import DegenerateChannelError, UnidentifiableReflectionError
+from .errors import DegenerateChannelError
 from .geometry import UpaGeometry
 
 # Levenberg-Marquardt damping: first nonzero value, factor per kept or
@@ -87,7 +87,7 @@ _LATTICE_POINTS = 9
 
 @dataclass(frozen=True)
 class LocalizationResult:
-    """Position estimate with the matching reflection estimate and diagnostics.
+    """Position estimate and search diagnostics.
 
     objective is concentrated_objective at the estimate. iterations counts
     linearizations of the ascent (gradient and Hessian evaluations);
@@ -97,7 +97,6 @@ class LocalizationResult:
     """
 
     position_hat: np.ndarray
-    b_hat: complex
     objective: float
     iterations: int
     converged: bool
@@ -111,20 +110,19 @@ def concentrated_objective(
 
     One probe of the region slice: the mask zeroes the rest of the aperture.
     """
-    rows = _region_rows(geom, vr_hat, y_bar=y_bar)
+    rows = _region_rows(geom, vr_hat, y_bar)
     return _probe(geom, np.asarray(y_bar, dtype=complex)[rows], rows, _as_point(candidate)).q
 
 
-def _region_rows(geom: UpaGeometry, vr: VisibilityRegion, **vectors) -> slice:
-    """Rows of the region's slice, once vr and each named vector fit the array."""
+def _region_rows(geom: UpaGeometry, vr: VisibilityRegion, y_bar) -> slice:
+    """Rows of the region's slice, once vr and y_bar fit the array."""
     n = geom.n_elements
     if vr.end > n:
         raise ValueError(f"visibility region end {vr.end} exceeds array size {n}")
-    for name, v in vectors.items():
-        if np.shape(v) != (n,):
-            raise ValueError(
-                f"{name} must have one entry per element, shape ({n},), got {np.shape(v)}"
-            )
+    if np.shape(y_bar) != (n,):
+        raise ValueError(
+            f"y_bar must have one entry per element, shape ({n},), got {np.shape(y_bar)}"
+        )
     return slice(vr.start - 1, vr.end)
 
 
@@ -259,12 +257,11 @@ def locate_er(
     y_bar: np.ndarray,
     vr_hat: VisibilityRegion,
     search_box,
-    probe: np.ndarray,
-    slot_len: int,
+    *,
     tol: float = 1e-4,
     max_iters: int = 50,
 ) -> LocalizationResult:
-    """Lattice seed, bound-constrained Newton ascent and ray check, then b.
+    """Lattice seed, bound-constrained Newton ascent and ray check.
 
     The lattice has _LATTICE_POINTS points per axis (one on a zero-width axis).
     lattice_seed picks its point with the highest q, the first in lattice
@@ -288,7 +285,7 @@ def locate_er(
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    rows = _region_rows(geom, vr_hat, y_bar=y_bar, probe=probe)
+    rows = _region_rows(geom, vr_hat, y_bar)
     y = np.asarray(y_bar, dtype=complex)[rows]
     pinned = hi <= lo
     grid = [np.linspace(lo[i], hi[i], 1 if pinned[i] else _LATTICE_POINTS) for i in range(3)]
@@ -358,40 +355,11 @@ def locate_er(
                 break
 
     point = current.point.copy()
-    b_hat = estimate_b(geom, y_bar, point, vr_hat, probe, slot_len)
     point.setflags(write=False)
     return LocalizationResult(
         position_hat=point,
-        b_hat=b_hat,
         objective=concentrated_objective(geom, y_bar, point, vr_hat),
         iterations=iterations,
         converged=converged,
         evaluations=evaluations,
     )
-
-
-def estimate_b(
-    geom: UpaGeometry,
-    y_bar: np.ndarray,
-    position_hat,
-    vr_hat: VisibilityRegion,
-    probe: np.ndarray,
-    slot_len: int,
-) -> complex:
-    """Least-squares reflection coefficient at a hypothesized position.
-
-    Projects the aggregated echo on the model direction, so at the true
-    position with the true region the noiseless estimate is exact. One probe
-    of the region slice gives the direction: the mask zeroes the rest of the
-    aperture, for the echo and the probe alike.
-    """
-    if slot_len < 1:
-        raise ValueError(f"slot length must be >= 1, got {slot_len}")
-    rows = _region_rows(geom, vr_hat, y_bar=y_bar, probe=probe)
-    at = _probe(geom, np.asarray(y_bar, dtype=complex)[rows], rows, _as_point(position_hat))
-    through = at.h @ np.asarray(probe, dtype=complex)[rows]
-    if through == 0:
-        raise UnidentifiableReflectionError(
-            "probe is orthogonal to the hypothesized channel"
-        )
-    return complex(at.s / (slot_len * through * at.e))

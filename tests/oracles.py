@@ -20,9 +20,8 @@ computes another way, kept so the tests can arbitrate the fast path:
 - lattice_scores: the localizer's seed lattice scored in one double-precision
   array_response over every point; np.argmax of it is the seed that
   localize.lattice_seed must pick.
-- full_aperture_objective, full_aperture_b: localize.concentrated_objective
-  and localize.estimate_b from the masked full-aperture channel() instead of
-  one probe of the region slice.
+- full_aperture_objective: localize.concentrated_objective from the masked
+  full-aperture channel() instead of one probe of the region slice.
 """
 
 from __future__ import annotations
@@ -41,11 +40,7 @@ from nfwpt.channel import (
     vr_cover,
 )
 from nfwpt.crb import CrbReport, FisherInfo, LatticeCrb
-from nfwpt.errors import (
-    DegenerateChannelError,
-    SingularFimError,
-    UnidentifiableReflectionError,
-)
+from nfwpt.errors import DegenerateChannelError, SingularFimError
 
 _AXES = {"x": 0, "y": 1, "z": 2}
 
@@ -217,25 +212,10 @@ def lattice_scores(geom, y, rows, grid) -> np.ndarray:
     return np.abs(entries @ y.conj()) ** 2 / (np.abs(entries) ** 2).sum(axis=1)
 
 
-def _masked_response(geom, point, vr) -> np.ndarray:
-    h = channel(geom, ErState(point, vr))
-    if np.vdot(h, h).real == 0.0:
-        raise DegenerateChannelError("masked response is identically zero")
-    return h
-
-
 def full_aperture_objective(geom, y_bar, candidate, vr) -> float:
     """|h^H y|^2 / ||h||^2 with h the masked N-element response at the candidate."""
-    h = _masked_response(geom, candidate, vr)
-    return float(abs(np.vdot(h, y_bar)) ** 2 / np.vdot(h, h).real)
-
-
-def full_aperture_b(geom, y_bar, position, vr, probe, slot_len: int) -> complex:
-    """h^H y / (slot_len (h^T x) ||h||^2) with h the masked N-element response."""
-    if slot_len < 1:
-        raise ValueError(f"slot length must be >= 1, got {slot_len}")
-    h = _masked_response(geom, position, vr)
-    through = h @ np.asarray(probe, dtype=complex)
-    if through == 0:
-        raise UnidentifiableReflectionError("probe is orthogonal to the hypothesized channel")
-    return complex(np.vdot(h, y_bar) / (slot_len * through * np.vdot(h, h).real))
+    h = channel(geom, ErState(candidate, vr))
+    e = np.vdot(h, h).real
+    if e == 0.0:
+        raise DegenerateChannelError("masked response is identically zero")
+    return float(abs(np.vdot(h, y_bar)) ** 2 / e)

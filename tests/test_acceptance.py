@@ -21,7 +21,6 @@ from nfwpt import (
     build_upa,
     channel,
     crb_position,
-    default_config,
     fim,
     fim_finite_difference,
     harvested_power,
@@ -362,7 +361,7 @@ def test_criterion_07_localization_tracks_the_crb():
         y_bar = aggregate(
             simulate_echo(h, er.reflection, probe, 1, noise, np.random.default_rng(seq))
         )
-        loc = locate_er(geom, y_bar, er.vr, box, probe, 1)
+        loc = locate_er(geom, y_bar, er.vr, box)
         squared.append(float(np.sum((loc.position_hat - er.position) ** 2)))
     rmse = math.sqrt(np.mean(squared))
 
@@ -379,15 +378,7 @@ def test_criterion_07_localization_tracks_the_crb():
         )
         # Place the truth at a random interior spot, never the box center.
         center = scene.position + rng.uniform(-0.1, 0.1, size=3)
-        loc = locate_er(
-            geom,
-            y_bar,
-            scene.vr,
-            (center - 0.3, center + 0.3),
-            probe,
-            1,
-            tol=1e-5,
-        )
+        loc = locate_er(geom, y_bar, scene.vr, (center - 0.3, center + 0.3), tol=1e-5)
         recovered += float(np.linalg.norm(loc.position_hat - scene.position)) <= 1e-4
     elapsed = time.perf_counter() - t0
     ok = rmse <= 2.0 * floor and recovered == 100 and elapsed < 300.0
@@ -405,7 +396,7 @@ def test_criterion_07_localization_tracks_the_crb():
 
 def test_criterion_08_accuracy_target_sweep_shows_an_interior_optimum():
     t0 = time.perf_counter()
-    cfg = default_config()
+    cfg = ScenarioConfig()
     grid = _planning_worst(cfg) * np.logspace(-1.95, 1.05, 8)
     rows = sweep_gamma(cfg, grid)
     weights = [spec.weight for spec in cfg.ers]
@@ -430,7 +421,7 @@ def test_criterion_08_accuracy_target_sweep_shows_an_interior_optimum():
 
 
 def test_criterion_09_scheme_ordering_holds_across_power_budgets():
-    cfg = default_config()
+    cfg = ScenarioConfig()
     budgets = [10 ** ((dbm - 30) / 10) for dbm in (20, 25, 30, 35)]
     margins = []
     ratio_30dbm = None
@@ -466,7 +457,7 @@ def test_criterion_09_scheme_ordering_holds_across_power_budgets():
 
 
 def test_criterion_10_weight_sweep_shifts_power_monotonically():
-    cfg = default_config()
+    cfg = ScenarioConfig()
     grid = [round(0.1 * k, 1) for k in range(1, 10)]
     per_beta = []
     for b2 in grid:

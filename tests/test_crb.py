@@ -20,10 +20,10 @@ from nfwpt import (
 )
 from nfwpt.channel import ErState, VisibilityRegion, array_response, channel
 from nfwpt.cli import main
-from nfwpt.crb import FisherInfo
+from nfwpt.crb import FisherInfo, LatticeCrb
 from nfwpt.echo import uniform_probe
 from nfwpt.errors import DegenerateChannelError, InfeasibleBlockError, SingularFimError
-from nfwpt.harness import ArraySpec, ErSpec, ScenarioConfig, default_config, plan
+from nfwpt.harness import ArraySpec, ErSpec, ScenarioConfig, plan
 from oracles import (
     channel_derivative,
     crb_per_point,
@@ -109,7 +109,7 @@ class TestFim:
 
     @pytest.mark.parametrize("receiver", [0, 1])
     def test_worst_lattice_crb_matches_the_finite_difference_route(self, receiver):
-        cfg = default_config()
+        cfg = ScenarioConfig()
         spec = cfg.ers[receiver]
         geom = build_upa(16, 16, 28e9)
         probe = uniform_probe(geom, cfg.p_max)
@@ -331,6 +331,25 @@ class TestMinSensingDuration:
         with pytest.raises(InfeasibleBlockError):
             min_sensing_duration(crbs, nominal / 10**6, 200)
 
+    def test_a_need_past_the_block_is_refused_before_ceil(self):
+        # The decision matches ceil's for every need, and a need too large
+        # for ceil is refused with a short count instead of an OverflowError.
+        for need in (0.5, 1.0, 99.5, 99.9, 100.0, 100.5, 199.5, 200.0, 1e3):
+            crbs = (LatticeCrb(nominal=need, worst=need),) * 2
+            tau = max(1, math.ceil(need))
+            if 2 * tau < 200:
+                assert min_sensing_duration(crbs, 1.0, 200) == tau
+            else:
+                with pytest.raises(InfeasibleBlockError, match=f"needs 2 x {tau} symbols"):
+                    min_sensing_duration(crbs, 1.0, 200)
+        crbs = (LatticeCrb(nominal=1e5, worst=1e5),)
+        for gamma, count in ((1e-300, "1e+305"), (1e-320, "inf")):
+            with pytest.raises(InfeasibleBlockError) as refused:
+                min_sensing_duration(crbs, gamma, 200)
+            assert str(refused.value) == (
+                f"sensing needs 1 x {count} symbols but the block has 200"
+            )
+
     def test_rejects_bad_arguments(self):
         geom, priors, probe, _ = self._setup(5)
         crbs = lattice_crb(geom, priors, (0.15,) * 3, probe, 1e-15)
@@ -381,7 +400,7 @@ class TestBatchedFimMatchesThePerPointOracle:
 
     @pytest.mark.parametrize("size", [16, 32, 48])
     def test_builtin_priors(self, size):
-        cfg = default_config()
+        cfg = ScenarioConfig()
         geom = build_upa(size, size, 28e9)
         priors = _builtin_priors(geom, cfg)
         bounds = [spec.error_bounds for spec in cfg.ers]
@@ -392,7 +411,7 @@ class TestBatchedFimMatchesThePerPointOracle:
     def test_pinned_partial_visibility_region(self, size):
         # fim skips the cover product on a full aperture (the built-in
         # priors above) and takes it here; both keep the oracle's bits.
-        cfg = default_config()
+        cfg = ScenarioConfig()
         geom = build_upa(size, size, 28e9)
         n = geom.n_elements
         vr = VisibilityRegion(40 * n // 256, 200 * n // 256)
@@ -455,7 +474,7 @@ class TestFimFootprint:
         # The lattice FIM holds no array over every point x axis x element:
         # its traced peak is that of the grid's array_response plus one
         # point's (3, N) rows.
-        cfg = default_config()
+        cfg = ScenarioConfig()
         geom = build_upa(32, 32, 28e9)
         probe = uniform_probe(geom, cfg.p_max)
         spec = cfg.ers[1]

@@ -1,9 +1,14 @@
-"""Tests for the scenario harness: schemes, sweeps, config files, CSV output."""
+"""Tests for the scenario harness: schemes, sweeps, config files, CSV output,
+and the repository around it: the README's library example and the benchmark's
+self-test."""
 
 import functools
 import json
 import math
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +30,6 @@ from nfwpt.harness import (
     ScenarioConfig,
     config_from_dict,
     csv_header,
-    default_config,
     load_config,
     plan,
     rows_to_csv,
@@ -667,6 +671,7 @@ class TestConfigFuzz:
             ({"ers": [{"prior_position": [1.0, 2.0, 3.0], "reflection": "a"}]}, "reflection"),
             ({"ers": [{"prior_position": [1.0, 2.0, 3.0], "reflection": [1, "a"]}]}, "reflection"),
             ({"ers": [{"prior_position": [1.0, 2.0, 3.0], "reflection": [1.7e308] * 2}]}, "reflection"),
+            ({"ers": [{"prior_position": [1.0, 2.0, 3.0], "reflection": [1e308] * 2}]}, "reflection"),
             ({"noise_power": 10**400}, "noise_power"),
             ({"array": {"n_y": 2**30, "n_z": 2**30}}, "n_y"),
         ],
@@ -1004,6 +1009,35 @@ class TestCli:
         assert captured.err.startswith("nfwpt: error: sensing needs 2 x ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "payload, argv, error",
+        [
+            (
+                None,
+                ["sweep-gamma", "--trials", "1", "--grid", "1e-320"],
+                "sensing needs 2 x inf symbols",
+            ),
+            ({"gamma": 1e-320}, ["simulate", "--trials", "1"], "sensing needs 2 x inf symbols"),
+            (
+                {"ers": [{"prior_position": [1.0, 0.2, 0.3], "reflection": [1e308, 1e308]}]},
+                ["crb"],
+                "reflection magnitude squared must be finite",
+            ),
+        ],
+    )
+    def test_an_overflowing_finite_value_is_a_one_line_error(
+        self, tmp_path, capsys, payload, argv, error
+    ):
+        if payload is not None:
+            cfg_path = tmp_path / "extreme.json"
+            cfg_path.write_text(json.dumps(payload))
+            argv = [*argv, "--config", str(cfg_path)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"nfwpt: error: {error}")
+        assert captured.err.count("\n") == 1
+
     def test_unknown_config_key_is_a_one_line_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text('{"trials": 2, "warp": 9}')
@@ -1079,4 +1113,28 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert ",isotropic," in out
-        assert default_config().trials == 100
+        assert ScenarioConfig().trials == 100
+
+
+class TestRepository:
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def test_the_readme_library_example_runs(self):
+        readme = (self.ROOT / "README.md").read_text()
+        example = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        namespace = {}
+        exec(compile(example, "README.md", "exec"), namespace)
+        assert namespace["p_avg"] > 0
+
+    def test_the_benchmark_self_test_passes(self):
+        # It checks that the benchmark tracer still finds every per-layer
+        # metric, so renaming or deleting a traced function fails here.
+        done = subprocess.run(
+            [sys.executable, "perfbench/selftest.py"],
+            cwd=self.ROOT,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert done.stdout.splitlines()[-1] == "0 problems"

@@ -1,4 +1,4 @@
-"""Tests for the concentrated-likelihood position search and reflection estimate."""
+"""Tests for the concentrated-likelihood position search."""
 
 import math
 from dataclasses import replace
@@ -9,27 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfwpt import (
+    ScenarioConfig,
     build_upa,
     concentrated_objective,
-    default_config,
-    estimate_b,
     harness,
     locate_er,
     localize,
 )
 from nfwpt.channel import ErState, VisibilityRegion, channel
 from nfwpt.echo import aggregate, simulate_echo, uniform_probe
-from nfwpt.errors import (
-    DegenerateChannelError,
-    SingularGeometryError,
-    UnidentifiableReflectionError,
-)
-from oracles import full_aperture_b, full_aperture_objective, lattice_scores
+from nfwpt.errors import DegenerateChannelError, SingularGeometryError
+from oracles import full_aperture_objective, lattice_scores
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _noiseless_scene(seed, n_y=16, n_z=16, tau=3):
+def _noiseless_scene(seed, n_y=16, n_z=16):
     rng = np.random.default_rng(seed)
     geom = build_upa(n_y, n_z, 28e9)
     n = geom.n_elements
@@ -42,12 +37,12 @@ def _noiseless_scene(seed, n_y=16, n_z=16, tau=3):
     )
     probe = uniform_probe(geom, 1.0)
     h = channel(geom, er)
-    y = aggregate(simulate_echo(h, er.reflection, probe, tau, 0.0, rng))
-    return geom, er, probe, y, tau
+    y = aggregate(simulate_echo(h, er.reflection, probe, 3, 0.0, rng))
+    return geom, er, y
 
 
 def test_objective_peaks_at_the_true_position():
-    geom, er, probe, y, tau = _noiseless_scene(0)
+    geom, er, y = _noiseless_scene(0)
     peak = concentrated_objective(geom, y, er.position, er.vr)
     assert peak == pytest.approx(np.vdot(y, y).real, rel=1e-12)
     rng = np.random.default_rng(1)
@@ -66,9 +61,9 @@ def test_objective_is_zero_for_zero_observation():
 
 def test_noiseless_recovery_hits_the_true_position():
     for seed in range(3):
-        geom, er, probe, y, tau = _noiseless_scene(seed)
+        geom, er, y = _noiseless_scene(seed)
         box = (er.position - 0.3, er.position + 0.3)
-        result = locate_er(geom, y, er.vr, box, probe, tau)
+        result = locate_er(geom, y, er.vr, box)
         assert np.linalg.norm(result.position_hat - er.position) < 1e-4
         assert result.converged
         # The 9 x 9 x 9 lattice plus a few dozen refinement candidates.
@@ -80,18 +75,18 @@ def test_recovery_survives_an_off_center_search_box():
     # it, so the refinement has to walk the nearly flat range direction on its
     # own.
     for seed in range(3):
-        geom, er, probe, y, tau = _noiseless_scene(seed)
+        geom, er, y = _noiseless_scene(seed)
         shift = np.array([0.11, -0.07, 0.13])
         box = (er.position + shift - 0.3, er.position + shift + 0.3)
-        result = locate_er(geom, y, er.vr, box, probe, tau)
+        result = locate_er(geom, y, er.vr, box)
         assert np.linalg.norm(result.position_hat - er.position) < 1e-4
         assert result.converged
 
 
 def test_degenerate_box_returns_the_single_point():
-    geom, er, probe, y, tau = _noiseless_scene(4)
+    geom, er, y = _noiseless_scene(4)
     box = (er.position, er.position)
-    result = locate_er(geom, y, er.vr, box, probe, tau)
+    result = locate_er(geom, y, er.vr, box)
     np.testing.assert_array_equal(result.position_hat, er.position)
     assert result.converged
     # One lattice point on a fully pinned box, the one survivor probed exactly.
@@ -99,46 +94,15 @@ def test_degenerate_box_returns_the_single_point():
 
 
 def test_hitting_the_iteration_cap_is_not_convergence():
-    geom, er, probe, y, tau = _noiseless_scene(2)
+    geom, er, y = _noiseless_scene(2)
     shift = np.array([0.11, -0.07, 0.13])
     box = (er.position + shift - 0.3, er.position + shift + 0.3)
-    capped = locate_er(geom, y, er.vr, box, probe, tau, max_iters=1)
+    capped = locate_er(geom, y, er.vr, box, max_iters=1)
     assert capped.iterations == 1
     assert not capped.converged
-    full = locate_er(geom, y, er.vr, box, probe, tau)
+    full = locate_er(geom, y, er.vr, box)
     assert full.converged
     assert full.iterations > 1
-
-
-def test_reflection_estimate_is_exact_in_the_noiseless_case():
-    geom, er, probe, y, tau = _noiseless_scene(6)
-    b_hat = estimate_b(geom, y, er.position, er.vr, probe, tau)
-    assert b_hat == pytest.approx(er.reflection, rel=1e-12)
-
-
-def test_reflection_estimate_is_linear_in_the_observation():
-    geom, er, probe, y, tau = _noiseless_scene(7)
-    rng = np.random.default_rng(8)
-    y2 = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
-    b1 = estimate_b(geom, y, er.position, er.vr, probe, tau)
-    b2 = estimate_b(geom, y2, er.position, er.vr, probe, tau)
-    b12 = estimate_b(geom, y + y2, er.position, er.vr, probe, tau)
-    assert b12 == pytest.approx(b1 + b2, rel=1e-12)
-
-
-def test_zero_observation_gives_zero_reflection():
-    geom, er, probe, _, tau = _noiseless_scene(9)
-    y = np.zeros(geom.n_elements, dtype=complex)
-    assert estimate_b(geom, y, er.position, er.vr, probe, tau) == 0
-
-
-def test_orthogonal_probe_makes_the_reflection_unidentifiable():
-    geom, er, _, y, tau = _noiseless_scene(5)
-    h = channel(geom, er)
-    probe = np.zeros(geom.n_elements, dtype=complex)
-    probe[0], probe[1] = h[1], -h[0]
-    with pytest.raises(UnidentifiableReflectionError):
-        estimate_b(geom, y, er.position, er.vr, probe, tau)
 
 
 @st.composite
@@ -155,30 +119,23 @@ def _region_problems(draw):
     else:
         end = n if region == "last element" else int(rng.integers(start + 1, n + 1))
     y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    probe = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     points = rng.uniform([0.3, -1.0, -1.0], [3.0, 1.0, 1.0], size=(4, 3))
-    return geom, y, VisibilityRegion(start, end), probe, points
+    return geom, y, VisibilityRegion(start, end), points
 
 
 @settings(max_examples=60, deadline=None)
 @given(_region_problems())
 def test_region_slice_scores_match_the_full_aperture_forms(problem):
-    geom, y, vr, probe, points = problem
+    geom, y, vr, points = problem
     for point in points:
         assert concentrated_objective(geom, y, point, vr) == pytest.approx(
             full_aperture_objective(geom, y, point, vr), rel=1e-12
         )
-        assert estimate_b(geom, y, point, vr, probe, 3) == pytest.approx(
-            full_aperture_b(geom, y, point, vr, probe, 3), rel=1e-12
-        )
 
 
 def test_region_slice_scores_raise_what_the_full_aperture_forms_raise():
-    geom, er, probe, y, tau = _noiseless_scene(13, n_y=8, n_z=8)
+    geom, er, y = _noiseless_scene(13, n_y=8, n_z=8)
     i = er.vr.start - 1
-    h = channel(geom, er)
-    orthogonal = np.zeros(geom.n_elements, dtype=complex)
-    orthogonal[i], orthogonal[i + 1] = h[i + 1], -h[i]
     # At this carrier every |h_n|^2 underflows to zero.
     tiny = build_upa(4, 4, 1e170)
     scored = [
@@ -189,57 +146,35 @@ def test_region_slice_scores_raise_what_the_full_aperture_forms_raise():
         (DegenerateChannelError, (tiny, np.ones(16), [1.0, 0.0, 0.0], VisibilityRegion(3, 9))),
     ]
     for error, args in scored:
-        b_args = (*args, np.ones(args[0].n_elements, dtype=complex), 1)
-        for fn, fn_args in [
-            (concentrated_objective, args),
-            (full_aperture_objective, args),
-            (estimate_b, b_args),
-            (full_aperture_b, b_args),
-        ]:
+        for fn in (concentrated_objective, full_aperture_objective):
             with pytest.raises(error):
-                fn(*fn_args)
-    # The probe and the slot length reach only the reflection estimate.
-    for error, x, slot_len in [
-        (UnidentifiableReflectionError, orthogonal, tau),
-        (ValueError, probe, 0),
-        (ValueError, np.append(probe, 0.0), tau),
-    ]:
-        for fn in (estimate_b, full_aperture_b):
-            with pytest.raises(error):
-                fn(geom, y, er.position, er.vr, x, slot_len)
+                fn(*args)
 
 
 def test_an_element_outside_the_region_is_no_singularity():
-    geom, er, probe, y, tau = _noiseless_scene(14)
+    geom, er, y = _noiseless_scene(14)
     vr = VisibilityRegion(10, 60)
     outside = geom.positions[4]
     with pytest.raises(SingularGeometryError):
         full_aperture_objective(geom, y, outside, vr)
     assert concentrated_objective(geom, y, outside, vr) >= 0.0
-    assert np.isfinite(estimate_b(geom, y, outside, vr, probe, tau))
 
 
 def test_locate_validates_box_and_tolerance():
-    geom, er, probe, y, tau = _noiseless_scene(10)
+    geom, er, y = _noiseless_scene(10)
     lo, hi = er.position - 0.2, er.position + 0.2
     with pytest.raises(ValueError):
-        locate_er(geom, y, er.vr, (hi, lo), probe, tau)
+        locate_er(geom, y, er.vr, (hi, lo))
     with pytest.raises(ValueError):
-        locate_er(geom, y, er.vr, (lo, hi), probe, tau, tol=0.0)
+        locate_er(geom, y, er.vr, (lo, hi), tol=0.0)
     with pytest.raises(ValueError):
-        locate_er(geom, y, er.vr, (lo, hi), probe, tau, max_iters=0)
+        locate_er(geom, y, er.vr, (lo, hi), max_iters=0)
     with pytest.raises(ValueError, match="one entry per element"):
-        locate_er(geom, y[:-1], er.vr, (lo, hi), probe, tau)
-    with pytest.raises(ValueError, match="one entry per element"):
-        locate_er(geom, y, er.vr, (lo, hi), np.append(probe, 0.0), tau)
-
-
-def test_result_reports_reflection_consistent_with_estimate():
-    geom, er, probe, y, tau = _noiseless_scene(11)
-    box = (er.position - 0.3, er.position + 0.3)
-    result = locate_er(geom, y, er.vr, box, probe, tau)
-    direct = estimate_b(geom, y, result.position_hat, er.vr, probe, tau)
-    assert result.b_hat == pytest.approx(direct, rel=1e-12)
+        locate_er(geom, y[:-1], er.vr, (lo, hi))
+    # tol and max_iters are keyword-only, so a stale (probe, slot length)
+    # pair cannot bind to them.
+    with pytest.raises(TypeError):
+        locate_er(geom, y, er.vr, (lo, hi), np.ones(geom.n_elements), 3)
 
 
 def _golden_max(fn, lo, hi, iters):
@@ -328,7 +263,7 @@ def _run_trial_inputs(monkeypatch, schemes, trials, side=16):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(harness, "locate_er", record)
-    base = default_config()
+    base = ScenarioConfig()
     base = replace(base, array=replace(base.array, n_y=side, n_z=side))
     for scheme in schemes:
         cfg = replace(base, scheme=scheme)
@@ -340,8 +275,8 @@ def _run_trial_inputs(monkeypatch, schemes, trials, side=16):
 def test_estimate_never_trails_the_golden_section_oracle(monkeypatch):
     inputs = _run_trial_inputs(monkeypatch, ("proposed", "no_vr", "equal_time"), 6)
     assert len(inputs) >= 30
-    for geom, y, vr, box, probe, tau in inputs:
-        result = locate_er(geom, y, vr, box, probe, tau)
+    for geom, y, vr, box in inputs:
+        result = locate_er(geom, y, vr, box)
         _, oracle = _golden_oracle(geom, y, vr, box)
         assert result.objective >= oracle * (1 - 1e-9)
         lo, hi = box
@@ -367,15 +302,15 @@ def _search_problems(draw):
     h = channel(geom, er)
     noise = float(10.0 ** rng.uniform(-3, 1)) * np.vdot(h, h).real / n
     y = aggregate(simulate_echo(h, er.reflection, probe, 1, noise, rng))
-    return geom, y, vr, (center - half, center + half), probe, pinned
+    return geom, y, vr, (center - half, center + half), pinned
 
 
 @settings(max_examples=40, deadline=None)
 @given(_search_problems())
 def test_estimate_stays_in_the_box_and_beats_the_lattice(problem):
-    geom, y, vr, box, probe, pinned = problem
+    geom, y, vr, box, pinned = problem
     lo, hi = box
-    result = locate_er(geom, y, vr, box, probe, 1)
+    result = locate_er(geom, y, vr, box)
     point = result.position_hat
     assert np.all(lo <= point) and np.all(point <= hi)
     np.testing.assert_array_equal(point[pinned], lo[pinned])
@@ -385,7 +320,7 @@ def test_estimate_stays_in_the_box_and_beats_the_lattice(problem):
     best = max(concentrated_objective(geom, y, p, vr) for p in lattice)
     assert result.objective >= best * (1 - 1e-12)
     assert result.objective == concentrated_objective(geom, y, point, vr)
-    again = locate_er(geom, y, vr, box, probe, 1)
+    again = locate_er(geom, y, vr, box)
     assert again.position_hat.tobytes() == point.tobytes()
     assert again.objective == result.objective
 
@@ -414,7 +349,7 @@ def _assert_seed_matches_the_oracle(geom, y, rows, grid):
 def test_seed_is_the_full_lattice_argmax_on_run_trial_inputs(monkeypatch, side):
     inputs = _run_trial_inputs(monkeypatch, ("proposed", "no_vr", "equal_time"), 3, side)
     assert len(inputs) >= 12
-    for geom, y_bar, vr, box, _, _ in inputs:
+    for geom, y_bar, vr, box in inputs:
         _assert_seed_matches_the_oracle(geom, *_seed_inputs(y_bar, vr, box))
 
 
@@ -449,7 +384,7 @@ def test_seed_prefilter_is_within_its_bound_and_keeps_the_argmax(problem):
 
 
 def test_zero_echo_scores_the_whole_lattice_once(monkeypatch):
-    geom, er, probe, _, tau = _noiseless_scene(12)
+    geom, er, _ = _noiseless_scene(12)
     box = (er.position - 0.2, er.position + 0.2)
     y, rows, grid = _seed_inputs(np.zeros(geom.n_elements), er.vr, box)
     probed = []
@@ -466,7 +401,7 @@ def test_zero_echo_scores_the_whole_lattice_once(monkeypatch):
     np.testing.assert_array_equal(np.array(probed), lattice)
     assert count == len(lattice)
     np.testing.assert_array_equal(seed.point, lattice[0])
-    result = locate_er(geom, np.zeros(geom.n_elements, dtype=complex), er.vr, box, probe, tau)
+    result = locate_er(geom, np.zeros(geom.n_elements, dtype=complex), er.vr, box)
     np.testing.assert_array_equal(result.position_hat, box[0])
 
 
@@ -476,16 +411,15 @@ def test_a_lattice_point_on_an_element_is_rejected(corner):
     element = geom.positions[27]
     box = (element, element + 0.2) if corner == 0 else (element - 0.2, element)
     y = np.ones(geom.n_elements, dtype=complex)
-    probe = uniform_probe(geom, 1.0)
     with pytest.raises(SingularGeometryError):
-        locate_er(geom, y, VisibilityRegion(1, geom.n_elements), box, probe, 1)
+        locate_er(geom, y, VisibilityRegion(1, geom.n_elements), box)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("corner", [0, 1])
 def test_a_non_finite_search_box_is_rejected_up_front(bad, corner):
-    geom, er, probe, y, tau = _noiseless_scene(10)
+    geom, er, y = _noiseless_scene(10)
     box = [er.position - 0.2, er.position + 0.2]
     box[corner][1] = bad
     with pytest.raises(ValueError, match="search box must be finite"):
-        locate_er(geom, y, er.vr, box, probe, tau)
+        locate_er(geom, y, er.vr, box)
