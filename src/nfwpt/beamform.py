@@ -54,6 +54,11 @@ class WeightedChannels:
         object.__setattr__(self, "factor", g)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The factor G as an array.
+
+        Its one reader is perfbench/tracer.py, which sizes the solver input
+        through np.asarray(matrix).nbytes.
+        """
         return np.array(self.factor, dtype=dtype, copy=True if copy is None else copy)
 
 

@@ -90,20 +90,17 @@ def grid_distances(geom: UpaGeometry, grid, rows=slice(None), out=None) -> np.nd
     squared offsets are summed one axis at a time, in the order (x + y) + z
     that np.linalg.norm also uses, so no (points, elements, 3) array forms.
     Each axis reads one contiguous row of geom.coords. A single point given
-    as a (3, 1) array, the form steering_vector and the localizer's probes
-    use, takes its three offset rows from one subtraction, with the same
-    arithmetic and so the same bits. Raises SingularGeometryError when a
-    point coincides with an element.
+    as a (3, 1) array without out, the form steering_vector and the
+    localizer's probes use, takes its three offset rows from one
+    subtraction, with the same arithmetic and so the same bits. Raises
+    SingularGeometryError when a point coincides with an element.
     """
     elems = geom.coords[:, rows]
     n = elems.shape[1]
-    if isinstance(grid, np.ndarray) and grid.shape == (3, 1) and (
-        out is None or out.shape == (1, 1, 1, n)
-    ):
+    if out is None and isinstance(grid, np.ndarray) and grid.shape == (3, 1):
         part = np.subtract(grid.astype(float, copy=False), elems)
         part *= part
-        total = np.add(part[0] + part[1], part[2], out=None if out is None else out[0, 0, 0])
-        dists = total.reshape(1, 1, 1, n) if out is None else out
+        dists = ((part[0] + part[1]) + part[2]).reshape(1, 1, 1, n)
         np.sqrt(dists, out=dists)
         # Counts NaN as nonzero, as np.any(dists == 0.0) does, in one cheap pass.
         singular = np.count_nonzero(dists) < n
@@ -146,34 +143,29 @@ def response_derivatives(
     rows=slice(None),
     out=None,
 ) -> np.ndarray:
-    """Partial derivatives of the responses at points along x, y and z.
+    """Partial derivatives of the responses at one point, shape (3, n_rows).
 
-    point is one point (3,) or a stack (..., 3), and dists and entries are
-    its (..., n_rows) results of array_response; the result has shape
-    (..., 3, n_rows), one row per axis.
-    Differentiating amplitude and phase of each entry gives
+    dists and entries are the point's (n_rows,) results of array_response,
+    and row u of the result is the derivative along axis u. Differentiating
+    amplitude and phase of each entry gives
 
         d a_n / d u = a_n(l) * ( (u_n - u) / d_n^2 + j 2 pi (u_n - u) / (lambda d_n) ),
 
-    with u_n the element coordinate on axis u. The bracket is written as the
-    real and imaginary parts of the result, which then takes the product in
-    place, so the only complex array is the result itself. Its bits are those
-    of entries * (radial / d + (2j pi / lambda) * radial). Without out, its
-    memory layout is that of radial = (u_n - u) / d_n taken from
-    positions[rows].T, which is not C-ordered: the localizer's BLAS
-    products over it round by that layout. With out, a complex array of the
-    result's shape, the result is written there, and radial is taken from the
-    C-contiguous rows of geom.coords; the bits are the same.
+    with u_n the element coordinate on axis u, read from the contiguous rows
+    of geom.coords. The bracket is written as the real and imaginary parts of
+    the result, which then takes the product in place, so the only complex
+    array is the result itself. Its bits are those of
+    entries * (radial / d + (2j pi / lambda) * radial), radial = (u_n - u) / d_n,
+    and it is C-ordered. With out, a complex (3, n_rows) array, the result is
+    written there.
     """
-    pos = np.asarray(point, dtype=float)
-    elems = geom.positions[rows].T if out is None else geom.coords[:, rows]
-    radial = elems - pos[..., None]
-    radial /= dists[..., None, :]
+    radial = geom.coords[:, rows] - np.asarray(point, dtype=float)[:, None]
+    radial /= dists
     if out is None:
         out = np.empty_like(radial, dtype=complex)
-    np.divide(radial, dists[..., None, :], out=out.real)
+    np.divide(radial, dists, out=out.real)
     np.multiply(radial, 2.0 * np.pi / geom.wavelength, out=out.imag)
-    return np.multiply(entries[..., None, :], out, out=out)
+    return np.multiply(entries, out, out=out)
 
 
 def response_hessians(
@@ -185,8 +177,11 @@ def response_hessians(
     derivative is a_n c_n r_u, and differentiating it once more gives
 
         d2 a_n / du dv = a_n * ( r_u r_v (c_n^2 + c_n / d_n + 1 / d_n^2) - delta_uv c_n / d_n ).
+
+    u_n is read from the contiguous rows of geom.coords, as in
+    response_derivatives.
     """
-    radial = (geom.positions[rows].T - np.asarray(point, dtype=float)[:, None]) / dists
+    radial = (geom.coords[:, rows] - np.asarray(point, dtype=float)[:, None]) / dists
     c = 1.0 / dists + 2j * np.pi / geom.wavelength
     hess = entries * radial[:, None, :] * radial[None, :, :] * (c * c + c / dists + 1.0 / dists**2)
     hess[[0, 1, 2], [0, 1, 2]] -= entries * c / dists

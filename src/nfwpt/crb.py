@@ -93,6 +93,13 @@ class CrbReport:
     tau: int
 
 
+# Extreme finite inputs (a huge reflection or budget, a tiny noise power) can
+# overflow in planning. The checks on the results raise for them, so no numpy
+# warning needs to escape.
+_QUIET = np.errstate(all="ignore")
+
+
+@_QUIET
 def fim(
     geom: UpaGeometry,
     er_nominal: ErState,
@@ -111,8 +118,9 @@ def fim(
     The grid's responses come from one array_response; each point's channel,
     derivative rows and matrix are then built on their own, so a point's
     matrix has the same bits whatever other points share the call (see the
-    module docstring). A failing check raises at the first failing point in
-    product order.
+    module docstring). A matrix that is not finite, at any point, raises
+    SingularFimError; otherwise a failing check raises at the first failing
+    point in product order.
     """
     if noise_power <= 0:
         raise ValueError(f"noise power must be positive, got {noise_power}")
@@ -186,6 +194,9 @@ def fim(
         mat[3, 3] = mat[4, 4] = g_bb.real
         mat[3, 4] = mat[4, 3] = -g_bb.imag
     mats *= 2.0 / noise_power
+    # eigvalsh does not converge on a matrix that is not finite.
+    if not np.isfinite(mats).all():
+        raise SingularFimError("Fisher information is not finite: the planning inputs overflow")
 
     scale = np.abs(mats).max(axis=(1, 2))
     lost = (scale > 0) & (np.linalg.eigvalsh(mats).min(axis=1) < -1e-8 * scale)
@@ -266,6 +277,7 @@ def crb_position(info: FisherInfo) -> CrbReport:
     return CrbReport(crb_total=float(sum(per_axis)), per_axis=per_axis, tau=info.tau)
 
 
+@_QUIET
 def _axis_crbs(base: np.ndarray, tau: int) -> np.ndarray:
     """Per-axis position CRBs, shape (P, 3), of a (P, 5, 5) stack of per-symbol FIMs.
 
@@ -304,6 +316,7 @@ class LatticeCrb:
 _NOMINAL_CORNER = 13
 
 
+@_QUIET
 def lattice_crb(
     geom: UpaGeometry,
     priors: list[tuple],
@@ -318,8 +331,12 @@ def lattice_crb(
     or one triple per prior. Each prior is displaced over the lattice
     {-D, 0, +D}^3, and one fim() call at tau = 1 evaluates all 27 points in
     product order. The first failing point raises the error it raises on its
-    own, except that fim()'s checks (zero channel, lost semidefiniteness)
-    cover the whole lattice before any point's conditioning is judged.
+    own, except that fim()'s checks (zero channel, a matrix that is not
+    finite, lost semidefiniteness) cover the whole lattice before any point's
+    conditioning is judged. A matrix that is not finite, or a lattice CRB
+    that is not finite and positive, which only an overflowing or
+    underflowing input gives, raises SingularFimError naming the receiver,
+    er1 for the first prior.
     """
     if not priors:
         raise ValueError("at least one receiver prior is required")
@@ -334,12 +351,20 @@ def lattice_crb(
         raise ValueError("error bounds must be nonnegative")
 
     out = []
-    for (position, vr, reflection), dvec in zip(priors, bounds):
+    for k, ((position, vr, reflection), dvec) in enumerate(zip(priors, bounds), 1):
         state = ErState(position, vr, reflection)
-        info = fim(geom, state, probe, 1, noise_power, offsets=[(-d, 0.0, d) for d in dvec])
+        try:
+            info = fim(geom, state, probe, 1, noise_power, offsets=[(-d, 0.0, d) for d in dvec])
+        except SingularFimError as exc:  # only a matrix that is not finite
+            raise SingularFimError(f"er{k}: {exc}") from None
         per_axis = _axis_crbs(info.base_matrix, info.tau)
         # Summed as crb_position sums its Python floats: (x + y) + z.
         crbs = ((per_axis[:, 0] + per_axis[:, 1]) + per_axis[:, 2]).tolist()
+        bad = next((c for c in crbs if not 0 < c < math.inf), None)
+        if bad is not None:
+            raise SingularFimError(
+                f"er{k}: single-symbol position CRB {bad:.3e} is not finite and positive"
+            )
         out.append(LatticeCrb(nominal=crbs[_NOMINAL_CORNER], worst=max(crbs)))
     return tuple(out)
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,11 +17,10 @@ class UpaGeometry:
     y-major, n = (i_z - 1) * n_y + i_y with i_y in 1..n_y and i_z in 1..n_z,
     so a contiguous index window covers whole rows of constant height z.
 
-    coords is positions.T as its own read-only, C-contiguous (3, N) array,
-    built with the geometry: row u holds every element's coordinate on axis
-    u in one contiguous run, which the per-point distance and derivative
-    kernels read. positions itself stays C-ordered (N, 3), so a mean over
-    its rows sums as it always has.
+    coords, a read-only, C-contiguous (3, N) array, is the only stored copy
+    of the element coordinates: row u holds every element's coordinate on
+    axis u in one contiguous run, which every distance and derivative kernel
+    reads. positions is its (N, 3) transpose, a view of the same memory.
     """
 
     n_y: int
@@ -29,13 +28,11 @@ class UpaGeometry:
     carrier_freq: float
     wavelength: float
     spacing: float
-    positions: np.ndarray
-    coords: np.ndarray = field(init=False, repr=False, compare=False)
+    coords: np.ndarray
 
-    def __post_init__(self) -> None:
-        coords = np.ascontiguousarray(self.positions.T)
-        coords.setflags(write=False)
-        object.__setattr__(self, "coords", coords)
+    @property
+    def positions(self) -> np.ndarray:
+        return self.coords.T
 
     @property
     def n_elements(self) -> int:
@@ -65,15 +62,13 @@ def build_upa(
 
     y = (np.arange(n_y) - (n_y - 1) / 2.0) * spacing
     z = (np.arange(n_z) - (n_z - 1) / 2.0) * spacing
-    positions = np.column_stack(
-        [np.zeros(n_y * n_z), np.tile(y, n_z), np.repeat(z, n_y)]
-    )
-    positions.setflags(write=False)
+    coords = np.stack([np.zeros(n_y * n_z), np.tile(y, n_z), np.repeat(z, n_y)])
+    coords.setflags(write=False)
     return UpaGeometry(
         n_y=n_y,
         n_z=n_z,
         carrier_freq=float(carrier_freq),
         wavelength=wavelength,
         spacing=float(spacing),
-        positions=positions,
+        coords=coords,
     )

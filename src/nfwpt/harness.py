@@ -41,7 +41,7 @@ from .channel import (
 from .crb import LatticeCrb, lattice_crb, min_sensing_duration
 from .echo import aggregate, simulate_echo, uniform_probe
 from .errors import InfeasibleBlockError
-from .geometry import UpaGeometry, build_upa
+from .geometry import SPEED_OF_LIGHT, UpaGeometry, build_upa
 from .localize import LocalizationResult, locate_er
 from .visibility import estimate_power_levels, identify_vr, scaling_factor
 
@@ -107,6 +107,10 @@ class ArraySpec:
             raise ValueError(f"n_y * n_z must be at most 2**53, got {self.n_y}x{self.n_z}")
         if self.carrier_freq <= 0:
             raise ValueError(f"carrier frequency must be positive, got {self.carrier_freq}")
+        if not math.isfinite(SPEED_OF_LIGHT / self.carrier_freq):
+            raise ValueError(
+                f"carrier_freq {self.carrier_freq!r} gives a wavelength beyond the float range"
+            )
         if self.spacing is not None and self.spacing <= 0:
             raise ValueError(f"element spacing must be positive, got {self.spacing}")
 
@@ -207,6 +211,11 @@ class ScenarioConfig:
             raise ValueError(f"power budget must be positive, got {self.p_max}")
         if self.block_len < 1:
             raise ValueError(f"block length must be >= 1, got {self.block_len}")
+        # The slot plan and the duty factor take the block length as a float.
+        if self.block_len > 2**53:
+            raise ValueError(
+                f"block_len must be at most 2**53, got a {len(str(self.block_len))}-digit integer"
+            )
         if not 0 < self.eta < 1:
             raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
         n = self.array.n_elements

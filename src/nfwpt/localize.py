@@ -291,7 +291,7 @@ def locate_er(
     grid = [np.linspace(lo[i], hi[i], 1 if pinned[i] else _LATTICE_POINTS) for i in range(3)]
     current, probed = lattice_seed(geom, y, rows, grid)
     evaluations = math.prod(g.size for g in grid) + probed
-    origin = geom.positions[rows].mean(axis=0)
+    origin = geom.coords[:, rows].mean(axis=1)
 
     mu = _MU_START
     iterations = 0

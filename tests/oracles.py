@@ -6,8 +6,9 @@ computes another way, kept so the tests can arbitrate the fast path:
 - channel_derivative: one masked derivative row at one point.
 - response_derivatives_expression: channel.response_derivatives as one
   expression with complex temporaries; the kernel must match its bits and
-  its memory layout, and any subset of its axis rows must match the
-  expression formed on those axes alone.
+  its C-ordered (3, n_rows) layout, which the expression inherits from
+  positions.T, the contiguous coordinate rows of geom.coords, and any subset
+  of its axis rows must match the expression formed on those axes alone.
 - fim_per_point, crb_per_point, lattice_crb_per_point: the Fisher
   information and position CRB built one point and one axis at a time, from
   channel() and three channel_derivative() rows, and the planning lattice
@@ -66,16 +67,17 @@ def response_derivatives_expression(
 ) -> np.ndarray:
     """entries * (radial / d + (2j pi / lambda) * radial), radial = (u_n - u) / d.
 
-    axes selects the derivative axes to form, all three by default.
+    point is one point (3,); axes selects the derivative axes to form, all
+    three by default.
     """
     pos = np.asarray(point, dtype=float)
-    diff = geom.positions[rows, axes].T - pos[..., axes, None]
-    radial = diff / dists[..., None, :]
-    bracket = radial / dists[..., None, :] + 2j * np.pi / geom.wavelength * radial
+    diff = geom.positions[rows, axes].T - pos[axes, None]
+    radial = diff / dists
+    bracket = radial / dists + 2j * np.pi / geom.wavelength * radial
     # Named, so numpy cannot reuse an unnamed temporary of 256 KB or more in
     # place: it would multiply as bracket * entries, and numpy's complex
     # product does not round symmetrically in its operands.
-    return entries[..., None, :] * bracket
+    return entries * bracket
 
 
 def fim_per_point(

@@ -285,26 +285,22 @@ def test_derivative_kernel_keeps_the_bits_and_layout_of_the_expression(size, row
     grid = [center[ax] + np.array([-0.15, 0.0, 0.15]) for ax in range(3)]
     dists, entries = array_response(geom, grid, rows)
     points = np.stack(np.meshgrid(*grid, indexing="ij"), axis=-1)
-    n = dists.shape[-1]
-    cases = [
-        (points, dists, entries),
-        (points.reshape(27, 3), dists.reshape(27, n), entries.reshape(27, n)),
-        (points[1, 2, 0], dists[1, 2, 0], entries[1, 2, 0]),
-    ]
-    for point, d, e in cases:
+    for index in np.ndindex(3, 3, 3):
+        point, d, e = points[index], dists[index], entries[index]
         kernel = response_derivatives(geom, point, d, e, rows)
         expected = response_derivatives_expression(geom, point, d, e, rows)
-        assert kernel.shape == expected.shape
+        assert kernel.shape == expected.shape == (3, d.size)
         assert kernel.strides == expected.strides
+        assert kernel.flags.c_contiguous
         assert kernel.tobytes() == expected.tobytes()
         # The rows of some axes carry the bits of the expression formed on
         # those axes alone, so channel_derivative may take one row of three.
         alone = response_derivatives_expression(geom, point, d, e, rows, axes)
-        assert kernel[..., axes, :].tobytes() == alone.tobytes()
-        # With out, the same bits land in the caller's C-ordered buffer.
+        assert kernel[axes].tobytes() == alone.tobytes()
+        # With out, the same bits land in the caller's buffer.
         buf = np.full(expected.shape, np.nan, dtype=complex)
         assert response_derivatives(geom, point, d, e, rows, out=buf) is buf
-        assert buf.tobytes() == np.ascontiguousarray(expected).tobytes()
+        assert buf.tobytes() == expected.tobytes()
 
 
 def test_derivative_rejects_unknown_axis():

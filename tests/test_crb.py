@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -516,6 +517,22 @@ class TestLatticeErrors:
             crb._axis_crbs(np.stack([good, flat, ill]), 1)
         with pytest.raises(SingularFimError, match="condition number"):
             crb._axis_crbs(np.stack([good, ill, flat]), 1)
+
+    def test_overflowing_planning_inputs_raise_without_warnings(self):
+        geom = build_upa(8, 8, 28e9)
+        probe = uniform_probe(geom, 1.0)
+        vr = VisibilityRegion(1, 64)
+        good = ((1.0, 0.2, 0.3), vr, 50.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # |b|^2 = 1e308 is finite, but the information overflows.
+            with pytest.raises(SingularFimError, match="not finite"):
+                fim(geom, ErState(good[0], vr, 1e154), probe, 1, 1e-15)
+            with pytest.raises(SingularFimError, match="^er2: Fisher information is not finite"):
+                lattice_crb(geom, [good, ((1.2, -0.3, 0.4), vr, 1e154)], (0.1,) * 3, probe, 1e-15)
+            # A tiny reflection leaves a finite information whose CRB overflows.
+            with pytest.raises(SingularFimError, match="^er2: .* inf is not finite"):
+                lattice_crb(geom, [good, ((1.2, -0.3, 0.4), vr, 1e-155)], (0.1,) * 3, probe, 1e-15)
 
     def test_a_zero_channel_raises_at_every_lattice_size(self, monkeypatch):
         geom, er, probe = _scene(13, n_y=6, n_z=6)

@@ -83,15 +83,18 @@ def test_invalid_dimensions_and_frequency_are_rejected():
 
 
 @pytest.mark.parametrize("size", [(1, 1), (1, 2), (4, 4), (9, 7), (32, 32)])
-def test_coords_are_a_read_only_c_contiguous_transpose_of_positions(size):
+def test_positions_is_a_read_only_view_of_the_c_contiguous_coords(size):
     geom = build_upa(*size, 28e9)
     assert geom.coords.shape == (3, geom.n_elements)
     assert geom.coords.flags.c_contiguous
     assert not geom.coords.flags.writeable
-    assert geom.coords.tobytes() == np.ascontiguousarray(geom.positions.T).tobytes()
-    # positions keeps its (N, 3) C order: the localizer's ray origin is a
-    # mean over its rows.
-    assert geom.positions.flags.c_contiguous
+    # coords is the only stored copy: positions is its transpose, a view of
+    # the same memory, so the two can never disagree.
+    assert geom.positions.shape == (geom.n_elements, 3)
+    assert np.shares_memory(geom.positions, geom.coords)
+    np.testing.assert_array_equal(geom.positions, geom.coords.T)
     assert not geom.positions.flags.writeable
     with pytest.raises(ValueError):
         geom.coords[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        geom.positions[0, 0] = 1.0

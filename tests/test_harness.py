@@ -7,6 +7,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -674,6 +675,9 @@ class TestConfigFuzz:
             ({"ers": [{"prior_position": [1.0, 2.0, 3.0], "reflection": [1e308] * 2}]}, "reflection"),
             ({"noise_power": 10**400}, "noise_power"),
             ({"array": {"n_y": 2**30, "n_z": 2**30}}, "n_y"),
+            ({"block_len": 10**400}, "block_len"),
+            ({"block_len": 2**53 + 1}, "block_len"),
+            ({"array": {"carrier_freq": 1e-300}}, "carrier_freq"),
         ],
     )
     def test_a_malformed_shape_is_a_value_error_naming_the_key(self, payload, key):
@@ -689,6 +693,48 @@ class TestConfigFuzz:
         assert captured.out == ""
         assert captured.err.startswith("nfwpt: error: vr ")
         assert captured.err.count("\n") == 1
+
+
+_PRIOR = [1.0, 2.0, 3.0]
+
+
+class TestExtremeInputs:
+    """Finite inputs at the edge of the float range end in one line, not warnings."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"noise_power": 1e300},
+            {"noise_power": 1e-300},
+            {"p_max": 1e-300},
+            {"p_max": 1e300},
+            {"gamma": 1e-300},
+            {"gamma": 1e300},
+            {"array": {"carrier_freq": 1e-300}},
+            {"array": {"carrier_freq": 1e300}},
+            {"ers": [{"prior_position": _PRIOR, "reflection": 1e154}]},
+            {"ers": [{"prior_position": _PRIOR, "reflection": 1e-300}]},
+            pytest.param({"block_len": 10**400}, id="block_len=10**400"),
+        ],
+        ids=lambda payload: json.dumps(payload).replace(" ", ""),
+    )
+    @pytest.mark.parametrize("command", [["crb"], ["simulate", "--trials", "1"]])
+    def test_the_cli_exits_cleanly_without_warnings(self, payload, command, tmp_path, capsys):
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps(payload))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*command, "--config", str(path)])
+        captured = capsys.readouterr()
+        assert [str(w.message) for w in caught] == []
+        assert code in (0, 2)
+        if code == 2:
+            assert captured.err.startswith("nfwpt: error: ")
+            assert captured.err.count("\n") == 1
+        else:
+            assert captured.err == ""
+        # No plan prints a CRB that is not finite.
+        assert "inf" not in captured.out and "nan" not in captured.out
 
 
 class TestConfigFiles:
@@ -1125,6 +1171,14 @@ class TestRepository:
         namespace = {}
         exec(compile(example, "README.md", "exec"), namespace)
         assert namespace["p_avg"] > 0
+
+    def test_the_readme_cli_example_prints_the_readme_row(self, capsys):
+        readme = (self.ROOT / "README.md").read_text()
+        command = "nfwpt simulate --trials 20 --seed 7"
+        assert f"```sh\n{command}\n```" in readme
+        shown = readme.split(f"{command}\n```\n\n```\n", 1)[1].split("```", 1)[0]
+        assert main(command.split()[1:]) == 0
+        assert capsys.readouterr().out == shown
 
     def test_the_benchmark_self_test_passes(self):
         # It checks that the benchmark tracer still finds every per-layer
