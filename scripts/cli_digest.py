@@ -23,8 +23,8 @@ import sys
 from pathlib import Path
 
 ELAA = "perfbench/scenarios/elaa_32x32.json"
-# Pinned visibility regions and a complex reflection coefficient: the pinned
-# region path of the planning FIM and the sense key's complex flag.
+# Pinned visibility regions and a complex reflection coefficient: a planning
+# FIM summed over a partial region's rows, and the sense key's complex flag.
 PINNED = Path(__file__).resolve().parent / "pinned_8x8.json"
 
 COMMANDS = (

@@ -6,8 +6,9 @@ A point at l sees element n through the free-space response
 
 where both the amplitude and the phase vary across the aperture. Over a
 non-stationary channel only a contiguous run of elements, the visibility
-region, is unblocked; the effective channel is the element-wise product of
-the array response and the 0/1 cover vector of that run.
+region, is unblocked; the effective channel is the array response on that
+run and zero on every other element. VisibilityRegion.rows maps a region to
+its elements, and every stage selects them through it.
 """
 
 from __future__ import annotations
@@ -50,6 +51,12 @@ class VisibilityRegion:
     @property
     def size(self) -> int:
         return self.end - self.start + 1
+
+    def rows(self, n: int) -> slice:
+        """0-based slice of the region's elements in an n-element array."""
+        if self.end > n:
+            raise ValueError(f"visibility region end {self.end} exceeds array size {n}")
+        return slice(self.start - 1, self.end)
 
 
 @dataclass(frozen=True)
@@ -188,27 +195,21 @@ def response_hessians(
     return hess
 
 
-def steering_vector(geom: UpaGeometry, point) -> np.ndarray:
-    """Spherical-wavefront array response of the full aperture at a point.
+def steering_vector(geom: UpaGeometry, point, rows=slice(None)) -> np.ndarray:
+    """Spherical-wavefront array response of the elements in rows at a point.
 
     Entry n carries the free-space amplitude lambda / (4 pi d_n) and the
     propagation phase exp(-j 2 pi d_n / lambda), with d_n the exact distance
     from element n to the point (no far-field plane-wave approximation).
+    rows defaults to the full aperture.
     """
     pos = _as_point(point)
-    return array_response(geom, pos[:, None])[1].reshape(-1)
-
-
-def vr_cover(vr: VisibilityRegion, n: int) -> np.ndarray:
-    """0/1 cover vector of a visibility region over an n-element array."""
-    if vr.end > n:
-        raise ValueError(f"visibility region end {vr.end} exceeds array size {n}")
-    cover = np.zeros(n)
-    cover[vr.start - 1 : vr.end] = 1.0
-    return cover
+    return array_response(geom, pos[:, None], rows)[1].reshape(-1)
 
 
 def channel(geom: UpaGeometry, er: ErState) -> np.ndarray:
-    """Effective channel of a receiver: masked array response at its position."""
-    return steering_vector(geom, er.position) * vr_cover(er.vr, geom.n_elements)
-
+    """Effective channel of a receiver: the array response on its region, zero elsewhere."""
+    rows = er.vr.rows(geom.n_elements)
+    h = np.zeros(geom.n_elements, dtype=complex)
+    h[rows] = steering_vector(geom, er.position, rows)
+    return h

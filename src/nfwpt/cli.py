@@ -83,12 +83,13 @@ def _emit(rows, out_path) -> None:
 
 def _report_crb(cfg: ScenarioConfig) -> None:
     planned = plan(cfg)
+    # An infeasible target raises here, before any line reaches stdout.
+    tau = planned.tau(cfg.gamma, cfg.block_len)
     for idx, (crb, vr) in enumerate(zip(planned.crbs, planned.regions), 1):
         print(
             f"er{idx}: crb1_nominal_m2={crb.nominal:.12e} crb1_worst_m2={crb.worst:.12e} "
             f"vr=[{vr.start},{vr.end}]"
         )
-    tau = planned.tau(cfg.gamma, cfg.block_len)
     print(f"gamma_m2={cfg.gamma:.12e} tau_star={tau} block_len={cfg.block_len}")
 
 

@@ -9,8 +9,10 @@ block form
                            [ Re g_pb^T,  Re g_bb, -Im g_bb ],
                            [-Im g_pb^T, -Im g_bb,  Re g_bb ]]
 
-with, writing hd_u for the masked channel derivative along coordinate u and
-S for the probe sample covariance,
+with, writing h for the channel on the visibility region's elements, hd_u
+for its derivative along coordinate u and S for the probe sample covariance
+on those elements (the channel is zero elsewhere, so no other element adds
+to any form),
 
     G_uv  = tau |b|^2 ( hd_u^H hd_v (h^H S* h) + hd_u^H h (h^H S* hd_v)
                         + h^H hd_v (hd_u^H S* h) + h^H h (hd_u^H S* hd_v) ),
@@ -24,18 +26,17 @@ from two scalars, in O(N) with no N x N array.
 
 Planning needs the FIM at the 27 points of each receiver's prior lattice, so
 fim() takes the lattice as per-axis offsets and evaluates every point in one
-call: one array_response over the grid, then, one point at a time, that
-point's (3, N) derivative rows and its 5 x 5 matrix, and finally one eigvalsh,
-cond and inv over the (points, 5, 5) stack. The derivative rows of every
-point are written into one C-ordered (3, N) buffer that the loop reuses, and
-a full-aperture region, where the cover is all ones, skips the cover product.
-No array spans points, axes and elements at once, so every temporary of the
-loop stays small. The matrix is ill-conditioned, so the order of every sum
-counts: the per-point probe projections (x . u) and inner products (vdot)
-stay separate BLAS reductions over C-contiguous rows, combined in the same
-scalar order as for a single point. A reduction batched across points, or
-one over a strided row, rounds differently and moves the worst CRB in its
-last digits.
+call: one array_response over the grid on the region's M elements, then, one
+point at a time, that point's (3, M) derivative rows and its 5 x 5 matrix,
+and finally one eigvalsh, cond and inv over the (points, 5, 5) stack. The
+derivative rows of every point are written into one C-ordered (3, M) buffer
+that the loop reuses. No array spans points, axes and elements at once, so
+every temporary of the loop stays small. The matrix is ill-conditioned, so
+the order of every sum counts: the per-point probe projections (x . u) and
+inner products (vdot) stay separate BLAS reductions over C-contiguous rows,
+combined in the same scalar order as for a single point. A reduction batched
+across points, or one over a strided row, rounds differently and moves the
+worst CRB in its last digits.
 
 Every block is proportional to tau, so F(tau) = tau * F(1) exactly and the
 position CRB scales as 1 / tau. FisherInfo therefore stores the per-symbol
@@ -50,18 +51,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    ErState,
-    array_response,
-    channel,
-    response_derivatives,
-    steering_vector,
-    vr_cover,
-)
+from .channel import ErState, array_response, response_derivatives, steering_vector
 from .errors import DegenerateChannelError, InfeasibleBlockError, SingularFimError
 from .geometry import UpaGeometry
 
 _COND_LIMIT = 1e12
+# Smallest normal float. A subnormal channel energy, probe gain or matrix
+# carries too few bits for any check on the information to mean anything.
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -115,12 +112,16 @@ def fim(
     every displacement of their product, and base_matrix stacks one 5 x 5
     matrix per point along a leading axis, in product order. Without
     offsets the nominal position is the only point and base_matrix is 5 x 5.
+    Every form sums over the rows of the nominal visibility region only.
     The grid's responses come from one array_response; each point's channel,
     derivative rows and matrix are then built on their own, so a point's
     matrix has the same bits whatever other points share the call (see the
     module docstring). A matrix that is not finite, at any point, raises
-    SingularFimError; otherwise a failing check raises at the first failing
-    point in product order.
+    SingularFimError; otherwise the first failing point in product order
+    raises: DegenerateChannelError for a zero channel, SingularFimError for a
+    channel energy, probe gain or largest matrix entry below the smallest
+    normal float, or for a matrix that lost positive semidefiniteness. Only
+    inputs at the edge of the float range fail these checks.
     """
     if noise_power <= 0:
         raise ValueError(f"noise power must be positive, got {noise_power}")
@@ -141,28 +142,23 @@ def fim(
         ]
         if not all(np.all(np.isfinite(coords)) for coords in grid):
             raise ValueError("position must be finite")
-    dists, entries = array_response(geom, grid)
-    dists = dists.reshape(-1, n)
-    entries = entries.reshape(-1, n)
+    rows = er_nominal.vr.rows(n)
+    x = x[rows]
+    dists, entries = array_response(geom, grid, rows)
+    dists = dists.reshape(-1, x.size)
+    entries = entries.reshape(-1, x.size)
     points = np.stack(np.meshgrid(*grid, indexing="ij"), axis=-1).reshape(-1, 3)
-    cover = vr_cover(er_nominal.vr, n)
-    # Multiplying by a cover of ones changes no value (at most the sign of a
-    # zero), so a full-aperture region, the planning case of a scene whose
-    # regions are not pinned, skips it.
-    full = cover.all()
     b = er_nominal.reflection
     b2, b_conj = abs(b) ** 2, b.conjugate()
     mats = np.zeros((len(points), 5, 5))
     zero = np.zeros(len(points), dtype=bool)
+    underflow = np.zeros(len(points), dtype=bool)
     # C order puts each axis row in one contiguous run: a strided row would
     # make the BLAS reductions below sum in another order.
-    derivs = np.empty((3, n), dtype=complex)
-    for k, (point, dist, entry, mat) in enumerate(zip(points, dists, entries, mats)):
-        h = entry if full else entry * cover
+    derivs = np.empty((3, x.size), dtype=complex)
+    for k, (point, dist, h, mat) in enumerate(zip(points, dists, entries, mats)):
         zero[k] = not h.any()
-        response_derivatives(geom, point, dist, entry, out=derivs)
-        if not full:
-            np.multiply(derivs, cover, out=derivs)
+        response_derivatives(geom, point, dist, h, rows, out=derivs)
         # x^T u for u = h and each derivative: u^H S* v = conj(x^T u) (x^T v).
         # Each BLAS result becomes a Python scalar once; the algebra on them
         # rounds as numpy scalars do, in the same order.
@@ -177,6 +173,7 @@ def fim(
 
         hh = float(np.vdot(h, h).real)
         hsh = xh_conj * xh
+        underflow[k] = min(hh, hsh.real) < _TINY
         for i in range(3):
             for j in range(i, 3):
                 g_uv = b2 * (
@@ -199,12 +196,18 @@ def fim(
         raise SingularFimError("Fisher information is not finite: the planning inputs overflow")
 
     scale = np.abs(mats).max(axis=(1, 2))
-    lost = (scale > 0) & (np.linalg.eigvalsh(mats).min(axis=1) < -1e-8 * scale)
-    failed = zero | lost
+    underflow |= scale < _TINY
+    lost = np.linalg.eigvalsh(mats).min(axis=1) < -1e-8 * scale
+    failed = zero | underflow | lost
     if failed.any():
-        if zero[failed.argmax()]:
+        first = failed.argmax()
+        if zero[first]:
             raise DegenerateChannelError("nominal channel is identically zero")
-        raise ArithmeticError("Fisher information lost positive semidefiniteness")
+        if underflow[first]:
+            raise SingularFimError(
+                "Fisher information underflows: the planning inputs are too small"
+            )
+        raise SingularFimError("Fisher information lost positive semidefiniteness")
     mats.setflags(write=False)
     return FisherInfo(base_matrix=mats if offsets is not None else mats[0], tau=int(slot_len))
 
@@ -221,8 +224,9 @@ def fim_finite_difference(
 
     Builds the Jacobian of mu(theta) = b * h(l) (h(l)^T x) numerically in the
     position coordinates (analytically in b, where mu is linear) and returns
-    (2 tau / sigma_r^2) Re(J^H J). Kept independent of fim() so the two routes
-    can arbitrate each other.
+    (2 tau / sigma_r^2) Re(J^H J), over the rows of the nominal visibility
+    region. Kept independent of fim() so the two routes can arbitrate each
+    other.
     """
     if noise_power <= 0:
         raise ValueError(f"noise power must be positive, got {noise_power}")
@@ -231,12 +235,16 @@ def fim_finite_difference(
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     x = np.asarray(probe, dtype=complex)
-    cover = vr_cover(er_nominal.vr, geom.n_elements)
+    n = geom.n_elements
+    if x.shape != (n,):
+        raise ValueError(f"probe shape {x.shape} does not match channel shape {(n,)}")
+    rows = er_nominal.vr.rows(n)
+    x = x[rows]
     b = er_nominal.reflection
 
     def mean(point: np.ndarray) -> np.ndarray:
-        masked = steering_vector(geom, point) * cover
-        return b * masked * (masked @ x)
+        h = steering_vector(geom, point, rows)
+        return b * h * (h @ x)
 
     cols = []
     for ax in range(3):
@@ -246,7 +254,7 @@ def fim_finite_difference(
             (mean(er_nominal.position + offset) - mean(er_nominal.position - offset))
             / (2.0 * step)
         )
-    h = channel(geom, er_nominal)
+    h = steering_vector(geom, er_nominal.position, rows)
     mu_b = h * (h @ x)
     cols.append(mu_b)
     cols.append(1j * mu_b)
@@ -332,11 +340,11 @@ def lattice_crb(
     {-D, 0, +D}^3, and one fim() call at tau = 1 evaluates all 27 points in
     product order. The first failing point raises the error it raises on its
     own, except that fim()'s checks (zero channel, a matrix that is not
-    finite, lost semidefiniteness) cover the whole lattice before any point's
-    conditioning is judged. A matrix that is not finite, or a lattice CRB
-    that is not finite and positive, which only an overflowing or
-    underflowing input gives, raises SingularFimError naming the receiver,
-    er1 for the first prior.
+    finite or underflows, lost semidefiniteness) cover the whole lattice
+    before any point's conditioning is judged. Every SingularFimError names
+    the receiver, er1 for the first prior; a lattice CRB that is not finite
+    and positive, which only an overflowing or underflowing input gives,
+    raises one too.
     """
     if not priors:
         raise ValueError("at least one receiver prior is required")
@@ -355,16 +363,16 @@ def lattice_crb(
         state = ErState(position, vr, reflection)
         try:
             info = fim(geom, state, probe, 1, noise_power, offsets=[(-d, 0.0, d) for d in dvec])
-        except SingularFimError as exc:  # only a matrix that is not finite
+            per_axis = _axis_crbs(info.base_matrix, info.tau)
+            # Summed as crb_position sums its Python floats: (x + y) + z.
+            crbs = ((per_axis[:, 0] + per_axis[:, 1]) + per_axis[:, 2]).tolist()
+            bad = next((c for c in crbs if not 0 < c < math.inf), None)
+            if bad is not None:
+                raise SingularFimError(
+                    f"single-symbol position CRB {bad:.3e} is not finite and positive"
+                )
+        except SingularFimError as exc:
             raise SingularFimError(f"er{k}: {exc}") from None
-        per_axis = _axis_crbs(info.base_matrix, info.tau)
-        # Summed as crb_position sums its Python floats: (x + y) + z.
-        crbs = ((per_axis[:, 0] + per_axis[:, 1]) + per_axis[:, 2]).tolist()
-        bad = next((c for c in crbs if not 0 < c < math.inf), None)
-        if bad is not None:
-            raise SingularFimError(
-                f"er{k}: single-symbol position CRB {bad:.3e} is not finite and positive"
-            )
         out.append(LatticeCrb(nominal=crbs[_NOMINAL_CORNER], worst=max(crbs)))
     return tuple(out)
 

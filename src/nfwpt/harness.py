@@ -113,6 +113,12 @@ class ArraySpec:
             )
         if self.spacing is not None and self.spacing <= 0:
             raise ValueError(f"element spacing must be positive, got {self.spacing}")
+        pitch = SPEED_OF_LIGHT / self.carrier_freq / 2.0 if self.spacing is None else self.spacing
+        if not math.isfinite(pitch * (max(self.n_y, self.n_z) - 1)):
+            raise ValueError(
+                f"an array of {self.n_y}x{self.n_z} elements at pitch {pitch!r} spans beyond "
+                f"the float range (carrier_freq {self.carrier_freq!r}, spacing {self.spacing!r})"
+            )
 
     @property
     def n_elements(self) -> int:
@@ -157,12 +163,17 @@ class ErSpec:
         refl = self.reflection
         parts = (refl.real, refl.imag) if isinstance(refl, complex) else (refl,)
         _require_finite("reflection", *parts)
-        # The Fisher information scales with |b|^2, which must stay finite too.
+        # The Fisher information scales with |b|^2, which must neither
+        # overflow nor underflow.
         magnitude = math.hypot(*parts)
-        if not math.isfinite(magnitude * magnitude):
+        squared = magnitude * magnitude
+        if not math.isfinite(squared):
             raise ValueError(f"reflection magnitude squared must be finite, got {refl!r}")
-        if magnitude == 0:
-            raise ValueError("reflection coefficient must be nonzero")
+        if squared < np.finfo(float).tiny:
+            raise ValueError(
+                f"reflection magnitude squared must be at least {np.finfo(float).tiny:.4g}, "
+                f"got {refl!r}"
+            )
         if self.vr is not None:
             vr = _sequence("vr", self.vr, 2)
             for v in vr:
@@ -238,10 +249,11 @@ class ScenarioConfig:
                 f"{n} - n_alpha = {n - self.n_alpha} elements"
             )
         for spec in self.ers:
-            if spec.vr is not None and spec.vr[1] > n:
-                raise ValueError(
-                    f"fixed visibility region {spec.vr} exceeds array size {n}"
-                )
+            if spec.vr is not None:
+                try:
+                    VisibilityRegion(*spec.vr).rows(n)
+                except ValueError as exc:
+                    raise ValueError(f"vr {list(spec.vr)}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,9 @@ maximizes
 
     q(l) = |h(l)^H y_bar|^2 / ||h(l)||^2,
 
-where h(l) is the array response at the candidate masked by the identified
-visibility region. The mask zeroes every element outside the region, so every
-evaluation runs on that slice of the aperture only.
+where h(l) is the channel at the candidate over the identified visibility
+region: the array response on the region's elements and zero on the rest, so
+every evaluation runs on the region's slice, VisibilityRegion.rows, only.
 
 The search has three parts.
 
@@ -68,6 +68,8 @@ from .geometry import UpaGeometry
 _MU_START = 1e-3
 _MU_FACTOR = 8.0
 _MU_CAP = 1e8
+# Linearizations the ascent may take in total, over all restarts.
+_MAX_ITERS = 50
 
 # Bound rho on |p~ - p| for one prefilter phasor p~ against the exact
 # exp(-j 2 pi d / lambda). The reduced phase 2 pi (t - floor t) carries only
@@ -108,7 +110,7 @@ def concentrated_objective(
 ) -> float:
     """Concentrated likelihood score q of one candidate position.
 
-    One probe of the region slice: the mask zeroes the rest of the aperture.
+    One probe of the region slice: the channel is zero on the rest of the aperture.
     """
     rows = _region_rows(geom, vr_hat, y_bar)
     return _probe(geom, np.asarray(y_bar, dtype=complex)[rows], rows, _as_point(candidate)).q
@@ -117,13 +119,12 @@ def concentrated_objective(
 def _region_rows(geom: UpaGeometry, vr: VisibilityRegion, y_bar) -> slice:
     """Rows of the region's slice, once vr and y_bar fit the array."""
     n = geom.n_elements
-    if vr.end > n:
-        raise ValueError(f"visibility region end {vr.end} exceeds array size {n}")
+    rows = vr.rows(n)
     if np.shape(y_bar) != (n,):
         raise ValueError(
             f"y_bar must have one entry per element, shape ({n},), got {np.shape(y_bar)}"
         )
-    return slice(vr.start - 1, vr.end)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -259,19 +260,19 @@ def locate_er(
     search_box,
     *,
     tol: float = 1e-4,
-    max_iters: int = 50,
 ) -> LocalizationResult:
     """Lattice seed, bound-constrained Newton ascent and ray check.
 
-    The lattice has _LATTICE_POINTS points per axis (one on a zero-width axis).
-    lattice_seed picks its point with the highest q, the first in lattice
-    order on a tie: the single-precision prefilter bounds every score within
-    dq, and only the points it cannot rule out are probed exactly. The
-    ascent described in the module docstring starts from the best of those
-    probes and runs for at most max_iters linearizations in total. It stops
-    at a stationary point: a kept step shorter than tol that puts no axis on
-    a box face, no free axis, or a damping past its cap. The ray check then either restarts it or ends the
-    search. Every iterate stays in the box and pinned axes never move.
+    The lattice has _LATTICE_POINTS points per axis (one on a zero-width
+    axis). lattice_seed picks its point with the highest q, the first in
+    lattice order on a tie: the single-precision prefilter bounds every
+    score within dq, and only the points it cannot rule out are probed
+    exactly. The ascent described in the module docstring starts from the
+    best of those probes and runs for at most _MAX_ITERS linearizations in
+    total. It stops at a stationary point: a kept step shorter than tol that
+    puts no axis on a box face, no free axis, or a damping past its cap. The
+    ray check then either restarts it or ends the search. Every iterate
+    stays in the box and pinned axes never move.
     """
     lo = np.asarray(search_box[0], dtype=float)
     hi = np.asarray(search_box[1], dtype=float)
@@ -283,8 +284,6 @@ def locate_er(
         raise ValueError(f"search box is empty: lower {lo} exceeds upper {hi}")
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     rows = _region_rows(geom, vr_hat, y_bar)
     y = np.asarray(y_bar, dtype=complex)[rows]
     pinned = hi <= lo
@@ -296,7 +295,7 @@ def locate_er(
     mu = _MU_START
     iterations = 0
     converged = False
-    while iterations < max_iters:
+    while iterations < _MAX_ITERS:
         iterations += 1
         point = current.point
         grad, hess, gn_diag = _ascent_model(geom, y, rows, current)

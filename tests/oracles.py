@@ -3,6 +3,9 @@
 Each helper here is a slower or denser route to something the package
 computes another way, kept so the tests can arbitrate the fast path:
 
+- vr_cover, masked_response: a region's 0/1 cover vector over the array and
+  the full-aperture response multiplied by it. channel() must equal the
+  masked response bit for bit inside the region and be 0 outside it.
 - channel_derivative: one masked derivative row at one point.
 - response_derivatives_expression: channel.response_derivatives as one
   expression with complex temporaries; the kernel must match its bits and
@@ -11,9 +14,9 @@ computes another way, kept so the tests can arbitrate the fast path:
   of its axis rows must match the expression formed on those axes alone.
 - fim_per_point, crb_per_point, lattice_crb_per_point: the Fisher
   information and position CRB built one point and one axis at a time, from
-  channel() and three channel_derivative() rows, and the planning lattice
-  as a loop over them. crb.fim, crb.crb_position and crb.lattice_crb must
-  match them bit for bit.
+  channel() and three channel_derivative() rows reduced over the elements
+  the cover keeps, and the planning lattice as a loop over them. crb.fim,
+  crb.crb_position and crb.lattice_crb must match them bit for bit.
 - sample_covariance, dense_weighted, beam_covariance, isotropic_covariance:
   the N x N matrices the package never forms.
 - nominal_sensing_duration: slot planning from the nominal lattice points
@@ -22,7 +25,7 @@ computes another way, kept so the tests can arbitrate the fast path:
   array_response over every point; np.argmax of it is the seed that
   localize.lattice_seed must pick.
 - full_aperture_objective: localize.concentrated_objective from the masked
-  full-aperture channel() instead of one probe of the region slice.
+  full-aperture response instead of one probe of the region slice.
 """
 
 from __future__ import annotations
@@ -38,12 +41,26 @@ from nfwpt.channel import (
     array_response,
     channel,
     response_derivatives,
-    vr_cover,
+    steering_vector,
 )
 from nfwpt.crb import CrbReport, FisherInfo, LatticeCrb
 from nfwpt.errors import DegenerateChannelError, SingularFimError
 
 _AXES = {"x": 0, "y": 1, "z": 2}
+
+
+def vr_cover(vr: VisibilityRegion, n: int) -> np.ndarray:
+    """0/1 cover vector of a visibility region over an n-element array."""
+    if vr.end > n:
+        raise ValueError(f"visibility region end {vr.end} exceeds array size {n}")
+    cover = np.zeros(n)
+    cover[vr.start - 1 : vr.end] = 1.0
+    return cover
+
+
+def masked_response(geom, point, vr: VisibilityRegion) -> np.ndarray:
+    """Full-aperture steering vector at a point times the region's cover."""
+    return steering_vector(geom, point) * vr_cover(vr, geom.n_elements)
 
 
 def channel_derivative(geom, point, vr: VisibilityRegion, axis: str) -> np.ndarray:
@@ -83,21 +100,27 @@ def response_derivatives_expression(
 def fim_per_point(
     geom, er_nominal: ErState, probe, slot_len: int, noise_power: float
 ) -> FisherInfo:
-    """Closed-form Fisher information of one state, one derivative axis at a time."""
+    """Closed-form Fisher information of one state, one derivative axis at a time.
+
+    Every form sums over the elements the region's cover keeps: the masked
+    entries outside it are zero and add nothing but rounding steps.
+    """
     if noise_power <= 0:
         raise ValueError(f"noise power must be positive, got {noise_power}")
     if slot_len < 1:
         raise ValueError(f"slot length must be >= 1, got {slot_len}")
+    kept = vr_cover(er_nominal.vr, geom.n_elements) == 1.0
     h = channel(geom, er_nominal)
     if not np.any(h):
         raise DegenerateChannelError("nominal channel is identically zero")
-    derivs = [
-        channel_derivative(geom, er_nominal.position, er_nominal.vr, ax)
-        for ax in ("x", "y", "z")
-    ]
     x = np.asarray(probe, dtype=complex)
     if x.shape != h.shape:
         raise ValueError(f"probe shape {x.shape} does not match channel shape {h.shape}")
+    h, x = h[kept], x[kept]
+    derivs = [
+        channel_derivative(geom, er_nominal.position, er_nominal.vr, ax)[kept]
+        for ax in ("x", "y", "z")
+    ]
     b = er_nominal.reflection
     xh = x @ h
     xd = [x @ d for d in derivs]
@@ -128,7 +151,7 @@ def fim_per_point(
 
     scale = np.abs(mat).max()
     if scale > 0 and np.linalg.eigvalsh(mat).min() < -1e-8 * scale:
-        raise ArithmeticError("Fisher information lost positive semidefiniteness")
+        raise SingularFimError("Fisher information lost positive semidefiniteness")
     mat.setflags(write=False)
     return FisherInfo(base_matrix=mat, tau=int(slot_len))
 
@@ -158,15 +181,21 @@ def lattice_points(position, bounds):
 
 
 def lattice_crb_per_point(geom, priors, bounds_per_prior, probe, noise_power):
-    """lattice_crb as one fim_per_point and crb_per_point call per lattice point."""
+    """lattice_crb as one fim_per_point and crb_per_point call per lattice point.
+
+    A SingularFimError names its receiver, er1 for the first prior.
+    """
     out = []
-    for (position, vr, reflection), bounds in zip(priors, bounds_per_prior):
-        crbs = [
-            crb_per_point(
-                fim_per_point(geom, ErState(point, vr, reflection), probe, 1, noise_power)
-            ).crb_total
-            for point in lattice_points(position, bounds)
-        ]
+    for k, ((position, vr, reflection), bounds) in enumerate(zip(priors, bounds_per_prior), 1):
+        try:
+            crbs = [
+                crb_per_point(
+                    fim_per_point(geom, ErState(point, vr, reflection), probe, 1, noise_power)
+                ).crb_total
+                for point in lattice_points(position, bounds)
+            ]
+        except SingularFimError as exc:
+            raise SingularFimError(f"er{k}: {exc}") from None
         out.append(LatticeCrb(nominal=crbs[13], worst=max(crbs)))
     return tuple(out)
 
@@ -216,7 +245,7 @@ def lattice_scores(geom, y, rows, grid) -> np.ndarray:
 
 def full_aperture_objective(geom, y_bar, candidate, vr) -> float:
     """|h^H y|^2 / ||h||^2 with h the masked N-element response at the candidate."""
-    h = channel(geom, ErState(candidate, vr))
+    h = masked_response(geom, candidate, vr)
     e = np.vdot(h, h).real
     if e == 0.0:
         raise DegenerateChannelError("masked response is identically zero")

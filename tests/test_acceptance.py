@@ -37,11 +37,10 @@ from nfwpt import (
     steering_vector,
     sweep_gamma,
     uniform_probe,
-    vr_cover,
     weighted_channel_matrix,
 )
 from nfwpt.cli import main
-from oracles import channel_derivative, dense_weighted
+from oracles import channel_derivative, dense_weighted, vr_cover
 
 NOISE_POWER = 1e-15
 

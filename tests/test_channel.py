@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nfwpt import build_upa
+from nfwpt import build_upa, fim, fim_finite_difference, locate_er
 from nfwpt.channel import (
     ErState,
     VisibilityRegion,
@@ -14,10 +14,14 @@ from nfwpt.channel import (
     response_derivatives,
     response_hessians,
     steering_vector,
-    vr_cover,
 )
 from nfwpt.errors import SingularGeometryError
-from oracles import channel_derivative, response_derivatives_expression
+from oracles import (
+    channel_derivative,
+    masked_response,
+    response_derivatives_expression,
+    vr_cover,
+)
 
 
 def _high_precision_steering(geom, point):
@@ -107,10 +111,46 @@ def test_cover_counts_and_placement():
     cover = vr_cover(VisibilityRegion(65, 128), 256)
     assert cover.sum() == 64
     assert set(np.nonzero(cover)[0] + 1) == set(range(65, 129))
-    for vr in (VisibilityRegion(3, 9), VisibilityRegion(1, 2)):
+    for vr in (VisibilityRegion(3, 9), VisibilityRegion(1, 2), VisibilityRegion(15, 16)):
         assert vr_cover(vr, 16).sum() == vr.size
+        # rows selects exactly the elements the cover keeps.
+        np.testing.assert_array_equal(np.arange(16)[vr.rows(16)], np.flatnonzero(vr_cover(vr, 16)))
     with pytest.raises(ValueError):
         vr_cover(VisibilityRegion(5, 20), 16)
+
+
+def test_channel_is_the_masked_full_aperture_response():
+    rng = np.random.default_rng(21)
+    for side in (4, 8, 16):
+        geom = build_upa(side, side, 28e9)
+        n = geom.n_elements
+        for start, end in ((1, n), (1, 2), (n - 1, n), (n // 4, 3 * n // 4)):
+            vr = VisibilityRegion(start, end)
+            point = rng.uniform([0.5, -1.0, -1.0], [3.0, 1.0, 1.0])
+            h = channel(geom, ErState(point, vr))
+            masked = masked_response(geom, point, vr)
+            inside = vr.rows(n)
+            np.testing.assert_array_equal(h[inside], masked[inside])
+            outside = np.ones(n, dtype=bool)
+            outside[inside] = False
+            assert np.all(h[outside] == 0) and np.all(masked[outside] == 0)
+
+
+def test_every_stage_rejects_a_region_past_the_array_alike():
+    geom = build_upa(4, 4, 28e9)
+    er = ErState(position=np.array([1.0, 0.2, 0.3]), vr=VisibilityRegion(5, 17))
+    message = "^visibility region end 17 exceeds array size 16$"
+    box = (er.position - 0.1, er.position + 0.1)
+    calls = (
+        lambda: er.vr.rows(16),
+        lambda: channel(geom, er),
+        lambda: fim(geom, er, np.ones(16, dtype=complex), 1, 1e-15),
+        lambda: fim_finite_difference(geom, er, np.ones(16, dtype=complex), 1, 1e-15),
+        lambda: locate_er(geom, np.ones(16, dtype=complex), er.vr, box),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_full_cover_channel_equals_steering():

@@ -498,13 +498,14 @@ class TestFimFootprint:
 
 class TestLatticeErrors:
     def test_ill_conditioned_8x8_names_the_first_failing_point(self, tmp_path, capsys):
-        # Several lattice points exceed the limit; the first in product order
-        # reads 2.754e+12, while the largest would read 3.829e+12.
+        # Several points of the second receiver's lattice exceed the limit;
+        # the first in product order reads 2.754e+12, while the largest would
+        # read 3.829e+12.
         config = tmp_path / "cfg.json"
         config.write_text('{"array": {"n_y": 8, "n_z": 8}, "n_alpha": 16}')
         assert main(["crb", "--config", str(config)]) == 2
         assert capsys.readouterr().err == (
-            "nfwpt: error: equilibrated Fisher information condition number "
+            "nfwpt: error: er2: equilibrated Fisher information condition number "
             "2.754e+12 exceeds 1e+12\n"
         )
 
@@ -534,9 +535,44 @@ class TestLatticeErrors:
             with pytest.raises(SingularFimError, match="^er2: .* inf is not finite"):
                 lattice_crb(geom, [good, ((1.2, -0.3, 0.4), vr, 1e-155)], (0.1,) * 3, probe, 1e-15)
 
+    def test_underflowing_planning_inputs_raise_without_warnings(self):
+        geom = build_upa(8, 8, 28e9)
+        vr = VisibilityRegion(1, 64)
+        tiny = uniform_probe(geom, 1e-160)
+        priors = [((1.0, 0.2, 0.3), vr, 50.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # Every entry of the information is subnormal.
+            with pytest.raises(SingularFimError, match="^Fisher information underflows"):
+                fim(geom, ErState(*priors[0]), tiny, 1, 1e154)
+            with pytest.raises(SingularFimError, match="^er1: Fisher information underflows"):
+                lattice_crb(geom, priors, (0.1,) * 3, tiny, 1e154)
+            # At this carrier every |h_n|^2 is subnormal, though the entries
+            # that the derivatives scale up are not.
+            fine = build_upa(8, 8, 3e167)
+            with pytest.raises(SingularFimError, match="^Fisher information underflows"):
+                fim(fine, ErState(*priors[0]), uniform_probe(fine, 1.0), 1, 1e-15)
+
+    def test_every_lattice_error_names_the_receiver(self, monkeypatch):
+        geom, er, probe = _scene(15, n_y=6, n_z=6)
+        flat = np.tile(np.eye(5), (27, 1, 1))
+        flat[:, 1, 1] = 0.0
+        monkeypatch.setattr(crb, "fim", lambda *args, **kwargs: FisherInfo(flat, 1))
+        priors = [(er.position, er.vr, 1.0)] * 2
+        with pytest.raises(
+            SingularFimError, match="^er1: Fisher information has a nonpositive diagonal entry$"
+        ):
+            lattice_crb(geom, priors, (0.1,) * 3, probe, 1e-15)
+
     def test_a_zero_channel_raises_at_every_lattice_size(self, monkeypatch):
         geom, er, probe = _scene(13, n_y=6, n_z=6)
-        monkeypatch.setattr(crb, "vr_cover", lambda vr, n: np.zeros(n))
+        # Every entry of a region is nonzero at a finite distance, so zero the
+        # responses the planning FIM reads.
+        def silent(*args):
+            dists, entries = array_response(*args)
+            return dists, np.zeros_like(entries)
+
+        monkeypatch.setattr(crb, "array_response", silent)
         for offsets in (None, [(-0.1, 0.0, 0.1)] * 3):
             with pytest.raises(DegenerateChannelError, match="identically zero"):
                 fim(geom, er, probe, 1, 1e-15, offsets=offsets)

@@ -2,11 +2,14 @@
 and the repository around it: the README's library example and the benchmark's
 self-test."""
 
+import contextlib
 import functools
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -678,6 +681,11 @@ class TestConfigFuzz:
             ({"block_len": 10**400}, "block_len"),
             ({"block_len": 2**53 + 1}, "block_len"),
             ({"array": {"carrier_freq": 1e-300}}, "carrier_freq"),
+            ({"array": {"carrier_freq": 3e-300}}, "carrier_freq"),
+            ({"array": {"spacing": 1.5e307}}, "spacing"),
+            ({"ers": [{"prior_position": [1.0, 2.0, 3.0], "reflection": 1e-160}]}, "reflection"),
+            ({"ers": [{"prior_position": [1.0, 2.0, 3.0], "reflection": 1e-300}]}, "reflection"),
+            ({"ers": [{"prior_position": [1.0, 2.0, 3.0], "vr": [5, 300]}]}, "vr"),
         ],
     )
     def test_a_malformed_shape_is_a_value_error_naming_the_key(self, payload, key):
@@ -697,6 +705,28 @@ class TestConfigFuzz:
 
 _PRIOR = [1.0, 2.0, 3.0]
 
+# The keys the drawn extreme configs set, and the built-in receivers' priors
+# and weights, which a drawn reflection keeps.
+_EXTREME_KEYS = ("noise_power", "p_max", "gamma", "carrier_freq", "reflection", "block_len")
+_BUILTIN_ERS = [
+    {"prior_position": list(spec.prior_position), "weight": spec.weight}
+    for spec in ScenarioConfig().ers
+]
+
+
+def _extreme_payload(values: dict) -> dict:
+    payload = {}
+    for key, value in values.items():
+        if key == "carrier_freq":
+            payload["array"] = {"carrier_freq": value}
+        elif key == "reflection":
+            payload["ers"] = [{**er, "reflection": value} for er in _BUILTIN_ERS]
+        elif key == "block_len":
+            payload["block_len"] = max(1, int(value))
+        else:
+            payload[key] = value
+    return payload
+
 
 class TestExtremeInputs:
     """Finite inputs at the edge of the float range end in one line, not warnings."""
@@ -714,7 +744,15 @@ class TestExtremeInputs:
             {"array": {"carrier_freq": 1e300}},
             {"ers": [{"prior_position": _PRIOR, "reflection": 1e154}]},
             {"ers": [{"prior_position": _PRIOR, "reflection": 1e-300}]},
+            {"ers": [{"prior_position": _PRIOR, "reflection": 1e-160}]},
             pytest.param({"block_len": 10**400}, id="block_len=10**400"),
+            # The Fisher information underflows.
+            {"p_max": 1e-160, "noise_power": 1e154},
+            {"p_max": 1e-160, "noise_power": 1e150},
+            # The channel energy is subnormal: lambda / (4 pi d) is about 1e-160.
+            {"array": {"carrier_freq": 3e167}},
+            # The element coordinates overflow.
+            {"array": {"carrier_freq": 3e-300}},
         ],
         ids=lambda payload: json.dumps(payload).replace(" ", ""),
     )
@@ -731,10 +769,38 @@ class TestExtremeInputs:
         if code == 2:
             assert captured.err.startswith("nfwpt: error: ")
             assert captured.err.count("\n") == 1
+            assert captured.out == ""
         else:
             assert captured.err == ""
         # No plan prints a CRB that is not finite.
         assert "inf" not in captured.out and "nan" not in captured.out
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.dictionaries(
+            st.sampled_from(_EXTREME_KEYS),
+            st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def test_drawn_extreme_magnitudes_end_in_a_report_or_one_line(self, values):
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+            path = Path(tmp) / "extreme.json"
+            path.write_text(json.dumps(_extreme_payload(values)))
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["crb", "--config", str(path)])
+        assert [str(w.message) for w in caught] == []
+        out, err = out.getvalue(), err.getvalue()
+        if code == 0:
+            assert err == ""
+            assert "inf" not in out and "nan" not in out
+        else:
+            assert code == 2
+            assert out == ""
+            assert err.startswith("nfwpt: error: ") and err.count("\n") == 1
 
 
 class TestConfigFiles:

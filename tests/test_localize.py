@@ -93,16 +93,17 @@ def test_degenerate_box_returns_the_single_point():
     assert result.evaluations == 2
 
 
-def test_hitting_the_iteration_cap_is_not_convergence():
+def test_hitting_the_iteration_cap_is_not_convergence(monkeypatch):
     geom, er, y = _noiseless_scene(2)
     shift = np.array([0.11, -0.07, 0.13])
     box = (er.position + shift - 0.3, er.position + shift + 0.3)
-    capped = locate_er(geom, y, er.vr, box, max_iters=1)
-    assert capped.iterations == 1
-    assert not capped.converged
     full = locate_er(geom, y, er.vr, box)
     assert full.converged
-    assert full.iterations > 1
+    assert 1 < full.iterations < localize._MAX_ITERS
+    monkeypatch.setattr(localize, "_MAX_ITERS", 1)
+    capped = locate_er(geom, y, er.vr, box)
+    assert capped.iterations == 1
+    assert not capped.converged
 
 
 @st.composite
@@ -158,6 +159,8 @@ def test_an_element_outside_the_region_is_no_singularity():
     with pytest.raises(SingularGeometryError):
         full_aperture_objective(geom, y, outside, vr)
     assert concentrated_objective(geom, y, outside, vr) >= 0.0
+    h = channel(geom, ErState(outside, vr))
+    assert np.all(np.isfinite(h)) and np.count_nonzero(h) == vr.size
 
 
 def test_locate_validates_box_and_tolerance():
@@ -167,12 +170,9 @@ def test_locate_validates_box_and_tolerance():
         locate_er(geom, y, er.vr, (hi, lo))
     with pytest.raises(ValueError):
         locate_er(geom, y, er.vr, (lo, hi), tol=0.0)
-    with pytest.raises(ValueError):
-        locate_er(geom, y, er.vr, (lo, hi), max_iters=0)
     with pytest.raises(ValueError, match="one entry per element"):
         locate_er(geom, y[:-1], er.vr, (lo, hi))
-    # tol and max_iters are keyword-only, so a stale (probe, slot length)
-    # pair cannot bind to them.
+    # tol is keyword-only, so a stale (probe, slot length) pair cannot bind to it.
     with pytest.raises(TypeError):
         locate_er(geom, y, er.vr, (lo, hi), np.ones(geom.n_elements), 3)
 
