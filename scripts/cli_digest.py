@@ -39,6 +39,7 @@ COMMANDS = (
     "sweep-power --trials 10",
     "sweep-weight --trials 5",
     f"crb --config {PINNED}",
+    f"crb --scheme no_vr --config {PINNED}",
     f"simulate --trials 20 --config {PINNED}",
     f"sweep-weight --trials 3 --config {PINNED}",
 )

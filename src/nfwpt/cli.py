@@ -1,8 +1,8 @@
 """Command-line front end for the simulation harness.
 
 User errors (a bad config value or key, a missing file, an infeasible
-target) end the run with one line on stderr and exit status 2; every error
-the simulator raises for bad input is a ValueError.
+target, a slot too large to allocate) end the run with one line on stderr
+and exit status 2; the simulator raises every other one as a ValueError.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from .crb import min_sensing_duration
 from .harness import (
     SCHEMES,
     ScenarioConfig,
@@ -71,7 +72,7 @@ def _default_gamma_grid(cfg: ScenarioConfig) -> list[float]:
     Spans targets loose enough that one symbol suffices down to targets that
     nearly exhaust the block, so the duty-cycle trade-off is visible.
     """
-    return list(plan(cfg).worst * np.logspace(-1.95, 0.5, 8))
+    return list(max(c.worst for c in plan(cfg)) * np.logspace(-1.95, 0.5, 8))
 
 
 def _emit(rows, out_path) -> None:
@@ -82,13 +83,13 @@ def _emit(rows, out_path) -> None:
 
 
 def _report_crb(cfg: ScenarioConfig) -> None:
-    planned = plan(cfg)
+    crbs = plan(cfg)
     # An infeasible target raises here, before any line reaches stdout.
-    tau = planned.tau(cfg.gamma, cfg.block_len)
-    for idx, (crb, vr) in enumerate(zip(planned.crbs, planned.regions), 1):
+    tau = min_sensing_duration(crbs, cfg.gamma, cfg.block_len)
+    for idx, crb in enumerate(crbs, 1):
         print(
             f"er{idx}: crb1_nominal_m2={crb.nominal:.12e} crb1_worst_m2={crb.worst:.12e} "
-            f"vr=[{vr.start},{vr.end}]"
+            f"vr=[{crb.region.start},{crb.region.end}]"
         )
     print(f"gamma_m2={cfg.gamma:.12e} tau_star={tau} block_len={cfg.block_len}")
 
@@ -141,7 +142,7 @@ def main(argv=None) -> int:
     sense.cache_clear()
     try:
         _run(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"nfwpt: error: {exc}", file=sys.stderr)
         return 2
     return 0

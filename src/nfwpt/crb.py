@@ -51,7 +51,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ErState, array_response, response_derivatives, steering_vector
+from .channel import (
+    ErState, VisibilityRegion, array_response, response_derivatives, steering_vector
+)
 from .errors import DegenerateChannelError, InfeasibleBlockError, SingularFimError
 from .geometry import UpaGeometry
 
@@ -314,10 +316,12 @@ def _axis_crbs(base: np.ndarray, tau: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LatticeCrb:
-    """One receiver's single-symbol position CRB over its prior lattice (m^2)."""
+    """One receiver's single-symbol position CRB over its prior lattice (m^2),
+    and the visibility region the lattice was evaluated on."""
 
     nominal: float
     worst: float
+    region: VisibilityRegion
 
 
 # Index of the zero displacement in product((-D, 0, +D), repeat=3) order.
@@ -373,7 +377,7 @@ def lattice_crb(
                 )
         except SingularFimError as exc:
             raise SingularFimError(f"er{k}: {exc}") from None
-        out.append(LatticeCrb(nominal=crbs[_NOMINAL_CORNER], worst=max(crbs)))
+        out.append(LatticeCrb(nominal=crbs[_NOMINAL_CORNER], worst=max(crbs), region=vr))
     return tuple(out)
 
 

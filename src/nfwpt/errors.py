@@ -6,7 +6,7 @@ class SingularGeometryError(ValueError):
 
 
 class DegenerateChannelError(ValueError):
-    """A channel vector is identically zero (empty effective visibility region)."""
+    """A channel vector is zero, or so weak that its energy is subnormal."""
 
 
 class InfeasibleWindowError(ValueError):

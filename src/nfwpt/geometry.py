@@ -13,14 +13,13 @@ SPEED_OF_LIGHT = 299792458.0  # m/s
 class UpaGeometry:
     """Rectangular antenna array lying in the yoz plane, centered on the origin.
 
-    Element n (1-based) sits at ``positions[n - 1]``. The linear index runs
+    Element n (1-based) sits at ``coords[:, n - 1]``. The linear index runs
     y-major, n = (i_z - 1) * n_y + i_y with i_y in 1..n_y and i_z in 1..n_z,
     so a contiguous index window covers whole rows of constant height z.
 
-    coords, a read-only, C-contiguous (3, N) array, is the only stored copy
-    of the element coordinates: row u holds every element's coordinate on
-    axis u in one contiguous run, which every distance and derivative kernel
-    reads. positions is its (N, 3) transpose, a view of the same memory.
+    coords, a read-only, C-contiguous (3, N) array, is the only copy of the
+    element coordinates: row u holds every element's coordinate on axis u in
+    one contiguous run, which every distance and derivative kernel reads.
     """
 
     n_y: int
@@ -29,10 +28,6 @@ class UpaGeometry:
     wavelength: float
     spacing: float
     coords: np.ndarray
-
-    @property
-    def positions(self) -> np.ndarray:
-        return self.coords.T
 
     @property
     def n_elements(self) -> int:

@@ -286,10 +286,6 @@ def _draw_vr(n: int, eta: float, n_alpha: int, rng: np.random.Generator) -> Visi
     span = min_vr_span(n, eta)
     min_size = span + 1
     max_size = n - n_alpha
-    if max_size < min_size:
-        raise ValueError(
-            f"visibility draw infeasible: need size {min_size} but at most {max_size}"
-        )
     slack = int(rng.geometric(1.0 / (1.0 + span))) - 1
     size = min(min_size + slack, max_size)
     start = int(rng.integers(1, n - size + 1, endpoint=True))
@@ -345,32 +341,15 @@ def array_geometry(array: ArraySpec) -> UpaGeometry:
     return build_upa(array.n_y, array.n_z, array.carrier_freq, array.spacing)
 
 
-@dataclass(frozen=True)
-class SensingPlan:
-    """First-stage plan of one configuration: per receiver, the visibility
-    region planned with and the single-symbol lattice CRBs."""
-
-    regions: tuple[VisibilityRegion, ...]
-    crbs: tuple[LatticeCrb, ...]
-
-    @property
-    def worst(self) -> float:
-        """Worst single-symbol position CRB over every receiver's lattice."""
-        return max(c.worst for c in self.crbs)
-
-    def tau(self, gamma: float, block_len: int) -> int:
-        """Slot length that meets gamma; InfeasibleBlockError if the block is too short."""
-        return min_sensing_duration(self.crbs, gamma, block_len)
-
-
-def plan(cfg: ScenarioConfig) -> SensingPlan:
-    """Sensing plan of the configured scheme, memoized on its planning inputs.
+def plan(cfg: ScenarioConfig) -> tuple[LatticeCrb, ...]:
+    """Receivers' lattice CRBs under the configured scheme, memoized on its planning inputs.
 
     Planning runs before a block's sensing, so proposed plans a receiver with
     its pinned region when there is one and with the full aperture otherwise;
-    every other scheme plans with the full aperture. The plan depends on
-    neither the accuracy target, the block length nor the seed, so one plan
-    serves every trial and every target of a configuration.
+    every other scheme plans with the full aperture; each LatticeCrb carries
+    its region. The plan depends on neither the accuracy target, the block
+    length nor the seed, so one plan serves every trial and every target of a
+    configuration, and min_sensing_duration turns it into the slot length.
     """
     n = cfg.array.n_elements
     priors = tuple(
@@ -388,11 +367,10 @@ def plan(cfg: ScenarioConfig) -> SensingPlan:
 @functools.lru_cache(maxsize=128)
 def _plan(
     array: ArraySpec, p_max: float, noise_power: float, priors: tuple, bounds: tuple
-) -> SensingPlan:
+) -> tuple[LatticeCrb, ...]:
     geom = array_geometry(array)
     priors = [(position, VisibilityRegion(*vr), refl) for position, vr, refl in priors]
-    crbs = lattice_crb(geom, priors, bounds, uniform_probe(geom, p_max), noise_power)
-    return SensingPlan(tuple(vr for _, vr, _ in priors), crbs)
+    return lattice_crb(geom, priors, bounds, uniform_probe(geom, p_max), noise_power)
 
 
 # The memo's controls, named as on any lru_cache-wrapped function.
@@ -462,7 +440,11 @@ def sense(cfg: ScenarioConfig, trial_index: int, tau: int) -> Sensing:
     )
 
 
+# Extreme finite inputs can overflow or underflow in the echo and the
+# localizer. The checks on y_bar and in the localizer raise for them, so no
+# numpy warning needs to escape.
 @functools.lru_cache(maxsize=128)
+@np.errstate(all="ignore")
 def _sense(
     array: ArraySpec,
     receivers: tuple,
@@ -486,6 +468,8 @@ def _sense(
         rng = np.random.default_rng(stream)
         samples = simulate_echo(channel(geom, er), er.reflection, probe, tau, noise_power, rng)
         y_bar = aggregate(samples)
+        if not np.isfinite(y_bar).all():
+            raise ValueError(f"er{len(regions) + 1}: echo is not finite: the inputs overflow")
         if identify:
             p_out, p_in = estimate_power_levels(y_bar, n_alpha)
             alpha = scaling_factor(p_out, p_in)
@@ -559,7 +543,7 @@ def run_trial(cfg: ScenarioConfig, trial_index: int) -> TrialResult:
                 f"block of {cfg.block_len} symbols cannot host {n_ers} half-block sensing slots"
             )
     else:
-        tau = plan(cfg).tau(cfg.gamma, cfg.block_len)
+        tau = min_sensing_duration(plan(cfg), cfg.gamma, cfg.block_len)
     sensed = sense(cfg, trial_index, tau)
     powers = charge(cfg, sensed, tau)
     hit = all(vr_hat == er.vr for vr_hat, er in zip(sensed.regions, sensed.scene))
@@ -618,7 +602,7 @@ def sweep_gamma(cfg: ScenarioConfig, gamma_grid) -> list[SweepRow]:
     if cfg.scheme in _PLANNED_SCHEMES:
         # The slot never shortens as the target tightens, so planning the
         # smallest target first fails an infeasible grid before any trial.
-        plan(cfg).tau(min(grid), cfg.block_len)
+        min_sensing_duration(plan(cfg), min(grid), cfg.block_len)
     rows = []
     for g in grid:
         sub = replace(cfg, gamma=g)

@@ -82,6 +82,9 @@ _MAX_ITERS = 50
 # all of it, so the point that the exact score ranks first always survives.
 _PHASOR_ERROR = 1e-5
 
+# A channel energy below the smallest normal float carries too few bits to score.
+_TINY = np.finfo(float).tiny
+
 # Seed lattice points per axis over the search box (one on a zero-width axis),
 # and the samples the ray check takes across it.
 _LATTICE_POINTS = 9
@@ -144,8 +147,8 @@ def _probe(geom: UpaGeometry, y: np.ndarray, rows: slice, point: np.ndarray) -> 
     h = resp.reshape(-1)
     s = complex(np.vdot(h, y))
     e = float(np.vdot(h, h).real)
-    if e == 0.0:
-        raise DegenerateChannelError("masked response is identically zero")
+    if e < _TINY:
+        raise DegenerateChannelError(f"masked response energy {e:.3g} is subnormal")
     return _Probe(point, dists.reshape(-1), h, s, e, abs(s) ** 2 / e)
 
 
@@ -171,7 +174,11 @@ def _ascent_model(geom: UpaGeometry, y: np.ndarray, rows: slice, at: _Probe):
         - p * e_uv / e**2
         + 2.0 * p * np.outer(e_u, e_u) / e**3
     )
-    gn_diag = 2.0 * abs(s / e) ** 2 * (np.diag(d_d) - np.abs(h_d) ** 2 / e)
+    try:
+        gain = 2.0 * abs(s / e) ** 2
+    except OverflowError:
+        raise ValueError("localizer curvature overflows: the echo dwarfs the channel") from None
+    gn_diag = gain * (np.diag(d_d) - np.abs(h_d) ** 2 / e)
     return grad, hess, gn_diag
 
 
@@ -229,6 +236,8 @@ def lattice_seed(geom: UpaGeometry, y: np.ndarray, rows: slice, grid) -> tuple[_
     zero echo, that is the whole lattice.
     """
     q, dq = prefilter_scores(geom, y, rows, grid)
+    if not (np.isfinite(q).all() and np.isfinite(dq).all()):
+        raise ValueError("lattice scores are not finite: the echo overflows")
     survivors = np.flatnonzero(q + dq >= np.max(q - dq))
     index = np.unravel_index(survivors, tuple(g.size for g in grid))
     points = np.stack([g[i] for g, i in zip(grid, index)], axis=1)

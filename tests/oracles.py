@@ -9,8 +9,8 @@ computes another way, kept so the tests can arbitrate the fast path:
 - channel_derivative: one masked derivative row at one point.
 - response_derivatives_expression: channel.response_derivatives as one
   expression with complex temporaries; the kernel must match its bits and
-  its C-ordered (3, n_rows) layout, which the expression inherits from
-  positions.T, the contiguous coordinate rows of geom.coords, and any subset
+  its C-ordered (3, n_rows) layout, which the expression inherits from the
+  contiguous coordinate rows of geom.coords, and any subset
   of its axis rows must match the expression formed on those axes alone.
 - fim_per_point, crb_per_point, lattice_crb_per_point: the Fisher
   information and position CRB built one point and one axis at a time, from
@@ -88,7 +88,7 @@ def response_derivatives_expression(
     three by default.
     """
     pos = np.asarray(point, dtype=float)
-    diff = geom.positions[rows, axes].T - pos[axes, None]
+    diff = geom.coords.T[rows, axes].T - pos[axes, None]
     radial = diff / dists
     bracket = radial / dists + 2j * np.pi / geom.wavelength * radial
     # Named, so numpy cannot reuse an unnamed temporary of 256 KB or more in
@@ -196,7 +196,7 @@ def lattice_crb_per_point(geom, priors, bounds_per_prior, probe, noise_power):
             ]
         except SingularFimError as exc:
             raise SingularFimError(f"er{k}: {exc}") from None
-        out.append(LatticeCrb(nominal=crbs[13], worst=max(crbs)))
+        out.append(LatticeCrb(nominal=crbs[13], worst=max(crbs), region=vr))
     return tuple(out)
 
 

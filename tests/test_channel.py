@@ -26,7 +26,7 @@ from oracles import (
 
 def _high_precision_steering(geom, point):
     """Per-entry steering oracle evaluated in extended precision."""
-    pos = np.asarray(geom.positions, dtype=np.longdouble)
+    pos = np.asarray(geom.coords.T, dtype=np.longdouble)
     pt = np.asarray(point, dtype=np.longdouble)
     d = np.sqrt(((pos - pt) ** 2).sum(axis=1))
     lam = np.longdouble(geom.wavelength)
@@ -67,7 +67,7 @@ def test_entry_magnitude_decreases_with_element_distance():
     geom = build_upa(16, 16, 28e9)
     point = np.array([0.8, 0.4, -0.3])
     a = steering_vector(geom, point)
-    d = np.linalg.norm(geom.positions - point, axis=1)
+    d = np.linalg.norm(geom.coords.T - point, axis=1)
     order = np.argsort(d)
     mags, dist = np.abs(a)[order], d[order]
     # Strict decrease wherever the distance strictly increases (symmetric
@@ -80,7 +80,7 @@ def test_entry_magnitude_decreases_with_element_distance():
 def test_steering_at_element_location_is_rejected():
     geom = build_upa(4, 4, 28e9)
     with pytest.raises(SingularGeometryError):
-        steering_vector(geom, geom.positions[5])
+        steering_vector(geom, geom.coords.T[5])
 
 
 def test_visibility_region_validation():
@@ -254,7 +254,7 @@ def test_grid_distances_plane_by_plane_match_the_whole_grid():
         out = grid_distances(geom, (grid[0][i : i + 1], grid[1], grid[2]), rows, out=plane)
         assert out is plane
         np.testing.assert_array_equal(plane[0], whole[i])
-    on_element = ([0.0], geom.positions[20:24, 1], geom.positions[[20, 40], 2])
+    on_element = ([0.0], geom.coords.T[20:24, 1], geom.coords.T[[20, 40], 2])
     with pytest.raises(SingularGeometryError):
         grid_distances(geom, on_element, rows, out=plane)
 
@@ -292,20 +292,20 @@ def test_distance_kernel_rejects_an_element_and_passes_nan(one_point):
         point = np.asarray(point, dtype=float)
         return point[:, None] if one_point else [point[ax : ax + 1] for ax in range(3)]
 
-    for element in (geom.positions[9], geom.positions[40]):
+    for element in (geom.coords.T[9], geom.coords.T[40]):
         with pytest.raises(SingularGeometryError):
             grid_distances(geom, form(element), rows)
         with pytest.raises(SingularGeometryError):
             grid_distances(geom, form(element), rows, out=np.empty((1, 1, 1, 32)))
     # An element outside rows is no singularity for the rows.
-    assert grid_distances(geom, form(geom.positions[8]), rows).all()
+    assert grid_distances(geom, form(geom.coords.T[8]), rows).all()
     with np.errstate(invalid="ignore"):
         nan = grid_distances(geom, form([np.nan, 0.1, 0.2]), rows)
     assert np.isnan(nan).all()
     if not one_point:
         # A NaN beside a coincident point makes the grid's min NaN, which
         # must not hide the coincidence.
-        x, y, z = geom.positions[20]
+        x, y, z = geom.coords.T[20]
         for xs in ([x, np.nan], [np.nan, x]):
             with np.errstate(invalid="ignore"), pytest.raises(SingularGeometryError):
                 grid_distances(geom, (np.array(xs), [y], [z]), rows)

@@ -287,8 +287,8 @@ class TestMinSensingDuration:
                 ),
                 noise_power=1e-15,
             )
-            planned = plan(cfg)
-            assert planned.regions == (vr,)
+            (planned,) = plan(cfg)
+            assert planned.region == vr
             for block_len in (10**9, 6):
                 gamma = planned.worst / rng.uniform(2.0, 12.0)
                 try:
@@ -297,9 +297,9 @@ class TestMinSensingDuration:
                     )
                 except InfeasibleBlockError:
                     with pytest.raises(InfeasibleBlockError):
-                        planned.tau(gamma, block_len)
+                        min_sensing_duration((planned,), gamma, block_len)
                     continue
-                assert planned.tau(gamma, block_len) == expected
+                assert min_sensing_duration((planned,), gamma, block_len) == expected
 
     def test_doubling_the_target_never_increases_the_slot(self):
         geom, priors, probe, nominal = self._setup(1)
@@ -336,14 +336,14 @@ class TestMinSensingDuration:
         # The decision matches ceil's for every need, and a need too large
         # for ceil is refused with a short count instead of an OverflowError.
         for need in (0.5, 1.0, 99.5, 99.9, 100.0, 100.5, 199.5, 200.0, 1e3):
-            crbs = (LatticeCrb(nominal=need, worst=need),) * 2
+            crbs = (LatticeCrb(nominal=need, worst=need, region=VisibilityRegion(1, 8)),) * 2
             tau = max(1, math.ceil(need))
             if 2 * tau < 200:
                 assert min_sensing_duration(crbs, 1.0, 200) == tau
             else:
                 with pytest.raises(InfeasibleBlockError, match=f"needs 2 x {tau} symbols"):
                     min_sensing_duration(crbs, 1.0, 200)
-        crbs = (LatticeCrb(nominal=1e5, worst=1e5),)
+        crbs = (LatticeCrb(nominal=1e5, worst=1e5, region=VisibilityRegion(1, 8)),)
         for gamma, count in ((1e-300, "1e+305"), (1e-320, "inf")):
             with pytest.raises(InfeasibleBlockError) as refused:
                 min_sensing_duration(crbs, gamma, 200)

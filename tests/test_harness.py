@@ -278,13 +278,21 @@ class TestPlan:
         info = plan.cache_info()
         assert (info.misses, info.hits) == ((1, 1) if key in _NOT_PLANNED else (2, 0))
 
-    def test_no_vr_and_unpinned_receivers_plan_with_the_full_aperture(self):
-        pinned = plan(_small_cfg())
-        assert pinned.regions == (VisibilityRegion(*_VRS[0]), VisibilityRegion(*_VRS[1]))
-        for scheme in ("no_vr", "equal_time"):
-            assert plan(_small_cfg(scheme=scheme)).regions == (VisibilityRegion(1, 64),) * 2
-        ers = (replace(_small_cfg().ers[0], vr=None), _small_cfg().ers[1])
-        assert plan(_small_cfg(ers=ers)).regions[0] == VisibilityRegion(1, 64)
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_each_receiver_is_planned_on_its_pinned_region_under_proposed_only(self, scheme):
+        # The first receiver's region is drawn, the second's pinned.
+        cfg = _spec_with(_small_cfg(scheme=scheme), 0, vr=None)
+        planned = plan(cfg)
+        pinned = VisibilityRegion(*_VRS[1]) if scheme == "proposed" else VisibilityRegion(1, 64)
+        assert tuple(lattice.region for lattice in planned) == (VisibilityRegion(1, 64), pinned)
+        geom = build_upa(8, 8, 28e9)
+        priors = [
+            (spec.prior_position, lattice.region, abs(spec.reflection))
+            for spec, lattice in zip(cfg.ers, planned)
+        ]
+        bounds = [spec.error_bounds for spec in cfg.ers]
+        expected = lattice_crb(geom, priors, bounds, uniform_probe(geom, cfg.p_max), 1e-15)
+        assert planned == expected
 
     def test_an_infeasible_target_raises_on_every_call(self):
         cfg = _small_cfg(gamma=_small_planning_worst() / 1e6)
@@ -292,15 +300,15 @@ class TestPlan:
             with pytest.raises(InfeasibleBlockError):
                 run_trial(cfg, 0)
             with pytest.raises(InfeasibleBlockError):
-                plan(cfg).tau(cfg.gamma, cfg.block_len)
+                min_sensing_duration(plan(cfg), cfg.gamma, cfg.block_len)
         assert run_trial(replace(cfg, gamma=_small_planning_worst()), 0).tau_used == 1
 
     def test_lattice_extremes_match_a_direct_evaluation(self):
         planned = plan(_small_cfg())
-        assert planned.worst == _small_planning_worst()
+        assert max(lattice.worst for lattice in planned) == _small_planning_worst()
         geom = build_upa(8, 8, 28e9)
-        for spec, region, lattice in zip(_small_cfg().ers, planned.regions, planned.crbs):
-            state = ErState(np.asarray(spec.prior_position), region, reflection=50.0)
+        for spec, lattice in zip(_small_cfg().ers, planned):
+            state = ErState(np.asarray(spec.prior_position), lattice.region, reflection=50.0)
             nominal = crb_position(fim(geom, state, uniform_probe(geom, 1.0), 1, 1e-15))
             assert lattice.nominal == nominal.crb_total
 
@@ -334,7 +342,7 @@ class TestSense:
 
     def test_weights_gamma_and_block_len_do_not_reach_the_key(self):
         cfg = _small_cfg()
-        tau = plan(cfg).tau(cfg.gamma, cfg.block_len)
+        tau = min_sensing_duration(plan(cfg), cfg.gamma, cfg.block_len)
         first = run_trial(cfg, 0)
         shared = [
             _spec_with(_spec_with(cfg, 0, weight=0.9), 1, weight=0.1),
@@ -343,7 +351,7 @@ class TestSense:
             replace(cfg, trials=7),
         ]
         for other in shared:
-            assert plan(other).tau(other.gamma, other.block_len) == tau
+            assert min_sensing_duration(plan(other), other.gamma, other.block_len) == tau
         results = [run_trial(other, 0) for other in shared]
         info = sense.cache_info()
         assert (info.misses, info.hits) == (1, len(shared))
@@ -753,10 +761,36 @@ class TestExtremeInputs:
             {"array": {"carrier_freq": 3e167}},
             # The element coordinates overflow.
             {"array": {"carrier_freq": 3e-300}},
+            # Sensing: the prefilter's lattice scores overflow.
+            {
+                "p_max": 5.4e263,
+                "array": {"carrier_freq": 6.3e-35},
+                "ers": [
+                    {"prior_position": _PRIOR, "weight": 0.1, "reflection": 7.4e39},
+                    {"prior_position": [1.5, 3.0, 4.5], "weight": 0.9},
+                ],
+            },
+            # Sensing: the channel energy on the region is subnormal.
+            {"array": {"carrier_freq": 1.2e166}},
+            # Sensing: the element distances, and so the echo, are not finite.
+            {"array": {"carrier_freq": 1.3903588468027452e-193}},
+            # Sensing: the localizer's curvature overflows a Python float.
+            {
+                "array": {"carrier_freq": 1.4863782561827508e150},
+                "noise_power": 2.4503697066857755e124,
+            },
         ],
         ids=lambda payload: json.dumps(payload).replace(" ", ""),
     )
-    @pytest.mark.parametrize("command", [["crb"], ["simulate", "--trials", "1"]])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["crb"],
+            ["simulate", "--trials", "1"],
+            ["simulate", "--trials", "1", "--scheme", "equal_time"],
+            ["simulate", "--trials", "1", "--scheme", "no_vr"],
+        ],
+    )
     def test_the_cli_exits_cleanly_without_warnings(self, payload, command, tmp_path, capsys):
         path = tmp_path / "extreme.json"
         path.write_text(json.dumps(payload))
@@ -774,6 +808,17 @@ class TestExtremeInputs:
             assert captured.err == ""
         # No plan prints a CRB that is not finite.
         assert "inf" not in captured.out and "nan" not in captured.out
+
+    def test_a_block_too_large_to_sense_ends_in_one_line(self, monkeypatch, capsys):
+        def unallocatable(*args, **kwargs):
+            raise MemoryError("Unable to allocate 744. GiB for an array")
+
+        monkeypatch.setattr(harness, "simulate_echo", unallocatable)
+        code = main(["simulate", "--trials", "1", "--scheme", "equal_time"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "nfwpt: error: Unable to allocate 744. GiB for an array\n"
 
     @settings(max_examples=60, deadline=None)
     @given(

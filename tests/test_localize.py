@@ -143,7 +143,7 @@ def test_region_slice_scores_raise_what_the_full_aperture_forms_raise():
         (ValueError, (geom, y, er.position, VisibilityRegion(2, geom.n_elements + 1))),
         (ValueError, (geom, y, er.position[:2], er.vr)),
         (ValueError, (geom, np.append(y, 0.0), er.position, er.vr)),
-        (SingularGeometryError, (geom, y, geom.positions[i + 1], er.vr)),
+        (SingularGeometryError, (geom, y, geom.coords.T[i + 1], er.vr)),
         (DegenerateChannelError, (tiny, np.ones(16), [1.0, 0.0, 0.0], VisibilityRegion(3, 9))),
     ]
     for error, args in scored:
@@ -155,7 +155,7 @@ def test_region_slice_scores_raise_what_the_full_aperture_forms_raise():
 def test_an_element_outside_the_region_is_no_singularity():
     geom, er, y = _noiseless_scene(14)
     vr = VisibilityRegion(10, 60)
-    outside = geom.positions[4]
+    outside = geom.coords.T[4]
     with pytest.raises(SingularGeometryError):
         full_aperture_objective(geom, y, outside, vr)
     assert concentrated_objective(geom, y, outside, vr) >= 0.0
@@ -408,7 +408,7 @@ def test_zero_echo_scores_the_whole_lattice_once(monkeypatch):
 @pytest.mark.parametrize("corner", [0, 1])
 def test_a_lattice_point_on_an_element_is_rejected(corner):
     geom = build_upa(8, 8, 28e9)
-    element = geom.positions[27]
+    element = geom.coords.T[27]
     box = (element, element + 0.2) if corner == 0 else (element - 0.2, element)
     y = np.ones(geom.n_elements, dtype=complex)
     with pytest.raises(SingularGeometryError):
