@@ -52,8 +52,6 @@ SCHEMES = ("proposed", "perfect_csi", "isotropic", "equal_time", "no_vr")
 # transfer down to 0.1 W.
 DEFAULT_GAMMA = 4e4
 
-_PLANNED_SCHEMES = ("proposed", "no_vr")
-
 
 def _require_finite(key: str, *values) -> None:
     """Reject booleans, non-numbers, NaN and infinities for a real-valued key."""
@@ -303,8 +301,15 @@ def _receiver_key(spec: ErSpec) -> tuple:
     return (spec.prior_position, spec.error_bounds, spec.vr, refl, isinstance(refl, complex))
 
 
+def _streams(master_seed: int, trial_index: int, n_ers: int) -> list:
+    """The trial's scene stream, then one echo-noise stream per receiver."""
+    if trial_index < 0:
+        raise ValueError(f"trial index must be nonnegative, got {trial_index}")
+    return np.random.SeedSequence((master_seed, trial_index)).spawn(1 + n_ers)
+
+
 def _draw_scene(
-    receivers: tuple, n: int, eta: float, n_alpha: int, stream: np.random.SeedSequence
+    receivers: tuple, n: int, eta: float, n_alpha: int, master_seed: int, trial_index: int
 ) -> tuple[ErState, ...]:
     """Ground truth of each receiver given by its _receiver_key.
 
@@ -312,7 +317,7 @@ def _draw_scene(
     stage, whose objective charge reads them from cfg.ers, so one scene serves
     every configuration that differs from another only in weights.
     """
-    rng = np.random.default_rng(stream)
+    rng = np.random.default_rng(_streams(master_seed, trial_index, len(receivers))[0])
     states = []
     for prior_position, error_bounds, pinned_vr, reflection, pinned_phase in receivers:
         prior = np.asarray(prior_position)
@@ -355,7 +360,9 @@ def plan(cfg: ScenarioConfig) -> tuple[LatticeCrb, ...]:
     priors = tuple(
         (
             spec.prior_position,
-            spec.vr if cfg.scheme == "proposed" and spec.vr is not None else (1, n),
+            VisibilityRegion(*spec.vr)
+            if cfg.scheme == "proposed" and spec.vr is not None
+            else VisibilityRegion(1, n),
             abs(spec.reflection),
         )
         for spec in cfg.ers
@@ -369,7 +376,6 @@ def _plan(
     array: ArraySpec, p_max: float, noise_power: float, priors: tuple, bounds: tuple
 ) -> tuple[LatticeCrb, ...]:
     geom = array_geometry(array)
-    priors = [(position, VisibilityRegion(*vr), refl) for position, vr, refl in priors]
     return lattice_crb(geom, priors, bounds, uniform_probe(geom, p_max), noise_power)
 
 
@@ -391,13 +397,6 @@ class Sensing:
     scene: tuple[ErState, ...]
     regions: tuple[VisibilityRegion, ...]
     locations: tuple[LocalizationResult, ...]
-
-
-def _streams(master_seed: int, trial_index: int, n_ers: int) -> list:
-    """The trial's scene stream, then one echo-noise stream per receiver."""
-    if trial_index < 0:
-        raise ValueError(f"trial index must be nonnegative, got {trial_index}")
-    return np.random.SeedSequence((master_seed, trial_index)).spawn(1 + n_ers)
 
 
 def sense(cfg: ScenarioConfig, trial_index: int, tau: int) -> Sensing:
@@ -423,7 +422,9 @@ def sense(cfg: ScenarioConfig, trial_index: int, tau: int) -> Sensing:
     time it is asked for.
     An exception is not stored, so a failing trial raises on every call, but
     a warning raised while sensing is not raised again on a hit. cli.main
-    empties the memo at the start of every command.
+    empties the memo at the start of every command. A ValueError of one
+    receiver's channel, echo, region identification or localization keeps
+    its type and names the receiver, er1 for the first.
     """
     receivers = tuple(_receiver_key(spec) for spec in cfg.ers)
     return _sense(
@@ -440,9 +441,9 @@ def sense(cfg: ScenarioConfig, trial_index: int, tau: int) -> Sensing:
     )
 
 
-# Extreme finite inputs can overflow or underflow in the echo and the
-# localizer. The checks on y_bar and in the localizer raise for them, so no
-# numpy warning needs to escape.
+# Extreme finite inputs can overflow or underflow in the channels, the echo
+# and the localizer. The checks on the channels, on y_bar and in the
+# localizer raise for them, so no numpy warning needs to escape.
 @functools.lru_cache(maxsize=128)
 @np.errstate(all="ignore")
 def _sense(
@@ -459,27 +460,32 @@ def _sense(
 ) -> Sensing:
     geom = array_geometry(array)
     n = geom.n_elements
-    streams = _streams(master_seed, trial_index, len(receivers))
-    scene = _draw_scene(receivers, n, eta, n_alpha, streams[0])
+    scene = _draw_scene(receivers, n, eta, n_alpha, master_seed, trial_index)
+    channels = _true_channels(geom, scene)
+    noise_streams = _streams(master_seed, trial_index, len(receivers))[1:]
     probe = uniform_probe(geom, p_max)
     regions = []
     locations = []
-    for er, stream, (prior_position, error_bounds, *_) in zip(scene, streams[1:], receivers):
+    for k, (er, h, stream, (prior_position, error_bounds, *_)) in enumerate(
+        zip(scene, channels, noise_streams, receivers), 1
+    ):
         rng = np.random.default_rng(stream)
-        samples = simulate_echo(channel(geom, er), er.reflection, probe, tau, noise_power, rng)
-        y_bar = aggregate(samples)
-        if not np.isfinite(y_bar).all():
-            raise ValueError(f"er{len(regions) + 1}: echo is not finite: the inputs overflow")
-        if identify:
-            p_out, p_in = estimate_power_levels(y_bar, n_alpha)
-            alpha = scaling_factor(p_out, p_in)
-            vr_hat = identify_vr(y_bar, eta, alpha)
-        else:
-            vr_hat = VisibilityRegion(1, n)
-        prior = np.asarray(prior_position)
-        reach = 2.0 * np.asarray(error_bounds)
+        try:
+            y_bar = aggregate(simulate_echo(h, er.reflection, probe, tau, noise_power, rng))
+            if not np.isfinite(y_bar).all():
+                raise ValueError("echo is not finite: the inputs overflow")
+            if identify:
+                p_out, p_in = estimate_power_levels(y_bar, n_alpha)
+                vr_hat = identify_vr(y_bar, eta, scaling_factor(p_out, p_in))
+            else:
+                vr_hat = VisibilityRegion(1, n)
+            prior = np.asarray(prior_position)
+            reach = 2.0 * np.asarray(error_bounds)
+            location = locate_er(geom, y_bar, vr_hat, (prior - reach, prior + reach))
+        except ValueError as exc:
+            raise type(exc)(f"er{k}: {exc}") from None
         regions.append(vr_hat)
-        locations.append(locate_er(geom, y_bar, vr_hat, (prior - reach, prior + reach)))
+        locations.append(location)
     return Sensing(scene, tuple(regions), tuple(locations))
 
 
@@ -487,26 +493,22 @@ sense.cache_info = _sense.cache_info
 sense.cache_clear = _sense.cache_clear
 
 
-def charge(cfg: ScenarioConfig, sensed: Sensing, tau: int) -> tuple[float, ...]:
-    """Second stage of a trial: charge the receivers as they were sensed.
-
-    Builds each receiver's true channel from the scene and its estimated
-    channel from the identified region and position, focuses the beam on
-    the estimates with the weights of cfg.ers (never from the shared
-    sensing record) and returns each receiver's average harvested power over
-    a block whose first K tau symbols went to sensing.
-    """
-    geom = array_geometry(cfg.array)
-    true_channels = [channel(geom, er) for er in sensed.scene]
-    estimates = [
-        channel(geom, ErState(loc.position_hat, vr_hat))
-        for vr_hat, loc in zip(sensed.regions, sensed.locations)
-    ]
-    return _focus(cfg, true_channels, estimates, tau)
+@np.errstate(all="ignore")
+def _true_channels(geom: UpaGeometry, scene: tuple[ErState, ...]) -> list[np.ndarray]:
+    """Each receiver's channel in the scene; extreme finite inputs can overflow
+    in the element distances, which raises instead of warning."""
+    channels = [channel(geom, er) for er in scene]
+    for k, h in enumerate(channels, 1):
+        if not np.isfinite(h).all():
+            raise ValueError(f"er{k}: channel is not finite: the inputs overflow")
+    return channels
 
 
-def _focus(cfg: ScenarioConfig, true_channels, estimates, tau: int) -> tuple[float, ...]:
-    """Average powers under the beam solved for the weighted estimated channels."""
+def charge(cfg: ScenarioConfig, true_channels, estimates, tau: int) -> tuple[float, ...]:
+    """Second stage of a trial: focus the beam on the estimated channels with
+    the weights of cfg.ers and return each receiver's average harvested power,
+    through its true channel, over a block whose first K tau symbols went to
+    sensing."""
     weights = [spec.weight for spec in cfg.ers]
     solution = solve_energy_covariance(weighted_channel_matrix(estimates, weights), cfg.p_max)
     return tuple(
@@ -515,43 +517,57 @@ def _focus(cfg: ScenarioConfig, true_channels, estimates, tau: int) -> tuple[flo
     )
 
 
-def run_trial(cfg: ScenarioConfig, trial_index: int) -> TrialResult:
-    """Simulate one transmission block and score the configured scheme.
-
-    A sensing scheme runs three stages: plan (the slot length tau; half the
-    block under equal_time), sense and charge.
-    """
-    n_ers = len(cfg.ers)
-    seed = (cfg.master_seed, trial_index)
+def sensing_slot(cfg: ScenarioConfig) -> int:
+    """Symbols each receiver senses for under the configured scheme: none under
+    isotropic and perfect_csi, half the block under equal_time, and the planned
+    slot that meets cfg.gamma otherwise."""
     if cfg.scheme in ("isotropic", "perfect_csi"):
-        geom = array_geometry(cfg.array)
-        receivers = tuple(_receiver_key(spec) for spec in cfg.ers)
-        stream = _streams(*seed, n_ers)[0]
-        scene = _draw_scene(receivers, geom.n_elements, cfg.eta, cfg.n_alpha, stream)
-        true_channels = [channel(geom, er) for er in scene]
-        if cfg.scheme == "isotropic":
-            n = geom.n_elements
-            powers = tuple((cfg.p_max / n) * np.vdot(h, h).real for h in true_channels)
-            return TrialResult(powers, 0, False, (math.nan,) * n_ers, seed)
-        powers = _focus(cfg, true_channels, true_channels, 0)
-        return TrialResult(powers, 0, True, (0.0,) * n_ers, seed)
-
+        return 0
     if cfg.scheme == "equal_time":
+        n_ers = len(cfg.ers)
         tau = cfg.block_len // (2 * n_ers)
         if tau < 1:
             raise InfeasibleBlockError(
                 f"block of {cfg.block_len} symbols cannot host {n_ers} half-block sensing slots"
             )
+        return tau
+    return min_sensing_duration(plan(cfg), cfg.gamma, cfg.block_len)
+
+
+def run_trial(cfg: ScenarioConfig, trial_index: int) -> TrialResult:
+    """Simulate one transmission block and score the configured scheme.
+
+    tau comes from sensing_slot. A sensing scheme draws its scene in sense;
+    isotropic scores (P / N) I in closed form, and every other scheme
+    focuses through charge, perfect_csi on the true channels.
+    """
+    geom = array_geometry(cfg.array)
+    seed = (cfg.master_seed, trial_index)
+    tau = sensing_slot(cfg)
+    if tau:
+        sensed = sense(cfg, trial_index, tau)
+        scene = sensed.scene
     else:
-        tau = min_sensing_duration(plan(cfg), cfg.gamma, cfg.block_len)
-    sensed = sense(cfg, trial_index, tau)
-    powers = charge(cfg, sensed, tau)
-    hit = all(vr_hat == er.vr for vr_hat, er in zip(sensed.regions, sensed.scene))
+        receivers = tuple(_receiver_key(spec) for spec in cfg.ers)
+        scene = _draw_scene(receivers, geom.n_elements, cfg.eta, cfg.n_alpha, *seed)
+    true_channels = _true_channels(geom, scene)
+    if cfg.scheme == "isotropic":
+        powers = tuple((cfg.p_max / geom.n_elements) * np.vdot(h, h).real for h in true_channels)
+        return TrialResult(powers, 0, False, (math.nan,) * len(scene), seed)
+    if not tau:
+        powers = charge(cfg, true_channels, true_channels, 0)
+        return TrialResult(powers, 0, True, (0.0,) * len(scene), seed)
+    estimates = [
+        channel(geom, ErState(loc.position_hat, vr_hat))
+        for vr_hat, loc in zip(sensed.regions, sensed.locations)
+    ]
+    powers = charge(cfg, true_channels, estimates, tau)
+    hit = all(vr_hat == er.vr for vr_hat, er in zip(sensed.regions, scene))
     errors = tuple(
         float(np.linalg.norm(loc.position_hat - er.position))
-        for loc, er in zip(sensed.locations, sensed.scene)
+        for loc, er in zip(sensed.locations, scene)
     )
-    return TrialResult(powers, int(tau), hit, errors, seed)
+    return TrialResult(powers, tau, hit, errors, seed)
 
 
 def run_trials(cfg: ScenarioConfig) -> list[TrialResult]:
@@ -599,10 +615,9 @@ def _positive_grid(name: str, values) -> list[float]:
 def sweep_gamma(cfg: ScenarioConfig, gamma_grid) -> list[SweepRow]:
     """Sweep the accuracy target for the configured scheme."""
     grid = _positive_grid("gamma", gamma_grid)
-    if cfg.scheme in _PLANNED_SCHEMES:
-        # The slot never shortens as the target tightens, so planning the
-        # smallest target first fails an infeasible grid before any trial.
-        min_sensing_duration(plan(cfg), min(grid), cfg.block_len)
+    # The slot never shortens as the target tightens, so taking the smallest
+    # target's slot first fails an infeasible grid before any trial.
+    sensing_slot(replace(cfg, gamma=min(grid)))
     rows = []
     for g in grid:
         sub = replace(cfg, gamma=g)

@@ -405,6 +405,21 @@ class TestSense:
         assert len(rows) == 9
         assert len(calls) == len(cfg.ers) * cfg.trials
 
+    def test_a_sensing_error_keeps_its_type_and_names_its_receiver(self, monkeypatch):
+        calls = []
+        inner = harness.locate_er
+
+        def second_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise DegenerateChannelError("no energy")
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "locate_er", second_fails)
+        with pytest.raises(DegenerateChannelError) as caught:
+            run_trial(_small_cfg(), 0)
+        assert str(caught.value).startswith("er2: ")
+
     def test_a_failed_stage_is_not_stored(self, monkeypatch):
         calls = []
 
@@ -736,6 +751,44 @@ def _extreme_payload(values: dict) -> dict:
     return payload
 
 
+def _assert_finite_report(out: str) -> None:
+    """No plan prints a CRB, and no run a cell, that is not finite, but for
+    isotropic's pos_rmse_m: isotropic locates no receiver, so that cell is nan
+    by design."""
+    if not out.startswith("sweep_value,"):
+        assert "inf" not in out and "nan" not in out
+        return
+    header, *rows = (line.split(",") for line in out.splitlines())
+    for row in rows:
+        cells = dict(zip(header, row))
+        if cells.pop("scheme") == "isotropic":
+            del cells["pos_rmse_m"]
+        assert all(math.isfinite(float(v)) for v in cells.values()), row
+
+
+def _main_quietly(argv: list, payload: dict) -> tuple:
+    """Exit status, stdout, stderr and warning messages of main(argv) run
+    with the payload as its --config file."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        path = Path(tmp) / "extreme.json"
+        path.write_text(json.dumps(payload))
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--config", str(path)])
+    return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+
+
+def _assert_report_or_one_line(code: int, out: str, err: str) -> None:
+    if code == 0:
+        assert err == ""
+        _assert_finite_report(out)
+    else:
+        assert code == 2
+        assert out == ""
+        assert err.startswith("nfwpt: error: ") and err.count("\n") == 1
+
+
 class TestExtremeInputs:
     """Finite inputs at the edge of the float range end in one line, not warnings."""
 
@@ -772,8 +825,9 @@ class TestExtremeInputs:
             },
             # Sensing: the channel energy on the region is subnormal.
             {"array": {"carrier_freq": 1.2e166}},
-            # Sensing: the element distances, and so the echo, are not finite.
+            # The element distances, and so the channels, are not finite.
             {"array": {"carrier_freq": 1.3903588468027452e-193}},
+            {"ers": [{"prior_position": [1e200, 0, 0]}]},
             # Sensing: the localizer's curvature overflows a Python float.
             {
                 "array": {"carrier_freq": 1.4863782561827508e150},
@@ -789,25 +843,14 @@ class TestExtremeInputs:
             ["simulate", "--trials", "1"],
             ["simulate", "--trials", "1", "--scheme", "equal_time"],
             ["simulate", "--trials", "1", "--scheme", "no_vr"],
+            ["simulate", "--trials", "1", "--scheme", "isotropic"],
+            ["simulate", "--trials", "1", "--scheme", "perfect_csi"],
         ],
     )
-    def test_the_cli_exits_cleanly_without_warnings(self, payload, command, tmp_path, capsys):
-        path = tmp_path / "extreme.json"
-        path.write_text(json.dumps(payload))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main([*command, "--config", str(path)])
-        captured = capsys.readouterr()
-        assert [str(w.message) for w in caught] == []
-        assert code in (0, 2)
-        if code == 2:
-            assert captured.err.startswith("nfwpt: error: ")
-            assert captured.err.count("\n") == 1
-            assert captured.out == ""
-        else:
-            assert captured.err == ""
-        # No plan prints a CRB that is not finite.
-        assert "inf" not in captured.out and "nan" not in captured.out
+    def test_the_cli_exits_cleanly_without_warnings(self, payload, command):
+        code, out, err, caught = _main_quietly(command, payload)
+        assert caught == []
+        _assert_report_or_one_line(code, out, err)
 
     def test_a_block_too_large_to_sense_ends_in_one_line(self, monkeypatch, capsys):
         def unallocatable(*args, **kwargs):
@@ -830,22 +873,27 @@ class TestExtremeInputs:
         )
     )
     def test_drawn_extreme_magnitudes_end_in_a_report_or_one_line(self, values):
-        out, err = io.StringIO(), io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
-            path = Path(tmp) / "extreme.json"
-            path.write_text(json.dumps(_extreme_payload(values)))
-            warnings.simplefilter("always")
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(["crb", "--config", str(path)])
-        assert [str(w.message) for w in caught] == []
-        out, err = out.getvalue(), err.getvalue()
-        if code == 0:
-            assert err == ""
-            assert "inf" not in out and "nan" not in out
-        else:
-            assert code == 2
-            assert out == ""
-            assert err.startswith("nfwpt: error: ") and err.count("\n") == 1
+        code, out, err, caught = _main_quietly(["crb"], _extreme_payload(values))
+        assert caught == []
+        _assert_report_or_one_line(code, out, err)
+
+    # Every scheme runs one trial of the built-in scenario. block_len is not
+    # drawn: equal_time would allocate an N x block_len / 2K echo.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.dictionaries(
+            st.sampled_from([k for k in _EXTREME_KEYS if k != "block_len"]),
+            st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def test_drawn_extreme_magnitudes_simulate_to_finite_powers_or_one_line(self, values):
+        for scheme in SCHEMES:
+            argv = ["simulate", "--trials", "1", "--scheme", scheme]
+            code, out, err, caught = _main_quietly(argv, _extreme_payload(values))
+            assert caught == [], scheme
+            _assert_report_or_one_line(code, out, err)
 
 
 class TestConfigFiles:
