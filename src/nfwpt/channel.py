@@ -88,23 +88,22 @@ def _as_point(point) -> np.ndarray:
     return pos
 
 
-def grid_distances(geom: UpaGeometry, grid, rows=slice(None), out=None) -> np.ndarray:
+def grid_distances(geom: UpaGeometry, grid, rows=slice(None)) -> np.ndarray:
     """Distances from the elements in rows to every point of a grid.
 
     grid is (xs, ys, zs), one 1-D coordinate array per axis, and names every
     point (x, y, z) of their product; the result has shape
-    (len(xs), len(ys), len(zs), n_rows) and is written to out when given. The
-    squared offsets are summed one axis at a time, in the order (x + y) + z
-    that np.linalg.norm also uses, so no (points, elements, 3) array forms.
-    Each axis reads one contiguous row of geom.coords. A single point given
-    as a (3, 1) array without out, the form steering_vector and the
-    localizer's probes use, takes its three offset rows from one
-    subtraction, with the same arithmetic and so the same bits. Raises
-    SingularGeometryError when a point coincides with an element.
+    (len(xs), len(ys), len(zs), n_rows). The squared offsets are summed one
+    axis at a time, in the order (x + y) + z that np.linalg.norm also uses,
+    so no (points, elements, 3) array forms. Each axis reads one contiguous
+    row of geom.coords. A single point given as a (3, 1) array, the form
+    steering_vector and the localizer's probes use, takes its three offset
+    rows from one subtraction, with the same arithmetic and so the same bits.
+    Raises SingularGeometryError when a point coincides with an element.
     """
     elems = geom.coords[:, rows]
     n = elems.shape[1]
-    if out is None and isinstance(grid, np.ndarray) and grid.shape == (3, 1):
+    if isinstance(grid, np.ndarray) and grid.shape == (3, 1):
         part = np.subtract(grid.astype(float, copy=False), elems)
         part *= part
         dists = ((part[0] + part[1]) + part[2]).reshape(1, 1, 1, n)
@@ -119,7 +118,7 @@ def grid_distances(geom: UpaGeometry, grid, rows=slice(None), out=None) -> np.nd
             shape = [1, 1, 1, n]
             shape[ax] = part.shape[0]
             parts.append(part.reshape(shape))
-        dists = np.add(parts[0] + parts[1], parts[2], out=out)
+        dists = (parts[0] + parts[1]) + parts[2]
         np.sqrt(dists, out=dists)
         # The min is cheaper than counting over a whole grid. A NaN min hides
         # whether a zero sits beside the NaN, so only then count.

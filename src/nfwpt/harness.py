@@ -40,7 +40,7 @@ from .channel import (
 )
 from .crb import LatticeCrb, lattice_crb, min_sensing_duration
 from .echo import aggregate, simulate_echo, uniform_probe
-from .errors import InfeasibleBlockError
+from .errors import DegenerateChannelError, InfeasibleBlockError
 from .geometry import SPEED_OF_LIGHT, UpaGeometry, build_upa
 from .localize import LocalizationResult, locate_er
 from .visibility import estimate_power_levels, identify_vr, scaling_factor
@@ -51,6 +51,9 @@ SCHEMES = ("proposed", "perfect_csi", "isotropic", "equal_time", "no_vr")
 # at the default 1 W budget while leaving most of the block for power
 # transfer down to 0.1 W.
 DEFAULT_GAMMA = 4e4
+
+# Smallest normal float: a |b|^2 or a channel energy below it has too few bits.
+_TINY = np.finfo(float).tiny
 
 
 def _require_finite(key: str, *values) -> None:
@@ -167,9 +170,9 @@ class ErSpec:
         squared = magnitude * magnitude
         if not math.isfinite(squared):
             raise ValueError(f"reflection magnitude squared must be finite, got {refl!r}")
-        if squared < np.finfo(float).tiny:
+        if squared < _TINY:
             raise ValueError(
-                f"reflection magnitude squared must be at least {np.finfo(float).tiny:.4g}, "
+                f"reflection magnitude squared must be at least {_TINY:.4g}, "
                 f"got {refl!r}"
             )
         if self.vr is not None:
@@ -496,11 +499,15 @@ sense.cache_clear = _sense.cache_clear
 @np.errstate(all="ignore")
 def _true_channels(geom: UpaGeometry, scene: tuple[ErState, ...]) -> list[np.ndarray]:
     """Each receiver's channel in the scene; extreme finite inputs can overflow
-    in the element distances, which raises instead of warning."""
+    in the element distances or leave the channel energy subnormal, and both
+    raise instead of warning or scoring a channel with too few bits."""
     channels = [channel(geom, er) for er in scene]
     for k, h in enumerate(channels, 1):
         if not np.isfinite(h).all():
             raise ValueError(f"er{k}: channel is not finite: the inputs overflow")
+        energy = np.vdot(h, h).real
+        if energy < _TINY:
+            raise DegenerateChannelError(f"er{k}: channel energy {energy:.3g} is subnormal")
     return channels
 
 

@@ -14,14 +14,18 @@ The search has three parts.
 - A coarse lattice over the prior uncertainty box picks the seed: the
   lattice point with the highest q, the first one in lattice order on a tie.
   A prefilter scores every point cheaply, one x-plane at a time in buffers
-  reused across planes. With t = d_n / lambda, it reduces the phase exactly
-  in float64 to 2 pi (t - floor t), rounds it to float32 and takes
-  single-precision cos and sin; the amplitude 1 / d_n stays in float64 (the
-  factor lambda / 4 pi cancels from q). If rho bounds the error of each
-  phasor, then |s~ - s| <= rho sqrt(e) ||y_bar||, which bounds the prefilter
-  score q~ within dq = rho ||y_bar|| (2 sqrt(q~) + rho ||y_bar||) of q. Only
-  points with q~ + dq >= max(q~ - dq) can hold the maximum. Each of them is
-  probed exactly, one at a time in lattice order, by the same double-precision
+  reused across planes. It works in wavelength units: with the coordinates
+  scaled by 1 / lambda once, the distance t_n = d_n / lambda is the phase in
+  turns, and the squared y and z offsets of a plane are formed once per call.
+  It reduces the phase exactly in float64 to 2 pi (t - floor t), rounds it to
+  float32 and takes single-precision cos and sin; the amplitude 1 / t_n stays
+  in float64 (the factor lambda / 4 pi cancels from q). A point on an element
+  makes its 1 / t_n, and so its energy sum, infinite, which is the prefilter's
+  only singularity check. If rho bounds the error of each phasor, then
+  |s~ - s| <= rho sqrt(e) ||y_bar||, which bounds the prefilter score q~
+  within dq = rho ||y_bar|| (2 sqrt(q~) + rho ||y_bar||) of q. Only points
+  with q~ + dq >= max(q~ - dq) can hold the maximum. Each of them is probed
+  exactly, one at a time in lattice order, by the same double-precision
   kernel as every other candidate, and the first maximum among them is the
   seed.
 - A bound-constrained Levenberg-Marquardt ascent climbs from it. With
@@ -38,6 +42,13 @@ The search has three parts.
   box and kept only if q rises; mu shrinks after a kept step and grows after a
   rejected one or while the damped matrix is not positive definite. A kept
   step is doubled for as long as q keeps rising.
+
+  The sums over the region come from BLAS products; g, H, M and the step,
+  one to three unknowns, are Python floats. The step is solved in closed
+  form: a Cholesky factor L of the damped block, then forward and back
+  substitution. Where a pivot is not positive the factor does not exist, and
+  there is no step. Python float arithmetic raises where numpy would return
+  inf or nan, and such an error ends the search in a ValueError.
 - The objective is sharply peaked across the ray from the visibility region
   toward the estimate but nearly flat along it (the range direction), and
   along that ray it can have a second, higher maximum at the far side of the
@@ -56,11 +67,10 @@ from .channel import (
     VisibilityRegion,
     _as_point,
     array_response,
-    grid_distances,
     response_derivatives,
     response_hessians,
 )
-from .errors import DegenerateChannelError
+from .errors import DegenerateChannelError, SingularGeometryError
 from .geometry import UpaGeometry
 
 # Levenberg-Marquardt damping: first nonzero value, factor per kept or
@@ -72,14 +82,17 @@ _MU_CAP = 1e8
 _MAX_ITERS = 50
 
 # Bound rho on |p~ - p| for one prefilter phasor p~ against the exact
-# exp(-j 2 pi d / lambda). The reduced phase 2 pi (t - floor t) carries only
-# float64 rounding (about 1e-12 rad while d is below 1e3 wavelengths);
-# rounding it to float32 on [0, 2 pi) moves it by at most 2^-22, about
+# exp(-j 2 pi d / lambda). The wavelength-unit distance t = d / lambda comes
+# from coordinates each scaled by 1 / lambda with one rounding, so t carries a
+# relative error of a few float64 ulps: about 1e-12 rad of phase while d is
+# below 1e3 wavelengths, and the reduction t - floor t adds none. Rounding
+# the reduced phase to float32 on [0, 2 pi) moves it by at most 2^-22, about
 # 2.4e-7 rad; float32 cos and sin are each within a few float32 ulps, 6e-8
-# near 1. Together that is below 5e-7 (3.0e-7 measured). The float64 sums of
-# q~ and of the exact re-score each add at most n * 1.1e-16 per term, below
-# 3e-13 for the 2304 elements of a 48x48 array. rho keeps a margin of 20 over
-# all of it, so the point that the exact score ranks first always survives.
+# near 1. Together that is below 5e-7 (3.0e-7 measured). The amplitude 1 / t
+# is off by a few float64 ulps, and the float64 sums of q~ and of the exact
+# re-score each add at most n * 1.1e-16 per term, below 3e-13 for the 2304
+# elements of a 48x48 array. rho keeps a margin of 20 over all of it, so the
+# point that the exact score ranks first always survives.
 _PHASOR_ERROR = 1e-5
 
 # A channel energy below the smallest normal float carries too few bits to score.
@@ -153,33 +166,87 @@ def _probe(geom: UpaGeometry, y: np.ndarray, rows: slice, point: np.ndarray) -> 
 
 
 def _ascent_model(geom: UpaGeometry, y: np.ndarray, rows: slice, at: _Probe):
-    """Gradient, Hessian and Gauss-Newton diagonal of q at a probed point."""
+    """Gradient, Hessian and Gauss-Newton diagonal of q at a probed point.
+
+    The sums over the region come from BLAS products; the 3 x 3 algebra on
+    them runs on Python floats, and the results are nested lists. With
+    r = s / e and w = |r|^2, q = e w and no power of s or e is formed.
+    """
     d = response_derivatives(geom, at.point, at.dists, at.h, rows)
     d2 = response_hessians(geom, at.point, at.dists, at.h, rows)
-    s, e = at.s, at.e
-    s_u = d.conj() @ y
-    s_uv = d2.conj() @ y
-    h_d = d @ at.h.conj()
-    d_d = (d.conj() @ d.T).real
-    e_u = 2.0 * h_d.real
-    e_uv = 2.0 * (d_d + (d2 @ at.h.conj()).real)
-    p = abs(s) ** 2
-    p_u = 2.0 * (np.conj(s) * s_u).real
-    p_uv = 2.0 * (np.outer(s_u, s_u.conj()) + np.conj(s) * s_uv).real
-    grad = p_u / e - p * e_u / e**2
-    cross = np.outer(p_u, e_u)
-    hess = (
-        p_uv / e
-        - (cross + cross.T) / e**2
-        - p * e_uv / e**2
-        + 2.0 * p * np.outer(e_u, e_u) / e**3
-    )
-    try:
-        gain = 2.0 * abs(s / e) ** 2
-    except OverflowError:
-        raise ValueError("localizer curvature overflows: the echo dwarfs the channel") from None
-    gn_diag = gain * (np.diag(d_d) - np.abs(h_d) ** 2 / e)
+    h_conj = at.h.conj()
+    s_u = (d.conj() @ y).tolist()
+    s_uv = (d2.conj() @ y).tolist()
+    h_d = (d @ h_conj).tolist()
+    d_d = (d.conj() @ d.T).real.tolist()
+    d2_h = (d2 @ h_conj).real.tolist()
+    e = at.e
+    r = at.s / e
+    w = r.real * r.real + r.imag * r.imag
+    if w == math.inf:
+        raise ValueError("localizer curvature overflows: the echo dwarfs the channel")
+    r_bar = r.conjugate()
+    axes = range(3)
+    # With p = |s|^2 and its derivatives p_u: a_u = p_u / e, p_u / e^2 = a_u / e
+    # and p / e^2 = w, so these are the terms of grad and hess in the docstring.
+    a = [2.0 * (r_bar * s_u[u]).real for u in axes]
+    e_u = [2.0 * h_d[u].real for u in axes]
+    grad = [a[u] - w * e_u[u] for u in axes]
+    hess = [
+        [
+            2.0 * (r_bar * s_uv[u][v]).real
+            - 2.0 * w * (d_d[u][v] + d2_h[u][v])
+            + (
+                2.0 * (s_u[u] * s_u[v].conjugate()).real
+                - a[u] * e_u[v]
+                - a[v] * e_u[u]
+                + 2.0 * w * e_u[u] * e_u[v]
+            )
+            / e
+            for v in axes
+        ]
+        for u in axes
+    ]
+    gn_diag = [
+        2.0 * w * (d_d[u][u] - (h_d[u].real * h_d[u].real + h_d[u].imag * h_d[u].imag) / e)
+        for u in axes
+    ]
     return grad, hess, gn_diag
+
+
+def _cholesky_solve(a, b):
+    """Solution x of a x = b through the Cholesky factor a = L L^T, or None
+    where the factor does not exist.
+
+    a is a small symmetric matrix as nested lists of floats, of which only the
+    lower triangle is read, as LAPACK's potrf reads it; b is a list. The factor
+    does not exist once a pivot is not positive, potrf's test; a nan pivot
+    fails it too, where np.linalg.cholesky returns a nan factor. Forward
+    substitution L z = b and back substitution L^T x = z then give x.
+    """
+    m = len(b)
+    chol = [[0.0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1):
+            acc = a[i][j]
+            for k in range(j):
+                acc -= chol[i][k] * chol[j][k]
+            if i > j:
+                chol[i][j] = acc / chol[j][j]
+            elif acc > 0.0:
+                chol[i][i] = math.sqrt(acc)
+            else:
+                return None
+    x = list(b)
+    for i in range(m):
+        for k in range(i):
+            x[i] -= chol[i][k] * x[k]
+        x[i] /= chol[i][i]
+    for i in reversed(range(m)):
+        for k in range(i + 1, m):
+            x[i] -= chol[k][i] * x[k]
+        x[i] /= chol[i][i]
+    return x
 
 
 def prefilter_scores(
@@ -189,41 +256,53 @@ def prefilter_scores(
 
     y is the echo on the region slice rows and grid is (xs, ys, zs). Both
     results are flat, in lattice order, and |q~ - q| <= dq for the exact
-    score q of each point (module docstring).
+    score q of each point (module docstring). Raises SingularGeometryError
+    when a lattice point coincides with an element of the region.
     """
     n = y.size
-    plane = (1, grid[1].size, grid[2].size)
-    count = plane[1] * plane[2]
-    dists = np.empty(plane + (n,))
-    flat = dists.reshape(count, n)
-    phase = np.empty((count, n))
-    phase32 = np.empty((count, n), dtype=np.float32)
+    # In wavelength units a distance t is the phase in turns, and 1 / t is the
+    # amplitude up to the factor lambda / 4 pi, which cancels from q.
+    elems = geom.coords[:, rows] / geom.wavelength
+    xs, ys, zs = (np.asarray(g, dtype=float) / geom.wavelength for g in grid)
+    count = ys.size * zs.size
+    dx = np.subtract.outer(xs, elems[0])
+    dx *= dx
+    dy = np.subtract.outer(ys, elems[1])
+    dy *= dy
+    dz = np.subtract.outer(zs, elems[2])
+    dz *= dz
+    # The squared y and z offsets are the same on every x-plane.
+    yz = (dy[:, None, :] + dz[None, :, :]).reshape(count, n)
     amp = np.empty((count, n))
+    phase32 = np.empty((count, n), dtype=np.float32)
     parts = np.empty((2 * count, n))
+    # The sin half holds the plane's distances until its sines overwrite them.
     cos, sin = parts[:count], parts[count:]
     sums = np.empty((2 * count, 2))
     echo = np.stack([y.real, y.imag], axis=1)
-    power = np.empty((grid[0].size, count))
-    energy = np.empty((grid[0].size, count))
-    inv_wavelength = 1.0 / geom.wavelength
-    for i in range(grid[0].size):
-        grid_distances(geom, (grid[0][i : i + 1], grid[1], grid[2]), rows, out=dists)
-        np.multiply(flat, inv_wavelength, out=phase)
-        np.subtract(phase, np.floor(phase, out=amp), out=phase)
-        phase *= 2.0 * np.pi
-        phase32[...] = phase
-        np.reciprocal(flat, out=amp)
-        np.cos(phase32, out=cos)
-        cos *= amp
-        np.sin(phase32, out=sin)
-        sin *= amp
-        # s = sum_n amp_n (cos - j sin)(Re y_n - j Im y_n).
-        np.matmul(parts, echo, out=sums)
-        re = sums[:count, 0] - sums[count:, 1]
-        im = sums[:count, 1] + sums[count:, 0]
-        power[i] = re * re + im * im
-        energy[i] = np.einsum("ij,ij->i", amp, amp)
-    q = (power / energy).reshape(-1)
+    power = np.empty((xs.size, count))
+    energy = np.empty((xs.size, count))
+    # A point on an element makes its 1 / t, and so its energy, infinite.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i in range(xs.size):
+            turns = np.add(yz, dx[i], out=sin)
+            np.sqrt(turns, out=turns)
+            np.subtract(turns, np.floor(turns, out=amp), out=amp)
+            np.multiply(amp, 2.0 * np.pi, out=phase32)
+            np.reciprocal(turns, out=amp)
+            np.cos(phase32, out=cos)
+            cos *= amp
+            np.sin(phase32, out=sin)
+            sin *= amp
+            # s = sum_n amp_n (cos - j sin)(Re y_n - j Im y_n).
+            np.matmul(parts, echo, out=sums)
+            re = sums[:count, 0] - sums[count:, 1]
+            im = sums[:count, 1] + sums[count:, 0]
+            power[i] = re * re + im * im
+            energy[i] = np.einsum("ij,ij->i", amp, amp)
+        if np.isinf(energy).any():
+            raise SingularGeometryError("a candidate point coincides with an array element")
+        q = (power / energy).reshape(-1)
     reach = _PHASOR_ERROR * math.sqrt(np.vdot(y, y).real)
     return q, reach * (2.0 * np.sqrt(q) + reach)
 
@@ -262,6 +341,101 @@ def _ray_samples(origin, point, lo, hi, count):
     return [np.clip(point + t * u, lo, hi) for t in np.linspace(t_lo, t_hi, count)]
 
 
+def _clip(x: float, lo: float, hi: float) -> float:
+    """x clipped to [lo, hi]; a nan stays nan, as under np.clip."""
+    return min(max(x, lo), hi)
+
+
+def _ascend(
+    geom: UpaGeometry,
+    y: np.ndarray,
+    rows: slice,
+    current: _Probe,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    tol: float,
+):
+    """Bound-constrained Levenberg-Marquardt ascent from current, with the
+    ray check (module docstring).
+
+    Returns the final probe, the linearizations taken, whether the search
+    converged and the candidates it scored. The point, box and model are
+    Python floats; only the probes run on numpy.
+    """
+    origin = geom.coords[:, rows].mean(axis=1)
+    box = list(zip(lo.tolist(), hi.tolist()))
+    mu = _MU_START
+    iterations = evaluations = 0
+    while iterations < _MAX_ITERS:
+        iterations += 1
+        point = current.point.tolist()
+        grad, hess, gn_diag = _ascent_model(geom, y, rows, current)
+        # A zero Gauss-Newton curvature means D_u is parallel to h, where the
+        # gradient along u vanishes too.
+        free = [
+            u
+            for u, (x, (b_lo, b_hi)) in enumerate(zip(point, box))
+            if b_lo < b_hi
+            and gn_diag[u] > 0
+            and not (x <= b_lo and grad[u] < 0)
+            and not (x >= b_hi and grad[u] > 0)
+        ]
+        kept = None
+        if free:
+            g_free = [grad[u] for u in free]
+            while mu <= _MU_CAP:
+                damped = [
+                    [-hess[u][v] + (mu * gn_diag[u] if u == v else 0.0) for v in free]
+                    for u in free
+                ]
+                delta = _cholesky_solve(damped, g_free)
+                if delta is None:
+                    mu *= _MU_FACTOR
+                    continue
+                target = list(point)
+                for u, du in zip(free, delta):
+                    target[u] = _clip(point[u] + du, *box[u])
+                trial = _probe(geom, y, rows, np.array(target))
+                evaluations += 1
+                if trial.q > current.q:
+                    kept = trial
+                    mu /= _MU_FACTOR
+                    break
+                mu *= _MU_FACTOR
+        stationary = kept is None
+        if kept is not None:
+            while True:
+                at = kept.point.tolist()
+                far = [_clip(2.0 * k - x, *b) for k, x, b in zip(at, point, box)]
+                if far == at:
+                    break
+                doubled = _probe(geom, y, rows, np.array(far))
+                evaluations += 1
+                if not doubled.q > kept.q:
+                    break
+                kept = doubled
+            # A step that puts an axis on a face leaves the other axes to
+            # adjust to it, however short the step was.
+            landed = any(
+                k != x and (k == b_lo or k == b_hi) for k, x, (b_lo, b_hi) in zip(at, point, box)
+            )
+            stationary = math.dist(at, point) < tol and not landed
+            current = kept
+        if stationary:
+            samples = [
+                _probe(geom, y, rows, p)
+                for p in _ray_samples(origin, current.point, lo, hi, _LATTICE_POINTS)
+            ]
+            evaluations += len(samples)
+            better = max(samples, key=lambda c: c.q, default=current)
+            if better.q > current.q:
+                current = better
+                mu = _MU_START
+            else:
+                return current, iterations, True, evaluations
+    return current, iterations, False, evaluations
+
+
 def locate_er(
     geom: UpaGeometry,
     y_bar: np.ndarray,
@@ -297,70 +471,13 @@ def locate_er(
     y = np.asarray(y_bar, dtype=complex)[rows]
     pinned = hi <= lo
     grid = [np.linspace(lo[i], hi[i], 1 if pinned[i] else _LATTICE_POINTS) for i in range(3)]
-    current, probed = lattice_seed(geom, y, rows, grid)
-    evaluations = math.prod(g.size for g in grid) + probed
-    origin = geom.coords[:, rows].mean(axis=1)
-
-    mu = _MU_START
-    iterations = 0
-    converged = False
-    while iterations < _MAX_ITERS:
-        iterations += 1
-        point = current.point
-        grad, hess, gn_diag = _ascent_model(geom, y, rows, current)
-        # A zero Gauss-Newton curvature means D_u is parallel to h, where the
-        # gradient along u vanishes too.
-        free = ~pinned & (gn_diag > 0)
-        free &= ~((point <= lo) & (grad < 0)) & ~((point >= hi) & (grad > 0))
-        kept = None
-        if free.any():
-            neg_hess = -hess[np.ix_(free, free)]
-            scale = np.diag(gn_diag[free])
-            while mu <= _MU_CAP:
-                try:
-                    chol = np.linalg.cholesky(neg_hess + mu * scale)
-                except np.linalg.LinAlgError:
-                    mu *= _MU_FACTOR
-                    continue
-                step = np.zeros(3)
-                step[free] = np.linalg.solve(chol.T, np.linalg.solve(chol, grad[free]))
-                trial = _probe(geom, y, rows, np.clip(point + step, lo, hi))
-                evaluations += 1
-                if trial.q > current.q:
-                    kept = trial
-                    mu /= _MU_FACTOR
-                    break
-                mu *= _MU_FACTOR
-        stationary = kept is None
-        if kept is not None:
-            while True:
-                far = np.clip(2.0 * kept.point - point, lo, hi)
-                if np.array_equal(far, kept.point):
-                    break
-                doubled = _probe(geom, y, rows, far)
-                evaluations += 1
-                if not doubled.q > kept.q:
-                    break
-                kept = doubled
-            # A step that puts an axis on a face leaves the other axes to
-            # adjust to it, however short the step was.
-            moved = kept.point != point
-            landed = np.any(moved & ((kept.point == lo) | (kept.point == hi)))
-            stationary = np.linalg.norm(kept.point - point) < tol and not landed
-            current = kept
-        if stationary:
-            samples = [
-                _probe(geom, y, rows, p)
-                for p in _ray_samples(origin, current.point, lo, hi, _LATTICE_POINTS)
-            ]
-            evaluations += len(samples)
-            better = max(samples, key=lambda c: c.q, default=current)
-            if better.q > current.q:
-                current = better
-                mu = _MU_START
-            else:
-                converged = True
-                break
+    try:
+        seed, probed = lattice_seed(geom, y, rows, grid)
+        current, iterations, converged, steps = _ascend(geom, y, rows, seed, lo, hi, tol)
+    except (ZeroDivisionError, OverflowError):
+        # Python float arithmetic raises where numpy would return inf or nan.
+        raise ValueError("localizer scores leave the float range: the echo dwarfs the channel") from None
+    evaluations = math.prod(g.size for g in grid) + probed + steps
 
     point = current.point.copy()
     point.setflags(write=False)

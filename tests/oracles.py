@@ -26,6 +26,9 @@ computes another way, kept so the tests can arbitrate the fast path:
   localize.lattice_seed must pick.
 - full_aperture_objective: localize.concentrated_objective from the masked
   full-aperture response instead of one probe of the region slice.
+- cholesky_solve: the localizer's damped step through LAPACK, the
+  np.linalg.cholesky factor and two np.linalg.solve calls, against which
+  localize._cholesky_solve, the same step in closed form, is checked.
 """
 
 from __future__ import annotations
@@ -250,3 +253,13 @@ def full_aperture_objective(geom, y_bar, candidate, vr) -> float:
     if e == 0.0:
         raise DegenerateChannelError("masked response is identically zero")
     return float(abs(np.vdot(h, y_bar)) ** 2 / e)
+
+
+def cholesky_solve(a, b):
+    """x with a x = b from the Cholesky factor L of a, solving L z = b and then
+    L^T x = z; None where np.linalg.cholesky finds a not positive definite."""
+    try:
+        chol = np.linalg.cholesky(np.asarray(a, dtype=float))
+    except np.linalg.LinAlgError:
+        return None
+    return np.linalg.solve(chol.T, np.linalg.solve(chol, np.asarray(b, dtype=float)))

@@ -244,21 +244,6 @@ def test_grid_response_matches_pointwise_steering_vectors():
         np.testing.assert_array_equal(entries[i, j, k], steering_vector(geom, point)[rows])
 
 
-def test_grid_distances_plane_by_plane_match_the_whole_grid():
-    geom = build_upa(8, 8, 28e9)
-    grid = [np.linspace(0.5, 1.5, 3), np.linspace(-0.4, 0.4, 4), np.array([0.2, 0.7])]
-    rows = slice(9, 41)
-    whole, _ = array_response(geom, grid, rows)
-    plane = np.empty((1, 4, 2, 32))
-    for i in range(3):
-        out = grid_distances(geom, (grid[0][i : i + 1], grid[1], grid[2]), rows, out=plane)
-        assert out is plane
-        np.testing.assert_array_equal(plane[0], whole[i])
-    on_element = ([0.0], geom.coords.T[20:24, 1], geom.coords.T[[20, 40], 2])
-    with pytest.raises(SingularGeometryError):
-        grid_distances(geom, on_element, rows, out=plane)
-
-
 @pytest.mark.parametrize("size", [(8, 8), (9, 7), (32, 32)])
 @pytest.mark.parametrize("rows", [slice(None), slice(5, 40), slice(17, 19)])
 def test_one_point_distances_equal_the_grid_path(size, rows):
@@ -272,9 +257,6 @@ def test_one_point_distances_equal_the_grid_path(size, rows):
         got = grid_distances(geom, point[:, None], rows)
         assert got.shape == expected.shape == (1, 1, 1, expected.shape[-1])
         assert got.tobytes() == expected.tobytes()
-        out = np.full(expected.shape, -1.0)
-        assert grid_distances(geom, point[:, None], rows, out=out) is out
-        assert out.tobytes() == expected.tobytes()
         dists, entries = array_response(geom, point[:, None], rows)
         grid_dists, grid_entries = array_response(geom, axes, rows)
         assert dists.tobytes() == grid_dists.tobytes()
@@ -295,8 +277,6 @@ def test_distance_kernel_rejects_an_element_and_passes_nan(one_point):
     for element in (geom.coords.T[9], geom.coords.T[40]):
         with pytest.raises(SingularGeometryError):
             grid_distances(geom, form(element), rows)
-        with pytest.raises(SingularGeometryError):
-            grid_distances(geom, form(element), rows, out=np.empty((1, 1, 1, 32)))
     # An element outside rows is no singularity for the rows.
     assert grid_distances(geom, form(geom.coords.T[8]), rows).all()
     with np.errstate(invalid="ignore"):

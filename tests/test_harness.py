@@ -852,6 +852,16 @@ class TestExtremeInputs:
         assert caught == []
         _assert_report_or_one_line(code, out, err)
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_a_subnormal_channel_is_rejected_under_every_scheme(self, scheme):
+        # Every channel energy is subnormal, so no scheme may print a power,
+        # including the two that never sense.
+        argv = ["simulate", "--trials", "1", "--scheme", scheme]
+        code, out, err, caught = _main_quietly(argv, {"array": {"carrier_freq": 1.2e166}})
+        assert caught == []
+        assert (code, out) == (2, "")
+        assert err.startswith("nfwpt: error: er1: ") and err.count("\n") == 1
+
     def test_a_block_too_large_to_sense_ends_in_one_line(self, monkeypatch, capsys):
         def unallocatable(*args, **kwargs):
             raise MemoryError("Unable to allocate 744. GiB for an array")

@@ -1,6 +1,7 @@
 """Tests for the concentrated-likelihood position search."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +20,7 @@ from nfwpt import (
 from nfwpt.channel import ErState, VisibilityRegion, channel
 from nfwpt.echo import aggregate, simulate_echo, uniform_probe
 from nfwpt.errors import DegenerateChannelError, SingularGeometryError
-from oracles import full_aperture_objective, lattice_scores
+from oracles import cholesky_solve, full_aperture_objective, lattice_scores
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -411,8 +412,15 @@ def test_a_lattice_point_on_an_element_is_rejected(corner):
     element = geom.coords.T[27]
     box = (element, element + 0.2) if corner == 0 else (element - 0.2, element)
     y = np.ones(geom.n_elements, dtype=complex)
-    with pytest.raises(SingularGeometryError):
-        locate_er(geom, y, VisibilityRegion(1, geom.n_elements), box)
+    vr = VisibilityRegion(1, geom.n_elements)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        # The prefilter scores the lattice first, so it is the one to raise.
+        with pytest.raises(SingularGeometryError):
+            localize.prefilter_scores(geom, *_seed_inputs(y, vr, box))
+        with pytest.raises(SingularGeometryError):
+            locate_er(geom, y, vr, box)
+    assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -423,3 +431,58 @@ def test_a_non_finite_search_box_is_rejected_up_front(bad, corner):
     box[corner][1] = bad
     with pytest.raises(ValueError, match="search box must be finite"):
         locate_er(geom, y, er.vr, box)
+
+
+@pytest.mark.parametrize("error", [ZeroDivisionError, OverflowError])
+def test_float_range_errors_of_the_search_end_in_a_value_error(monkeypatch, error):
+    geom, er, y = _noiseless_scene(3)
+
+    def out_of_range(*args):
+        raise error("float arithmetic left the range")
+
+    monkeypatch.setattr(localize, "_ascent_model", out_of_range)
+    with pytest.raises(ValueError, match="float range") as info:
+        locate_er(geom, y, er.vr, (er.position - 0.2, er.position + 0.2))
+    assert type(info.value) is ValueError
+
+
+@st.composite
+def _damped_systems(draw, definite):
+    """A symmetric system of one to three unknowns, its right-hand side and
+    its eigenvalues: within [1e-2, 10] when definite, so the condition number
+    stays below 1e3, and otherwise of either sign and at least 1e-10 from 0,
+    both relative to the drawn scale."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 3))
+    basis, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    eigenvalues = 10.0 ** rng.uniform(-2.0 if definite else -10.0, 1.0, m)
+    if not definite:
+        eigenvalues *= rng.choice([-1.0, 1.0], m)
+    scale = 10.0 ** rng.uniform(-100.0, 100.0)
+    a = scale * (basis * eigenvalues) @ basis.T
+    return (a + a.T) / 2.0, scale * rng.standard_normal(m), eigenvalues
+
+
+@settings(max_examples=200, deadline=None)
+@given(_damped_systems(definite=True))
+def test_closed_form_step_matches_the_lapack_route(system):
+    a, b, _ = system
+    step = localize._cholesky_solve(a.tolist(), b.tolist())
+    expected = cholesky_solve(a, b)
+    assert np.linalg.norm(np.subtract(step, expected)) <= 1e-12 * np.linalg.norm(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_damped_systems(definite=False))
+def test_closed_form_step_exists_exactly_where_the_factor_does(system):
+    a, b, eigenvalues = system
+    step = localize._cholesky_solve(a.tolist(), b.tolist())
+    expected = cholesky_solve(a, b)
+    assert (step is None) == (expected is None) == (eigenvalues.min() < 0)
+
+
+def test_closed_form_step_rejects_a_nan_pivot():
+    # The LAPACK route returns a nan step here, which no probe could keep.
+    assert np.isnan(cholesky_solve([[math.nan]], [1.0])).all()
+    assert localize._cholesky_solve([[math.nan]], [1.0]) is None
+    assert localize._cholesky_solve([[1.0, 0.0], [math.nan, 1.0]], [1.0, 1.0]) is None
