@@ -507,7 +507,7 @@ def _true_channels(geom: UpaGeometry, scene: tuple[ErState, ...]) -> list[np.nda
             raise ValueError(f"er{k}: channel is not finite: the inputs overflow")
         energy = np.vdot(h, h).real
         if energy < _TINY:
-            raise DegenerateChannelError(f"er{k}: channel energy {energy:.3g} is subnormal")
+            raise DegenerateChannelError(f"er{k}: channel energy {energy:.3g} is zero or subnormal")
     return channels
 
 
