@@ -53,6 +53,8 @@ COMMANDS = (
     f"crb --scheme no_vr --config {PINNED}",
     f"simulate --trials 20 --config {PINNED}",
     f"sweep-weight --trials 3 --config {PINNED}",
+    # Cells of more trials than an earlier 128-record sensing memo held.
+    f"sweep-weight --trials 130 --grid 0.2,0.8 --config {PINNED}",
 )
 
 def run(checkout: Path, command: str) -> tuple[bytes, int]:

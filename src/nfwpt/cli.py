@@ -21,7 +21,6 @@ from .harness import (
     load_config,
     plan,
     rows_to_csv,
-    sense,
     simulate,
     sweep_beta,
     sweep_gamma,
@@ -134,12 +133,12 @@ def main(argv=None) -> int:
     p_crb.set_defaults(seed=None, trials=None)
 
     args = parser.parse_args(argv)
-    # Each command builds, plans and senses from scratch, as in a fresh
-    # process, so what one command costs does not depend on the commands run
-    # before it in the same interpreter.
+    # Each command builds and plans from scratch, as in a fresh process, so
+    # what one command costs does not depend on the commands run before it
+    # in the same interpreter. Sensing is shared only within one trial of
+    # run_trials, so no command inherits any.
     array_geometry.cache_clear()
     plan.cache_clear()
-    sense.cache_clear()
     try:
         _run(args)
     except (ValueError, OSError, MemoryError) as exc:

@@ -391,48 +391,29 @@ plan.cache_clear = _plan.cache_clear
 class Sensing:
     """First stage of one trial: the scene it drew and what sensing found.
 
-    Per receiver, in the order of cfg.ers: its ground truth, the identified
-    visibility region (the full aperture under no_vr) and the localizer's
-    result. Its position arrays are read-only, since every memo hit hands out
-    the same record.
+    Per receiver, in the order of cfg.ers: its ground truth, its true
+    channel, the identified visibility region (the full aperture under
+    no_vr) and the localizer's result. Its arrays are read-only, since
+    run_trials hands the same record to every cell of a trial that shares it.
     """
 
     scene: tuple[ErState, ...]
+    channels: tuple[np.ndarray, ...]
     regions: tuple[VisibilityRegion, ...]
     locations: tuple[LocalizationResult, ...]
 
 
-def sense(cfg: ScenarioConfig, trial_index: int, tau: int) -> Sensing:
-    """First stage of a trial of a sensing scheme, with tau symbols per receiver.
+def _sense_key(cfg: ScenarioConfig, trial_index: int, tau: int) -> tuple:
+    """Exactly what sense reads, in the order of _sense's arguments.
 
-    Draws the trial's scene; then, for each receiver, simulates and
-    aggregates its echo, identifies its visibility region (every scheme but
-    no_vr, which models the full aperture) and locates it in its prior box
-    widened to +- 2 D.
-
-    Memoized on exactly what it reads: the array; per receiver, the prior,
-    the error bounds, the pinned region and the reflection with its type;
-    noise_power, p_max, eta and n_alpha; whether the scheme identifies
-    regions; tau, master_seed and the trial index. It reads no weight, gamma,
-    block_len or trial budget, so the cells of a weight sweep, and the
-    targets of a gamma sweep that plan the same tau, sense each trial once.
-    A hit returns the stored record, the bits a recompute would give. The
-    records are small (scene states, regions, localizer results; no
-    N-vector), and the memo keeps the last 128, so a cell of up to 128
-    trials, the default 100 among them, is shared in full by the next. A
-    larger cell shares no sensing with the next at all: the next cell asks
-    for the same trials in the same order, and each has been evicted by the
-    time it is asked for.
-    An exception is not stored, so a failing trial raises on every call, but
-    a warning raised while sensing is not raised again on a hit. cli.main
-    empties the memo at the start of every command. A ValueError of one
-    receiver's channel, echo, region identification or localization keeps
-    its type and names the receiver, er1 for the first.
+    The array; per receiver, the prior, the error bounds, the pinned region
+    and the reflection with its type; noise_power, p_max, eta and n_alpha;
+    whether the scheme identifies regions; tau, master_seed and the trial
+    index. No weight, gamma, block_len or trial budget.
     """
-    receivers = tuple(_receiver_key(spec) for spec in cfg.ers)
-    return _sense(
+    return (
         cfg.array,
-        receivers,
+        tuple(_receiver_key(spec) for spec in cfg.ers),
         cfg.noise_power,
         cfg.p_max,
         cfg.eta,
@@ -444,10 +425,26 @@ def sense(cfg: ScenarioConfig, trial_index: int, tau: int) -> Sensing:
     )
 
 
+def sense(cfg: ScenarioConfig, trial_index: int, tau: int) -> Sensing:
+    """First stage of a trial of a sensing scheme, with tau symbols per receiver.
+
+    Draws the trial's scene and builds each receiver's true channel; then, for
+    each receiver, simulates and aggregates its echo, identifies its
+    visibility region (every scheme but no_vr, which models the full
+    aperture) and locates it in its prior box widened to +- 2 D.
+
+    Its result depends on _sense_key(cfg, trial_index, tau) alone, so the
+    cells of a weight sweep, and the targets of a gamma sweep that plan the
+    same tau, can share it; run_trials shares it within each trial. A
+    ValueError of one receiver's channel, echo, region identification or
+    localization keeps its type and names the receiver, er1 for the first.
+    """
+    return _sense(*_sense_key(cfg, trial_index, tau))
+
+
 # Extreme finite inputs can overflow or underflow in the channels, the echo
 # and the localizer. The checks on the channels, on y_bar and in the
 # localizer raise for them, so no numpy warning needs to escape.
-@functools.lru_cache(maxsize=128)
 @np.errstate(all="ignore")
 def _sense(
     array: ArraySpec,
@@ -465,6 +462,8 @@ def _sense(
     n = geom.n_elements
     scene = _draw_scene(receivers, n, eta, n_alpha, master_seed, trial_index)
     channels = _true_channels(geom, scene)
+    for h in channels:
+        h.setflags(write=False)
     noise_streams = _streams(master_seed, trial_index, len(receivers))[1:]
     probe = uniform_probe(geom, p_max)
     regions = []
@@ -489,11 +488,12 @@ def _sense(
             raise type(exc)(f"er{k}: {exc}") from None
         regions.append(vr_hat)
         locations.append(location)
-    return Sensing(scene, tuple(regions), tuple(locations))
+    return Sensing(scene, tuple(channels), tuple(regions), tuple(locations))
 
 
-sense.cache_info = _sense.cache_info
-sense.cache_clear = _sense.cache_clear
+# The Sensing records of the trial run_trials is running, keyed by _sense_key;
+# None outside run_trials, so a direct run_trial call shares nothing.
+_shared: dict | None = None
 
 
 @np.errstate(all="ignore")
@@ -544,20 +544,26 @@ def sensing_slot(cfg: ScenarioConfig) -> int:
 def run_trial(cfg: ScenarioConfig, trial_index: int) -> TrialResult:
     """Simulate one transmission block and score the configured scheme.
 
-    tau comes from sensing_slot. A sensing scheme draws its scene in sense;
-    isotropic scores (P / N) I in closed form, and every other scheme
-    focuses through charge, perfect_csi on the true channels.
+    tau comes from sensing_slot. A sensing scheme draws its scene in sense,
+    or takes the record an earlier cell of the same trial of run_trials
+    sensed with the same _sense_key; isotropic scores (P / N) I in closed
+    form, and every other scheme focuses through charge, perfect_csi on the
+    true channels.
     """
     geom = array_geometry(cfg.array)
     seed = (cfg.master_seed, trial_index)
     tau = sensing_slot(cfg)
     if tau:
-        sensed = sense(cfg, trial_index, tau)
-        scene = sensed.scene
+        key = _sense_key(cfg, trial_index, tau)
+        shared = {} if _shared is None else _shared
+        if key not in shared:
+            shared[key] = _sense(*key)
+        sensed = shared[key]
+        scene, true_channels = sensed.scene, sensed.channels
     else:
         receivers = tuple(_receiver_key(spec) for spec in cfg.ers)
         scene = _draw_scene(receivers, geom.n_elements, cfg.eta, cfg.n_alpha, *seed)
-    true_channels = _true_channels(geom, scene)
+        true_channels = _true_channels(geom, scene)
     if cfg.scheme == "isotropic":
         powers = tuple((cfg.p_max / geom.n_elements) * np.vdot(h, h).real for h in true_channels)
         return TrialResult(powers, 0, False, (math.nan,) * len(scene), seed)
@@ -577,9 +583,32 @@ def run_trial(cfg: ScenarioConfig, trial_index: int) -> TrialResult:
     return TrialResult(powers, tau, hit, errors, seed)
 
 
-def run_trials(cfg: ScenarioConfig) -> list[TrialResult]:
-    """Run the configured trial budget sequentially (deterministic order)."""
-    return [run_trial(cfg, i) for i in range(cfg.trials)]
+def run_trials(cells) -> list[list[TrialResult]]:
+    """Run every cell's trial budget, trial by trial, and return each cell's results.
+
+    For each trial index it runs every cell in the given order through
+    run_trial, so the cells of a trial that read the same sensing inputs
+    sense it once. It holds only that trial's Sensing records, and drops
+    them before the next index and when it returns or raises. Every cell
+    must have the same trial budget.
+    """
+    global _shared
+    cells = list(cells)
+    budgets = {cell.trials for cell in cells}
+    if len(budgets) != 1:
+        raise ValueError(
+            f"run_trials needs one or more cells that share one trials budget, "
+            f"got {sorted(budgets)}"
+        )
+    results = [[] for _ in cells]
+    try:
+        for i in range(budgets.pop()):
+            _shared = {}
+            for cell, cell_results in zip(cells, results):
+                cell_results.append(run_trial(cell, i))
+    finally:
+        _shared = None
+    return results
 
 
 def summarize(cfg: ScenarioConfig, results: list[TrialResult], sweep_value: float) -> SweepRow:
@@ -605,9 +634,17 @@ def summarize(cfg: ScenarioConfig, results: list[TrialResult], sweep_value: floa
     )
 
 
+def _sweep(cells: list[ScenarioConfig], values: list[float]) -> list[SweepRow]:
+    """One row per cell, labelled by its sweep value, from one run_trials call."""
+    return [
+        summarize(cell, results, sweep_value=value)
+        for cell, results, value in zip(cells, run_trials(cells), values)
+    ]
+
+
 def simulate(cfg: ScenarioConfig) -> SweepRow:
     """Run one scheme at the configured settings and aggregate."""
-    return summarize(cfg, run_trials(cfg), sweep_value=cfg.gamma)
+    return _sweep([cfg], [cfg.gamma])[0]
 
 
 def _positive_grid(name: str, values) -> list[float]:
@@ -625,22 +662,14 @@ def sweep_gamma(cfg: ScenarioConfig, gamma_grid) -> list[SweepRow]:
     # The slot never shortens as the target tightens, so taking the smallest
     # target's slot first fails an infeasible grid before any trial.
     sensing_slot(replace(cfg, gamma=min(grid)))
-    rows = []
-    for g in grid:
-        sub = replace(cfg, gamma=g)
-        rows.append(summarize(sub, run_trials(sub), sweep_value=g))
-    return rows
+    return _sweep([replace(cfg, gamma=g) for g in grid], grid)
 
 
 def sweep_pmax(cfg: ScenarioConfig, pmax_grid) -> list[SweepRow]:
     """Sweep the power budget across all schemes."""
     grid = _positive_grid("power", pmax_grid)
-    rows = []
-    for p in grid:
-        for scheme in SCHEMES:
-            sub = replace(cfg, p_max=p, scheme=scheme)
-            rows.append(summarize(sub, run_trials(sub), sweep_value=p))
-    return rows
+    cells = [replace(cfg, p_max=p, scheme=scheme) for p in grid for scheme in SCHEMES]
+    return _sweep(cells, [cell.p_max for cell in cells])
 
 
 def sweep_beta(cfg: ScenarioConfig, beta2_grid) -> list[SweepRow]:
@@ -652,15 +681,11 @@ def sweep_beta(cfg: ScenarioConfig, beta2_grid) -> list[SweepRow]:
     grid = [float(b) for b in beta2_grid]
     if not grid or any(not 0 <= b <= 1 for b in grid):
         raise ValueError(f"weight grid must lie in [0, 1], got {beta2_grid}")
-    rows = []
-    for b2 in grid:
-        ers = (
-            replace(cfg.ers[0], weight=1.0 - b2),
-            replace(cfg.ers[1], weight=b2),
-        )
-        sub = replace(cfg, ers=ers)
-        rows.append(summarize(sub, run_trials(sub), sweep_value=b2))
-    return rows
+    cells = [
+        replace(cfg, ers=(replace(cfg.ers[0], weight=1.0 - b2), replace(cfg.ers[1], weight=b2)))
+        for b2 in grid
+    ]
+    return _sweep(cells, grid)
 
 
 # --- configuration files and CSV output ------------------------------------

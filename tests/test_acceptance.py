@@ -425,13 +425,11 @@ def test_criterion_09_scheme_ordering_holds_across_power_budgets():
     margins = []
     ratio_30dbm = None
     ok = True
+    keys = [(p_max, scheme) for p_max in budgets for scheme in nfwpt.SCHEMES]
+    results = run_trials([replace(cfg, p_max=p_max, scheme=scheme) for p_max, scheme in keys])
+    weighted = {key: _weighted(cfg, cell) for key, cell in zip(keys, results)}
     for p_max in budgets:
-        per_scheme = {
-            scheme: _weighted(
-                cfg, run_trials(replace(cfg, p_max=p_max, scheme=scheme))
-            )
-            for scheme in nfwpt.SCHEMES
-        }
+        per_scheme = {scheme: weighted[p_max, scheme] for scheme in nfwpt.SCHEMES}
         gap, se = _paired_gap(per_scheme["perfect_csi"], per_scheme["proposed"])
         margins.append(gap / se if se > 0 else math.inf)
         ok &= gap >= 3 * se
@@ -458,19 +456,17 @@ def test_criterion_09_scheme_ordering_holds_across_power_budgets():
 def test_criterion_10_weight_sweep_shifts_power_monotonically():
     cfg = ScenarioConfig()
     grid = [round(0.1 * k, 1) for k in range(1, 10)]
-    per_beta = []
-    for b2 in grid:
-        ers = (
-            replace(cfg.ers[0], weight=1.0 - b2),
-            replace(cfg.ers[1], weight=b2),
+    cells = [
+        replace(cfg, ers=(replace(cfg.ers[0], weight=1.0 - b2), replace(cfg.ers[1], weight=b2)))
+        for b2 in grid
+    ]
+    per_beta = [
+        (
+            np.array([r.powers[0] for r in results]),
+            np.array([r.powers[1] for r in results]),
         )
-        results = run_trials(replace(cfg, ers=ers))
-        per_beta.append(
-            (
-                np.array([r.powers[0] for r in results]),
-                np.array([r.powers[1] for r in results]),
-            )
-        )
+        for results in run_trials(cells)
+    ]
     worst_up = math.inf
     worst_down = math.inf
     for (prev1, prev2), (next1, next2) in zip(per_beta, per_beta[1:]):

@@ -122,21 +122,21 @@ def _pinned_channels():
     return cfg, [channel(geom, er) for er in states]
 
 
-def _fresh(cfg, trial_index):
-    """The trial recomputed from an empty sensing memo."""
-    sense.cache_clear()
-    return run_trial(cfg, trial_index)
+def _alone(cfg):
+    """Each trial of the config run on its own, outside run_trials, so that
+    it shares no sensing with any other cell."""
+    return [run_trial(cfg, i) for i in range(cfg.trials)]
 
 
 class TestRunTrial:
     def test_identical_seeds_reproduce_the_trial_bitwise(self):
         cfg = _small_cfg()
-        assert _fresh(cfg, 1) == _fresh(cfg, 1)
+        assert run_trial(cfg, 1) == run_trial(cfg, 1)
 
     def test_trial_results_do_not_depend_on_batch_position(self):
         cfg = _small_cfg(trials=3)
-        batch = run_trials(cfg)
-        assert batch[2] == _fresh(cfg, 2)
+        (batch,) = run_trials([cfg])
+        assert batch[2] == run_trial(cfg, 2)
         assert len(batch) == 3
 
     def test_a_config_builds_its_array_once(self, monkeypatch):
@@ -144,8 +144,7 @@ class TestRunTrial:
         inner = harness.build_upa
         monkeypatch.setattr(harness, "build_upa", lambda *a: calls.append(a) or inner(*a))
         cfg = _small_cfg(trials=3)
-        for scheme in SCHEMES:
-            run_trials(replace(cfg, scheme=scheme))
+        run_trials([replace(cfg, scheme=scheme) for scheme in SCHEMES])
         assert calls == [(8, 8, cfg.array.carrier_freq, cfg.array.spacing)]
 
     def test_different_indices_draw_different_scenes(self):
@@ -231,8 +230,8 @@ _CONFIG_CHANGES = {
     "master_seed": lambda c: replace(c, master_seed=1),
     "scheme": lambda c: replace(c, scheme="no_vr"),
 }
-# The fields each memoized stage does not read. Every other change above is
-# a keyed input of that stage.
+# The fields the plan memo and the sensing key do not read. Every other
+# change above is a keyed input of that stage.
 _NOT_SENSED = {"weight", "block_len", "gamma", "trials"}
 _NOT_PLANNED = _NOT_SENSED | {"eta", "n_alpha", "master_seed"}
 
@@ -322,81 +321,80 @@ def _count_locates(monkeypatch):
 
 class TestSense:
     @pytest.mark.parametrize("scheme", ["proposed", "equal_time", "no_vr"])
-    def test_a_hit_returns_the_bits_of_a_recompute(self, scheme):
+    def test_a_hit_returns_the_bits_of_a_recompute(self, scheme, monkeypatch):
         cfg = _small_cfg(scheme=scheme, ers=tuple(replace(s, vr=None) for s in _small_cfg().ers))
-        for index in range(2):
-            sense.cache_clear()
-            first = run_trial(cfg, index)
-            again = run_trial(cfg, index)
-            info = sense.cache_info()
-            assert (info.misses, info.hits) == (1, 1)
-            assert first == again == _fresh(cfg, index)
+        calls = _count_locates(monkeypatch)
+        first, again = run_trials([cfg, cfg])
+        # Two receivers per trial: the second cell takes the first's record.
+        assert len(calls) == 2 * cfg.trials
+        assert first == again == _alone(cfg)
 
     def test_the_shared_record_is_read_only(self):
         sensed = sense(_small_cfg(), 0, 2)
-        assert sense(_small_cfg(), 0, 2) is sensed
-        for er, loc in zip(sensed.scene, sensed.locations):
-            for position in (er.position, loc.position_hat):
+        for er, h, loc in zip(sensed.scene, sensed.channels, sensed.locations):
+            for array in (er.position, h, loc.position_hat):
                 with pytest.raises(ValueError):
-                    position[0] = 0.0
+                    array[0] = 0.0
 
-    def test_weights_gamma_and_block_len_do_not_reach_the_key(self):
+    def test_the_record_carries_the_true_channels(self):
+        sensed = sense(_small_cfg(), 0, 2)
+        geom = build_upa(8, 8, 28e9)
+        for er, h in zip(sensed.scene, sensed.channels):
+            np.testing.assert_array_equal(h, channel(geom, er))
+
+    def test_weights_gamma_and_block_len_do_not_reach_the_key(self, monkeypatch):
         cfg = _small_cfg()
         tau = min_sensing_duration(plan(cfg), cfg.gamma, cfg.block_len)
-        first = run_trial(cfg, 0)
         shared = [
             _spec_with(_spec_with(cfg, 0, weight=0.9), 1, weight=0.1),
             replace(cfg, gamma=cfg.gamma * 1.001),
             replace(cfg, block_len=300),
-            replace(cfg, trials=7),
         ]
         for other in shared:
             assert min_sensing_duration(plan(other), other.gamma, other.block_len) == tau
-        results = [run_trial(other, 0) for other in shared]
-        info = sense.cache_info()
-        assert (info.misses, info.hits) == (1, len(shared))
+        calls = _count_locates(monkeypatch)
+        first, *results = run_trials([cfg, *shared])
+        assert len(calls) == 2 * cfg.trials
         # The charging stage reads the weights of its own config, not of the
-        # config that filled the memo.
-        assert results[0].powers != first.powers
-        assert results[2].powers != first.powers
+        # config that sensed the trial.
+        assert results[0][0].powers != first[0].powers
+        assert results[2][0].powers != first[0].powers
         for other, result in zip(shared, results):
-            assert result == _fresh(other, 0)
+            assert result == _alone(other)
 
     @pytest.mark.parametrize("key", _CONFIG_CHANGES)
     def test_each_config_field_is_keyed_or_not_read(self, key):
         # tau is held, so only the config's own fields can tell the two apart.
         cfg = _small_cfg()
-        sense(cfg, 0, 2)
-        sense(_CONFIG_CHANGES[key](cfg), 0, 2)
-        info = sense.cache_info()
-        assert (info.misses, info.hits) == ((1, 1) if key in _NOT_SENSED else (2, 0))
+        other = _CONFIG_CHANGES[key](cfg)
+        same = harness._sense_key(cfg, 0, 2) == harness._sense_key(other, 0, 2)
+        assert same == (key in _NOT_SENSED)
 
     def test_the_slot_length_and_the_trial_index_are_in_the_key(self):
         cfg = _small_cfg()
-        for index, tau in ((0, 2), (0, 3), (1, 2)):
-            sense(cfg, index, tau)
-        info = sense.cache_info()
-        assert (info.misses, info.hits) == (3, 0)
+        keys = {harness._sense_key(cfg, index, tau) for index, tau in ((0, 2), (0, 3), (1, 2))}
+        assert len(keys) == 3
 
     def test_equal_time_and_proposed_share_a_slot_length_and_so_a_stage(self):
         cfg = _small_cfg()
-        sense(cfg, 0, 2)
-        sense(replace(cfg, scheme="equal_time"), 0, 2)
-        info = sense.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        other = replace(cfg, scheme="equal_time")
+        assert harness._sense_key(cfg, 0, 2) == harness._sense_key(other, 0, 2)
 
-    def test_a_drawn_and_a_pinned_phase_do_not_share_a_scene(self):
-        drawn = _small_cfg()
+    def test_a_drawn_and_a_pinned_phase_do_not_share_a_scene(self, monkeypatch):
+        drawn = _small_cfg(trials=1)
         pinned = _spec_with(drawn, 0, reflection=50 + 0j)
         # As receiver specs they are the same, so a key made of the specs
         # without their weights would reuse the drawn scene.
         assert pinned.ers[0] == drawn.ers[0]
         assert hash(pinned.ers[0]) == hash(drawn.ers[0])
+        assert harness.sensing_slot(drawn) == harness.sensing_slot(pinned)
+        calls = _count_locates(monkeypatch)
+        results = run_trials([drawn, pinned])
+        assert len(calls) == 2 * 2
         scenes = [sense(cfg, 0, 2).scene[0].reflection for cfg in (drawn, pinned)]
-        assert sense.cache_info().misses == 2
         assert abs(scenes[0]) == pytest.approx(50.0) and scenes[0] != 50
         assert scenes[1] == 50 + 0j
-        assert run_trial(pinned, 0) == _fresh(pinned, 0)
+        assert results == [_alone(drawn), _alone(pinned)]
 
     def test_a_weight_sweep_locates_each_receiver_once_per_trial(self, monkeypatch):
         calls = _count_locates(monkeypatch)
@@ -404,6 +402,21 @@ class TestSense:
         rows = sweep_beta(cfg, [0.1 * k for k in range(1, 10)])
         assert len(rows) == 9
         assert len(calls) == len(cfg.ers) * cfg.trials
+
+    def test_a_long_weight_sweep_still_locates_once_per_trial(self, monkeypatch):
+        # More trials per cell than an earlier 128-record memo could share.
+        calls = _count_locates(monkeypatch)
+        cfg = _small_cfg(trials=129)
+        sweep_beta(cfg, [0.2, 0.8])
+        assert len(calls) == len(cfg.ers) * cfg.trials == 258
+
+    def test_a_direct_trial_shares_nothing(self, monkeypatch):
+        calls = _count_locates(monkeypatch)
+        cfg = _small_cfg()
+        run_trials([cfg])
+        run_trial(cfg, 0)
+        assert harness._shared is None
+        assert len(calls) == 2 * (cfg.trials + 1)
 
     def test_a_sensing_error_keeps_its_type_and_names_its_receiver(self, monkeypatch):
         calls = []
@@ -428,17 +441,81 @@ class TestSense:
             raise DegenerateChannelError("no energy")
 
         monkeypatch.setattr(harness, "locate_er", failing)
+        monkeypatch.setattr(harness, "_shared", {})
         for _ in range(2):
             with pytest.raises(DegenerateChannelError):
                 run_trial(_small_cfg(), 0)
         assert len(calls) == 2
-        assert sense.cache_info().currsize == 0
+        assert harness._shared == {}
+
+    def test_a_raising_loop_drops_its_records(self, monkeypatch):
+        calls = []
+        inner = harness.locate_er
+
+        def third_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise DegenerateChannelError("no energy")
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "locate_er", third_fails)
+        cfg = _small_cfg()
+        with pytest.raises(DegenerateChannelError):
+            run_trials([cfg, cfg])
+        assert harness._shared is None
+        # Trial 0 was sensed once for both cells; trial 1 failed.
+        assert len(calls) == 3
+
+
+class TestRunTrials:
+    @pytest.mark.parametrize("budgets", [(), (3, 4)], ids=["empty", "mixed"])
+    def test_rejects_cells_without_one_trial_budget(self, budgets):
+        with pytest.raises(ValueError, match="trials"):
+            run_trials([_small_cfg(trials=t) for t in budgets])
+
+    def test_runs_trial_by_trial_through_the_module_binding(self, monkeypatch):
+        ran = []
+        inner = harness.run_trial
+        monkeypatch.setattr(
+            harness, "run_trial", lambda c, i: ran.append((c.p_max, i)) or inner(c, i)
+        )
+        cells = [_small_cfg(trials=2), _small_cfg(trials=2, p_max=2.0)]
+        results = run_trials(cells)
+        assert ran == [(1.0, 0), (2.0, 0), (1.0, 1), (2.0, 1)]
+        assert results == [_alone(cell) for cell in cells]
+
+
+def _gamma_cells(cfg):
+    grid = [_small_planning_worst() / d for d in (1.0, 3.0, 10.0)]
+    return sweep_gamma(cfg, grid), [(replace(cfg, gamma=g), g) for g in grid]
+
+
+def _pmax_cells(cfg):
+    grid = [0.5, 2.0]
+    cells = [(replace(cfg, p_max=p, scheme=scheme), p) for p in grid for scheme in SCHEMES]
+    return sweep_pmax(cfg, grid), cells
+
+
+def _beta_cells(cfg):
+    grid = [0.2, 0.5, 0.8]
+    cells = [
+        (_spec_with(_spec_with(cfg, 0, weight=1.0 - b), 1, weight=b), b) for b in grid
+    ]
+    return sweep_beta(cfg, grid), cells
+
+
+@pytest.mark.parametrize("sweep", [_gamma_cells, _pmax_cells, _beta_cells])
+def test_each_sweep_row_summarizes_its_cell_run_alone(sweep):
+    rows, cells = sweep(_small_cfg(ers=tuple(replace(s, vr=None) for s in _small_cfg().ers)))
+    alone = [summarize(cell, run_trials([cell])[0], value) for cell, value in cells]
+    # repr spells every float exactly, and an isotropic row's nan pos_rmse too.
+    assert repr(rows) == repr(alone)
 
 
 class TestSummarize:
     def test_aggregates_match_direct_averages(self):
         cfg = _small_cfg(trials=4)
-        results = run_trials(cfg)
+        (results,) = run_trials([cfg])
         row = summarize(cfg, results, sweep_value=2.5)
         assert row.sweep_value == 2.5
         assert row.scheme == "proposed"
@@ -1011,7 +1088,6 @@ class TestCsvOutput:
         rows = [simulate(cfg)]
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
         write_csv(first, rows)
-        sense.cache_clear()
         write_csv(second, [simulate(cfg)])
         assert first.read_bytes() == second.read_bytes()
         assert first.read_text() == rows_to_csv(rows)
@@ -1186,8 +1262,6 @@ class TestCli:
             assert main(argv) == 0
             # Two receivers, two trials, nine weights: one stage per trial.
             assert len(calls) == run * 2 * 2
-            info = sense.cache_info()
-            assert (info.misses, info.hits) == (2, 16)
         capsys.readouterr()
 
     def test_crb_plans_no_vr_like_the_harness(self, tmp_path, capsys):
