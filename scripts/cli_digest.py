@@ -7,7 +7,9 @@ runs each command below as `python -m nfwpt ...` against CHECKOUT/src (the
 checkout holding this script by default), from CHECKOUT so that relative
 scenario paths resolve, with one BLAS thread. The pinned-input scenario is
 read from beside this script by absolute path, so a checkout that lacks the
-file runs the same scenario. For each command it prints one line,
+file runs the same scenario; the printed command names it
+scripts/pinned_8x8.json, so the lines do not depend on where the script
+lives. For each command it prints one line,
 `sha256-of-stdout exit-status command`. Two checkouts that print the same
 lines produce the same CSV bytes and exit statuses for every command, so a
 change that must keep the output byte for byte is checked with
@@ -35,8 +37,10 @@ from pathlib import Path
 
 ELAA = "perfbench/scenarios/elaa_32x32.json"
 # Pinned visibility regions and a complex reflection coefficient: a planning
-# FIM summed over a partial region's rows, and the sense key's complex flag.
-PINNED = Path(__file__).resolve().parent / "pinned_8x8.json"
+# FIM summed over a partial region's rows, and the scene key's complex flag.
+# Commands name it relative to the checkout; run() passes this script's copy.
+PINNED = "scripts/pinned_8x8.json"
+_PINNED_FILE = Path(__file__).resolve().parent / "pinned_8x8.json"
 
 COMMANDS = (
     "crb",
@@ -55,7 +59,15 @@ COMMANDS = (
     f"sweep-weight --trials 3 --config {PINNED}",
     # Cells of more trials than an earlier 128-record sensing memo held.
     f"sweep-weight --trials 130 --grid 0.2,0.8 --config {PINNED}",
+    # Every scheme, the non-sensing ones included, on pinned regions.
+    f"sweep-power --trials 3 --grid 1,10 --config {PINNED}",
 )
+
+
+def argv(command: str) -> list[str]:
+    """The command's arguments, with the pinned scenario at this script's copy."""
+    return [str(_PINNED_FILE) if arg == PINNED else arg for arg in command.split()]
+
 
 def run(checkout: Path, command: str) -> tuple[bytes, int]:
     """stdout and exit status of the command run against the checkout."""
@@ -64,7 +76,7 @@ def run(checkout: Path, command: str) -> tuple[bytes, int]:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     done = subprocess.run(
-        [sys.executable, "-m", "nfwpt", *command.split()],
+        [sys.executable, "-m", "nfwpt", *argv(command)],
         cwd=checkout,
         env=env,
         stdout=subprocess.PIPE,

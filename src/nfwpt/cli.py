@@ -75,9 +75,7 @@ def _default_gamma_grid(cfg: ScenarioConfig) -> list[float]:
 
 
 def _emit(rows, out_path) -> None:
-    text = rows_to_csv(rows)
-    if out_path:
-        write_csv(out_path, rows)
+    text = write_csv(out_path, rows) if out_path else rows_to_csv(rows)
     print(text, end="")
 
 
@@ -135,8 +133,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     # Each command builds and plans from scratch, as in a fresh process, so
     # what one command costs does not depend on the commands run before it
-    # in the same interpreter. Sensing is shared only within one trial of
-    # run_trials, so no command inherits any.
+    # in the same interpreter. Scenes and sensing are shared only within one
+    # trial of run_trials, so no command inherits any.
     array_geometry.cache_clear()
     plan.cache_clear()
     try:

@@ -311,33 +311,6 @@ def _streams(master_seed: int, trial_index: int, n_ers: int) -> list:
     return np.random.SeedSequence((master_seed, trial_index)).spawn(1 + n_ers)
 
 
-def _draw_scene(
-    receivers: tuple, n: int, eta: float, n_alpha: int, master_seed: int, trial_index: int
-) -> tuple[ErState, ...]:
-    """Ground truth of each receiver given by its _receiver_key.
-
-    The states carry no receiver weight: the weights enter only the second
-    stage, whose objective charge reads them from cfg.ers, so one scene serves
-    every configuration that differs from another only in weights.
-    """
-    rng = np.random.default_rng(_streams(master_seed, trial_index, len(receivers))[0])
-    states = []
-    for prior_position, error_bounds, pinned_vr, reflection, pinned_phase in receivers:
-        prior = np.asarray(prior_position)
-        bounds = np.asarray(error_bounds)
-        position = prior + rng.uniform(-bounds, bounds)
-        if pinned_vr is not None:
-            vr = VisibilityRegion(*pinned_vr)
-        else:
-            vr = _draw_vr(n, eta, n_alpha, rng)
-        if pinned_phase:
-            b = reflection
-        else:
-            b = float(reflection) * np.exp(2j * np.pi * rng.uniform())
-        states.append(ErState(position=position, vr=vr, reflection=b))
-    return tuple(states)
-
-
 @functools.lru_cache(maxsize=4)
 def array_geometry(array: ArraySpec) -> UpaGeometry:
     """The array's geometry, built once and shared by every stage and trial.
@@ -388,88 +361,111 @@ plan.cache_clear = _plan.cache_clear
 
 
 @dataclass(frozen=True)
-class Sensing:
-    """First stage of one trial: the scene it drew and what sensing found.
-
-    Per receiver, in the order of cfg.ers: its ground truth, its true
-    channel, the identified visibility region (the full aperture under
-    no_vr) and the localizer's result. Its arrays are read-only, since
-    run_trials hands the same record to every cell of a trial that shares it.
+class Scene:
+    """Ground truth of one trial: per receiver, in the order of cfg.ers, its
+    state and its true channel, read-only, since every cell of a trial of
+    run_trials reads the same record. The states carry no weight: only
+    charge reads the weights, from cfg.ers.
     """
 
-    scene: tuple[ErState, ...]
+    states: tuple[ErState, ...]
     channels: tuple[np.ndarray, ...]
-    regions: tuple[VisibilityRegion, ...]
-    locations: tuple[LocalizationResult, ...]
 
 
-def _sense_key(cfg: ScenarioConfig, trial_index: int, tau: int) -> tuple:
-    """Exactly what sense reads, in the order of _sense's arguments.
-
-    The array; per receiver, the prior, the error bounds, the pinned region
-    and the reflection with its type; noise_power, p_max, eta and n_alpha;
-    whether the scheme identifies regions; tau, master_seed and the trial
-    index. No weight, gamma, block_len or trial budget.
-    """
+def _scene_key(cfg: ScenarioConfig, trial_index: int) -> tuple:
+    """Exactly what _scene reads, in the order of its arguments: the array,
+    each receiver's _receiver_key, eta, n_alpha, master_seed and the trial
+    index. No noise_power, p_max, scheme, weight, gamma, block_len or trial
+    budget."""
     return (
         cfg.array,
         tuple(_receiver_key(spec) for spec in cfg.ers),
-        cfg.noise_power,
-        cfg.p_max,
         cfg.eta,
         cfg.n_alpha,
-        cfg.scheme != "no_vr",
-        tau,
         cfg.master_seed,
         trial_index,
     )
 
 
-def sense(cfg: ScenarioConfig, trial_index: int, tau: int) -> Sensing:
-    """First stage of a trial of a sensing scheme, with tau symbols per receiver.
+# Extreme finite inputs can overflow in the element distances or leave the
+# channel energy subnormal; both raise instead of warning or scoring a channel
+# with too few bits.
+@np.errstate(all="ignore")
+def _scene(
+    array: ArraySpec, receivers: tuple, eta: float, n_alpha: int, master_seed: int, trial_index: int
+) -> Scene:
+    geom = array_geometry(array)
+    rng = np.random.default_rng(_streams(master_seed, trial_index, len(receivers))[0])
+    states = []
+    for prior_position, error_bounds, pinned_vr, reflection, pinned_phase in receivers:
+        prior = np.asarray(prior_position)
+        bounds = np.asarray(error_bounds)
+        position = prior + rng.uniform(-bounds, bounds)
+        if pinned_vr is not None:
+            vr = VisibilityRegion(*pinned_vr)
+        else:
+            vr = _draw_vr(geom.n_elements, eta, n_alpha, rng)
+        if pinned_phase:
+            b = reflection
+        else:
+            b = float(reflection) * np.exp(2j * np.pi * rng.uniform())
+        states.append(ErState(position=position, vr=vr, reflection=b))
+    channels = tuple(channel(geom, er) for er in states)
+    for k, h in enumerate(channels, 1):
+        if not np.isfinite(h).all():
+            raise ValueError(f"er{k}: channel is not finite: the inputs overflow")
+        energy = np.vdot(h, h).real
+        if energy < _TINY:
+            raise DegenerateChannelError(f"er{k}: channel energy {energy:.3g} is zero or subnormal")
+        h.setflags(write=False)
+    return Scene(tuple(states), channels)
 
-    Draws the trial's scene and builds each receiver's true channel; then, for
-    each receiver, simulates and aggregates its echo, identifies its
-    visibility region (every scheme but no_vr, which models the full
-    aperture) and locates it in its prior box widened to +- 2 D.
 
-    Its result depends on _sense_key(cfg, trial_index, tau) alone, so the
-    cells of a weight sweep, and the targets of a gamma sweep that plan the
-    same tau, can share it; run_trials shares it within each trial. A
-    ValueError of one receiver's channel, echo, region identification or
-    localization keeps its type and names the receiver, er1 for the first.
+@dataclass(frozen=True)
+class Sensing:
+    """First stage of one trial of a sensing scheme: what it found and the CSI
+    built from it. Per receiver, in the order of cfg.ers: the identified
+    region (the full aperture under no_vr), the localizer's result and the
+    estimated channel; then whether every region is exact, and each position
+    error against the Scene. Its arrays are read-only, since run_trials hands
+    the same record to every cell of a trial that shares it.
     """
-    return _sense(*_sense_key(cfg, trial_index, tau))
+
+    regions: tuple[VisibilityRegion, ...]
+    locations: tuple[LocalizationResult, ...]
+    estimates: tuple[np.ndarray, ...]
+    vr_hit: bool
+    pos_errors: tuple[float, ...]
 
 
-# Extreme finite inputs can overflow or underflow in the channels, the echo
-# and the localizer. The checks on the channels, on y_bar and in the
-# localizer raise for them, so no numpy warning needs to escape.
+def _sense_key(cfg: ScenarioConfig, trial_index: int, tau: int) -> tuple:
+    """Exactly what _sense reads besides the scene, in the order of its
+    arguments: the trial's _scene_key, noise_power, p_max, whether the scheme
+    identifies regions, and tau. No weight, gamma, block_len or trial budget."""
+    return (_scene_key(cfg, trial_index), cfg.noise_power, cfg.p_max, cfg.scheme != "no_vr", tau)
+
+
+# Extreme finite inputs can overflow or underflow in the echo and the
+# localizer. The checks on y_bar and in the localizer raise for them, so no
+# numpy warning needs to escape.
 @np.errstate(all="ignore")
 def _sense(
-    array: ArraySpec,
-    receivers: tuple,
-    noise_power: float,
-    p_max: float,
-    eta: float,
-    n_alpha: int,
-    identify: bool,
-    tau: int,
-    master_seed: int,
-    trial_index: int,
+    scene: Scene, scene_key: tuple, noise_power: float, p_max: float, identify: bool, tau: int
 ) -> Sensing:
+    """Per receiver: simulate and aggregate its echo, identify its region
+    (the full aperture unless identify), locate it in its prior box widened
+    to +- 2 D, and build its estimated channel. A ValueError of one
+    receiver's echo, identification or localization keeps its type and names
+    the receiver, er1 for the first."""
+    array, receivers, eta, n_alpha, master_seed, trial_index = scene_key
     geom = array_geometry(array)
     n = geom.n_elements
-    scene = _draw_scene(receivers, n, eta, n_alpha, master_seed, trial_index)
-    channels = _true_channels(geom, scene)
-    for h in channels:
-        h.setflags(write=False)
     noise_streams = _streams(master_seed, trial_index, len(receivers))[1:]
     probe = uniform_probe(geom, p_max)
     regions = []
     locations = []
     for k, (er, h, stream, (prior_position, error_bounds, *_)) in enumerate(
-        zip(scene, channels, noise_streams, receivers), 1
+        zip(scene.states, scene.channels, noise_streams, receivers), 1
     ):
         rng = np.random.default_rng(stream)
         try:
@@ -488,27 +484,24 @@ def _sense(
             raise type(exc)(f"er{k}: {exc}") from None
         regions.append(vr_hat)
         locations.append(location)
-    return Sensing(scene, tuple(channels), tuple(regions), tuple(locations))
+    estimates = tuple(
+        channel(geom, ErState(loc.position_hat, vr_hat))
+        for vr_hat, loc in zip(regions, locations)
+    )
+    for h in estimates:
+        h.setflags(write=False)
+    hit = all(vr_hat == er.vr for vr_hat, er in zip(regions, scene.states))
+    errors = tuple(
+        float(np.linalg.norm(loc.position_hat - er.position))
+        for loc, er in zip(locations, scene.states)
+    )
+    return Sensing(tuple(regions), tuple(locations), estimates, hit, errors)
 
 
-# The Sensing records of the trial run_trials is running, keyed by _sense_key;
-# None outside run_trials, so a direct run_trial call shares nothing.
+# The Scene and Sensing records of the trial run_trials is running, keyed by
+# _scene_key and _sense_key; None outside run_trials, so a direct run_trial
+# call shares nothing.
 _shared: dict | None = None
-
-
-@np.errstate(all="ignore")
-def _true_channels(geom: UpaGeometry, scene: tuple[ErState, ...]) -> list[np.ndarray]:
-    """Each receiver's channel in the scene; extreme finite inputs can overflow
-    in the element distances or leave the channel energy subnormal, and both
-    raise instead of warning or scoring a channel with too few bits."""
-    channels = [channel(geom, er) for er in scene]
-    for k, h in enumerate(channels, 1):
-        if not np.isfinite(h).all():
-            raise ValueError(f"er{k}: channel is not finite: the inputs overflow")
-        energy = np.vdot(h, h).real
-        if energy < _TINY:
-            raise DegenerateChannelError(f"er{k}: channel energy {energy:.3g} is zero or subnormal")
-    return channels
 
 
 def charge(cfg: ScenarioConfig, true_channels, estimates, tau: int) -> tuple[float, ...]:
@@ -544,53 +537,44 @@ def sensing_slot(cfg: ScenarioConfig) -> int:
 def run_trial(cfg: ScenarioConfig, trial_index: int) -> TrialResult:
     """Simulate one transmission block and score the configured scheme.
 
-    tau comes from sensing_slot. A sensing scheme draws its scene in sense,
-    or takes the record an earlier cell of the same trial of run_trials
-    sensed with the same _sense_key; isotropic scores (P / N) I in closed
-    form, and every other scheme focuses through charge, perfect_csi on the
-    true channels.
+    tau comes from sensing_slot. Every scheme reads the trial's Scene, and a
+    sensing scheme also its Sensing record; each is built here, or taken from
+    an earlier cell of the same trial of run_trials with the same key.
+    isotropic scores (P / N) I in closed form, and every other scheme focuses
+    through charge: perfect_csi on the true channels, a sensing scheme on its
+    estimates.
     """
-    geom = array_geometry(cfg.array)
     seed = (cfg.master_seed, trial_index)
     tau = sensing_slot(cfg)
-    if tau:
-        key = _sense_key(cfg, trial_index, tau)
-        shared = {} if _shared is None else _shared
-        if key not in shared:
-            shared[key] = _sense(*key)
-        sensed = shared[key]
-        scene, true_channels = sensed.scene, sensed.channels
-    else:
-        receivers = tuple(_receiver_key(spec) for spec in cfg.ers)
-        scene = _draw_scene(receivers, geom.n_elements, cfg.eta, cfg.n_alpha, *seed)
-        true_channels = _true_channels(geom, scene)
+    shared = {} if _shared is None else _shared
+    scene_key = _scene_key(cfg, trial_index)
+    if scene_key not in shared:
+        shared[scene_key] = _scene(*scene_key)
+    scene = shared[scene_key]
+    n_ers = len(cfg.ers)
     if cfg.scheme == "isotropic":
-        powers = tuple((cfg.p_max / geom.n_elements) * np.vdot(h, h).real for h in true_channels)
-        return TrialResult(powers, 0, False, (math.nan,) * len(scene), seed)
+        n = cfg.array.n_elements
+        powers = tuple((cfg.p_max / n) * np.vdot(h, h).real for h in scene.channels)
+        return TrialResult(powers, 0, False, (math.nan,) * n_ers, seed)
     if not tau:
-        powers = charge(cfg, true_channels, true_channels, 0)
-        return TrialResult(powers, 0, True, (0.0,) * len(scene), seed)
-    estimates = [
-        channel(geom, ErState(loc.position_hat, vr_hat))
-        for vr_hat, loc in zip(sensed.regions, sensed.locations)
-    ]
-    powers = charge(cfg, true_channels, estimates, tau)
-    hit = all(vr_hat == er.vr for vr_hat, er in zip(sensed.regions, scene))
-    errors = tuple(
-        float(np.linalg.norm(loc.position_hat - er.position))
-        for loc, er in zip(sensed.locations, scene)
-    )
-    return TrialResult(powers, tau, hit, errors, seed)
+        powers = charge(cfg, scene.channels, scene.channels, 0)
+        return TrialResult(powers, 0, True, (0.0,) * n_ers, seed)
+    key = _sense_key(cfg, trial_index, tau)
+    if key not in shared:
+        shared[key] = _sense(scene, *key)
+    sensed = shared[key]
+    powers = charge(cfg, scene.channels, sensed.estimates, tau)
+    return TrialResult(powers, tau, sensed.vr_hit, sensed.pos_errors, seed)
 
 
 def run_trials(cells) -> list[list[TrialResult]]:
     """Run every cell's trial budget, trial by trial, and return each cell's results.
 
     For each trial index it runs every cell in the given order through
-    run_trial, so the cells of a trial that read the same sensing inputs
-    sense it once. It holds only that trial's Sensing records, and drops
-    them before the next index and when it returns or raises. Every cell
-    must have the same trial budget.
+    run_trial, so every cell of a trial reads one Scene, and the cells that
+    read the same sensing inputs sense it once. It holds only that trial's
+    records, and drops them before the next index and when it returns or
+    raises. Every cell must have the same trial budget.
     """
     global _shared
     cells = list(cells)
@@ -783,6 +767,9 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_csv(path, rows: list[SweepRow]) -> None:
-    """Write sweep rows to a CSV file with LF newlines regardless of platform."""
-    Path(path).write_text(rows_to_csv(rows), newline="\n")
+def write_csv(path, rows: list[SweepRow]) -> str:
+    """Write sweep rows to a CSV file with LF newlines regardless of platform,
+    and return the text written."""
+    text = rows_to_csv(rows)
+    Path(path).write_text(text, newline="\n")
+    return text

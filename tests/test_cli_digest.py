@@ -1,5 +1,6 @@
-"""Tests for the drift comparison of scripts/cli_digest.py, on in-memory CSV
-texts; the digest's own commands are not run here."""
+"""Tests for scripts/cli_digest.py: its printed lines and its drift
+comparison, on in-memory CSV texts; the digest's own commands are not run
+here."""
 
 import importlib.util
 import math
@@ -47,3 +48,23 @@ def test_drift_rejects_outputs_it_cannot_compare(new):
     with pytest.raises(ValueError):
         cli_digest.drift(old, new)
 
+
+
+def test_lines_name_the_pinned_scenario_relative_to_the_checkout(monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(cli_digest, "run", lambda checkout, command: ran.append(command) or (b"", 0))
+    assert cli_digest.main([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" ", 2)[2] for line in lines] == ran == list(cli_digest.COMMANDS)
+    pinned = [line for line in lines if "pinned_8x8.json" in line]
+    assert len(pinned) == 6
+    for line in pinned:
+        assert line.endswith("--config scripts/pinned_8x8.json")
+    assert str(_PATH.parent) not in "".join(lines)
+
+
+def test_commands_run_the_pinned_scenario_beside_the_script():
+    argv = cli_digest.argv(f"crb --config {cli_digest.PINNED}")
+    assert argv[:2] == ["crb", "--config"]
+    assert Path(argv[2]) == _PATH.parent / "pinned_8x8.json"
+    assert Path(argv[2]).is_absolute() and Path(argv[2]).is_file()

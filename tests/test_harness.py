@@ -39,7 +39,6 @@ from nfwpt.harness import (
     rows_to_csv,
     run_trial,
     run_trials,
-    sense,
     simulate,
     summarize,
     sweep_beta,
@@ -230,16 +229,17 @@ _CONFIG_CHANGES = {
     "master_seed": lambda c: replace(c, master_seed=1),
     "scheme": lambda c: replace(c, scheme="no_vr"),
 }
-# The fields the plan memo and the sensing key do not read. Every other
-# change above is a keyed input of that stage.
+# The fields the plan memo, the sensing key and the scene key do not read.
+# Every other change above is a keyed input of that stage.
 _NOT_SENSED = {"weight", "block_len", "gamma", "trials"}
 _NOT_PLANNED = _NOT_SENSED | {"eta", "n_alpha", "master_seed"}
+_NOT_IN_SCENE = _NOT_SENSED | {"p_max", "noise_power", "scheme"}
 
 
 def test_every_config_field_has_a_memo_key_decision():
     names = {f.name for cls in (ArraySpec, ErSpec, ScenarioConfig) for f in fields(cls)}
     assert set(_CONFIG_CHANGES) == names | {"vr_drawn"}
-    assert _NOT_PLANNED <= names
+    assert _NOT_PLANNED | _NOT_IN_SCENE <= names
 
 
 class TestPlan:
@@ -319,6 +319,71 @@ def _count_locates(monkeypatch):
     return calls
 
 
+def _count_channels(monkeypatch):
+    """The receiver state of every channel the harness builds."""
+    calls = []
+    inner = harness.channel
+    monkeypatch.setattr(harness, "channel", lambda geom, er: calls.append(er) or inner(geom, er))
+    return calls
+
+
+def _scene(cfg, trial_index):
+    return harness._scene(*harness._scene_key(cfg, trial_index))
+
+
+def _sensed(cfg, trial_index, tau):
+    """The trial's Scene and its Sensing record with tau symbols per receiver."""
+    scene = _scene(cfg, trial_index)
+    return scene, harness._sense(scene, *harness._sense_key(cfg, trial_index, tau))
+
+
+class TestScene:
+    @pytest.mark.parametrize("key", _CONFIG_CHANGES)
+    def test_each_config_field_is_keyed_or_not_read(self, key):
+        cfg = _small_cfg()
+        other = _CONFIG_CHANGES[key](cfg)
+        same = harness._scene_key(cfg, 0) == harness._scene_key(other, 0)
+        assert same == (key in _NOT_IN_SCENE)
+
+    def test_a_power_sweep_trial_builds_each_true_channel_once(self, monkeypatch):
+        cfg = _small_cfg(trials=1)
+        truth = _scene(cfg, 0).states
+        channels = _count_channels(monkeypatch)
+        locates = _count_locates(monkeypatch)
+        rows = sweep_pmax(cfg, [0.5, 1.0, 2.0])
+        assert len(rows) == 3 * len(SCHEMES)
+        true = [
+            er for er in channels if any(np.array_equal(er.position, s.position) for s in truth)
+        ]
+        assert len(true) == len(cfg.ers)
+        # Every other channel is the estimate of one located receiver.
+        assert len(channels) == len(true) + len(locates)
+
+    def test_a_weight_sweep_trial_builds_2k_channels(self, monkeypatch):
+        cfg = _small_cfg(trials=1)
+        channels = _count_channels(monkeypatch)
+        sweep_beta(cfg, [0.1 * k for k in range(1, 10)])
+        assert len(channels) == 2 * len(cfg.ers)
+
+    def test_a_direct_proposed_trial_builds_2k_channels(self, monkeypatch):
+        cfg = _small_cfg()
+        channels = _count_channels(monkeypatch)
+        run_trial(cfg, 0)
+        assert len(channels) == 2 * len(cfg.ers)
+
+    def test_every_scheme_of_a_trial_reads_one_scene(self, monkeypatch):
+        cfg = _small_cfg(trials=2)
+        keys = []
+        inner = harness._scene
+        monkeypatch.setattr(harness, "_scene", lambda *key: keys.append(key) or inner(*key))
+        cells = [replace(cfg, scheme=scheme) for scheme in SCHEMES]
+        results = run_trials(cells)
+        assert keys == [harness._scene_key(cfg, 0), harness._scene_key(cfg, 1)]
+        assert results == [_alone(cell) for cell in cells]
+        # A direct call builds its own scene once, whatever the scheme.
+        assert len(keys) == 2 + len(SCHEMES) * cfg.trials
+
+
 class TestSense:
     @pytest.mark.parametrize("scheme", ["proposed", "equal_time", "no_vr"])
     def test_a_hit_returns_the_bits_of_a_recompute(self, scheme, monkeypatch):
@@ -329,18 +394,27 @@ class TestSense:
         assert len(calls) == 2 * cfg.trials
         assert first == again == _alone(cfg)
 
-    def test_the_shared_record_is_read_only(self):
-        sensed = sense(_small_cfg(), 0, 2)
-        for er, h, loc in zip(sensed.scene, sensed.channels, sensed.locations):
-            for array in (er.position, h, loc.position_hat):
+    def test_the_shared_records_are_read_only(self):
+        scene, sensed = _sensed(_small_cfg(), 0, 2)
+        for er, h, loc, estimate in zip(
+            scene.states, scene.channels, sensed.locations, sensed.estimates
+        ):
+            for array in (er.position, h, loc.position_hat, estimate):
                 with pytest.raises(ValueError):
                     array[0] = 0.0
 
-    def test_the_record_carries_the_true_channels(self):
-        sensed = sense(_small_cfg(), 0, 2)
+    def test_the_records_carry_the_true_and_the_estimated_channels(self):
+        scene, sensed = _sensed(_small_cfg(), 0, 2)
         geom = build_upa(8, 8, 28e9)
-        for er, h in zip(sensed.scene, sensed.channels):
+        for er, h in zip(scene.states, scene.channels):
             np.testing.assert_array_equal(h, channel(geom, er))
+        for vr, loc, estimate in zip(sensed.regions, sensed.locations, sensed.estimates):
+            np.testing.assert_array_equal(estimate, channel(geom, ErState(loc.position_hat, vr)))
+        assert sensed.vr_hit == all(vr == er.vr for vr, er in zip(sensed.regions, scene.states))
+        assert sensed.pos_errors == tuple(
+            float(np.linalg.norm(loc.position_hat - er.position))
+            for loc, er in zip(sensed.locations, scene.states)
+        )
 
     def test_weights_gamma_and_block_len_do_not_reach_the_key(self, monkeypatch):
         cfg = _small_cfg()
@@ -391,7 +465,7 @@ class TestSense:
         calls = _count_locates(monkeypatch)
         results = run_trials([drawn, pinned])
         assert len(calls) == 2 * 2
-        scenes = [sense(cfg, 0, 2).scene[0].reflection for cfg in (drawn, pinned)]
+        scenes = [_scene(cfg, 0).states[0].reflection for cfg in (drawn, pinned)]
         assert abs(scenes[0]) == pytest.approx(50.0) and scenes[0] != 50
         assert scenes[1] == 50 + 0j
         assert results == [_alone(drawn), _alone(pinned)]
@@ -442,11 +516,13 @@ class TestSense:
 
         monkeypatch.setattr(harness, "locate_er", failing)
         monkeypatch.setattr(harness, "_shared", {})
+        cfg = _small_cfg()
         for _ in range(2):
             with pytest.raises(DegenerateChannelError):
-                run_trial(_small_cfg(), 0)
+                run_trial(cfg, 0)
         assert len(calls) == 2
-        assert harness._shared == {}
+        # The scene was built and stored; the failed sensing was not.
+        assert list(harness._shared) == [harness._scene_key(cfg, 0)]
 
     def test_a_raising_loop_drops_its_records(self, monkeypatch):
         calls = []
@@ -1087,10 +1163,10 @@ class TestCsvOutput:
         cfg = _small_cfg(trials=2)
         rows = [simulate(cfg)]
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_csv(first, rows)
+        text = write_csv(first, rows)
         write_csv(second, [simulate(cfg)])
         assert first.read_bytes() == second.read_bytes()
-        assert first.read_text() == rows_to_csv(rows)
+        assert first.read_text() == text == rows_to_csv(rows)
 
 
 class TestCli:
@@ -1121,7 +1197,18 @@ class TestCli:
         cfg_path.write_text(json.dumps(payload))
         return cfg_path
 
-    def test_simulate_prints_and_writes_the_same_csv(self, tmp_path, capsys):
+    def test_simulate_prints_and_writes_the_same_csv(self, tmp_path, capsys, monkeypatch):
+        import nfwpt.cli
+
+        renders = []
+        inner = harness.rows_to_csv
+
+        def counted(rows):
+            renders.append(1)
+            return inner(rows)
+
+        monkeypatch.setattr(harness, "rows_to_csv", counted)
+        monkeypatch.setattr(nfwpt.cli, "rows_to_csv", counted)
         cfg_path = self._write_config(tmp_path)
         out_path = tmp_path / "run.csv"
         code = main(
@@ -1129,8 +1216,9 @@ class TestCli:
         )
         printed = capsys.readouterr().out
         assert code == 0
-        assert printed == out_path.read_text()
+        assert printed.encode() == out_path.read_bytes()
         assert printed.startswith(csv_header(2))
+        assert len(renders) == 1
 
     def test_seed_controls_reproducibility(self, tmp_path, capsys):
         cfg_path = self._write_config(tmp_path)
