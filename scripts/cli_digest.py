@@ -5,14 +5,14 @@
 
 runs each command below as `python -m nfwpt ...` against CHECKOUT/src (the
 checkout holding this script by default), from CHECKOUT so that relative
-scenario paths resolve, with one BLAS thread. The pinned-input scenario is
-read from beside this script by absolute path, so a checkout that lacks the
-file runs the same scenario; the printed command names it
-scripts/pinned_8x8.json, so the lines do not depend on where the script
-lives. For each command it prints one line,
-`sha256-of-stdout exit-status command`. Two checkouts that print the same
-lines produce the same CSV bytes and exit statuses for every command, so a
-change that must keep the output byte for byte is checked with
+scenario paths resolve, with one BLAS thread. The scenarios under scripts/
+are read from beside this script by absolute path, so a checkout that lacks
+the files runs the same scenarios; the printed commands name them
+scripts/NAME.json, so the lines do not depend on where the script lives.
+For each command it prints one line, `sha256-of-stdout exit-status command`.
+Two checkouts that print the same lines produce the same CSV bytes and exit
+statuses for every command, so a change that must keep the output byte for
+byte is checked with
 
     diff <(python scripts/cli_digest.py OLD) <(python scripts/cli_digest.py NEW)
 
@@ -36,11 +36,15 @@ import sys
 from pathlib import Path
 
 ELAA = "perfbench/scenarios/elaa_32x32.json"
+# Scenarios beside this script. Commands name them relative to the checkout;
+# run() passes this script's copies.
 # Pinned visibility regions and a complex reflection coefficient: a planning
 # FIM summed over a partial region's rows, and the scene key's complex flag.
-# Commands name it relative to the checkout; run() passes this script's copy.
 PINNED = "scripts/pinned_8x8.json"
-_PINNED_FILE = Path(__file__).resolve().parent / "pinned_8x8.json"
+# A 1e30 Hz carrier: the seed prefilter's amplitudes 1 / t are near 1e-22, so
+# their squares leave the float32 range unless the seed table scales them.
+CARRIER = "scripts/carrier_1e30.json"
+_SCENARIOS = {name: Path(__file__).resolve().parent / Path(name).name for name in (PINNED, CARRIER)}
 
 COMMANDS = (
     "crb",
@@ -61,12 +65,14 @@ COMMANDS = (
     f"sweep-weight --trials 130 --grid 0.2,0.8 --config {PINNED}",
     # Every scheme, the non-sensing ones included, on pinned regions.
     f"sweep-power --trials 3 --grid 1,10 --config {PINNED}",
+    # Each receiver is located three times, so the last two read its seed table.
+    f"simulate --trials 3 --scheme equal_time --config {CARRIER}",
 )
 
 
 def argv(command: str) -> list[str]:
-    """The command's arguments, with the pinned scenario at this script's copy."""
-    return [str(_PINNED_FILE) if arg == PINNED else arg for arg in command.split()]
+    """The command's arguments, with the scenarios under scripts/ at this script's copies."""
+    return [str(_SCENARIOS.get(arg, arg)) for arg in command.split()]
 
 
 def run(checkout: Path, command: str) -> tuple[bytes, int]:

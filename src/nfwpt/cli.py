@@ -27,6 +27,7 @@ from .harness import (
     sweep_pmax,
     write_csv,
 )
+from .localize import clear_seed_tables
 
 _DEFAULT_POWER_GRID = "0.1,0.31622776601683794,1.0,3.1622776601683795"
 _DEFAULT_WEIGHT_GRID = "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9"
@@ -131,11 +132,12 @@ def main(argv=None) -> int:
     p_crb.set_defaults(seed=None, trials=None)
 
     args = parser.parse_args(argv)
-    # Each command builds and plans from scratch, as in a fresh process, so
-    # what one command costs does not depend on the commands run before it
-    # in the same interpreter. Scenes and sensing are shared only within one
-    # trial of run_trials, so no command inherits any.
+    # Each command builds, plans and tabulates its seeds from scratch, as in a
+    # fresh process, so what one command costs does not depend on the
+    # commands run before it in the same interpreter. Scenes and sensing are
+    # shared only within one trial of run_trials, so no command inherits any.
     array_geometry.cache_clear()
+    clear_seed_tables()
     plan.cache_clear()
     try:
         _run(args)

@@ -19,15 +19,31 @@ The search has three parts.
   turns, and the squared y and z offsets of a plane are formed once per call.
   It reduces the phase exactly in float64 to 2 pi (t - floor t), rounds it to
   float32 and takes single-precision cos and sin; the amplitude 1 / t_n stays
-  in float64 (the factor lambda / 4 pi cancels from q). A point on an element
-  makes its 1 / t_n, and so its energy sum, infinite, which is the prefilter's
-  only singularity check. If rho bounds the error of each phasor, then
-  |s~ - s| <= rho sqrt(e) ||y_bar||, which bounds the prefilter score q~
-  within dq = rho ||y_bar|| (2 sqrt(q~) + rho ||y_bar||) of q. Only points
-  with q~ + dq >= max(q~ - dq) can hold the maximum. Each of them is probed
-  exactly, one at a time in lattice order, by the same double-precision
-  kernel as every other candidate, and the first maximum among them is the
-  seed.
+  in float64 (the factor lambda / 4 pi cancels from q). That one kernel,
+  _phasor_planes, feeds two routes.
+  - The direct route forms the phasors of the region's elements on every
+    call and sums them with the echo in float64. A point on an element makes
+    its 1 / t_n, and so its energy sum, infinite, which is the prefilter's
+    only singularity check.
+  - The table route serves a box from its second use on. The box, prior
+    +- 2 D, and the array stay fixed for a whole command, and so do its
+    phasors; only the echo and the region change. The first use of a
+    (geometry, lattice) pair only records it in a small memo; the second
+    builds the box's seed table, the kernel's phasors of every lattice point
+    over the full aperture, each row divided by its largest amplitude and
+    stored as complex64. A call then takes one float32 product of the
+    table's region columns with the echo, divided by its largest entry and
+    rounded to complex64, and one float32 energy sum over the same columns.
+    A box with a lattice point on any element gets no table and stays on the
+    direct route, so the singularity check stays exact for the region.
+  If rho bounds the error of each phasor, then |s~ - s| <= rho sqrt(e)
+  ||y_bar||, which bounds the prefilter score q~ within
+  dq = rho ||y_bar|| (2 sqrt(q~) + rho ||y_bar||) of q; the table route's rho
+  adds its roundings and float32 sums (_PHASOR_ERROR and _table_error). Only
+  points with q~ + dq >= max(q~ - dq) can hold the maximum. Each of them is
+  probed exactly, one at a time in lattice order, by the same
+  double-precision kernel as every other candidate, and the first maximum
+  among them is the seed, whichever route scored the lattice.
 - A bound-constrained Levenberg-Marquardt ascent climbs from it. With
   s = h^H y_bar and e = ||h||^2, the analytic first and second derivatives of
   h give the gradient g and the Hessian H of q in closed form; for example
@@ -59,6 +75,7 @@ The search has three parts.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,19 +98,67 @@ _MU_CAP = 1e8
 # Linearizations the ascent may take in total, over all restarts.
 _MAX_ITERS = 50
 
-# Bound rho on |p~ - p| for one prefilter phasor p~ against the exact
-# exp(-j 2 pi d / lambda). The wavelength-unit distance t = d / lambda comes
-# from coordinates each scaled by 1 / lambda with one rounding, so t carries a
-# relative error of a few float64 ulps: about 1e-12 rad of phase while d is
-# below 1e3 wavelengths, and the reduction t - floor t adds none. Rounding
-# the reduced phase to float32 on [0, 2 pi) moves it by at most 2^-22, about
-# 2.4e-7 rad; float32 cos and sin are each within a few float32 ulps, 6e-8
-# near 1. Together that is below 5e-7 (3.0e-7 measured). The amplitude 1 / t
-# is off by a few float64 ulps, and the float64 sums of q~ and of the exact
-# re-score each add at most n * 1.1e-16 per term, below 3e-13 for the 2304
-# elements of a 48x48 array. rho keeps a margin of 20 over all of it, so the
-# point that the exact score ranks first always survives.
+# Bound rho on the prefilter's error, in the sense that the score q~ of each
+# lattice point lies within dq = rho ||y|| (2 sqrt(q~) + rho ||y||) of q.
+#
+# The direct route. Against the exact exp(-j 2 pi d / lambda), one phasor p~
+# of the kernel is off by |p~ - p| <= rho0 |p|. The wavelength-unit distance
+# t = d / lambda comes from coordinates each scaled by 1 / lambda with one
+# rounding, so t carries a relative error of a few float64 ulps: about 1e-12
+# rad of phase while d is below 1e3 wavelengths, and the reduction t - floor t
+# adds none. Rounding the reduced phase to float32 on [0, 2 pi) moves it by at
+# most 2^-22, about 2.4e-7 rad; float32 cos and sin are each within a few
+# float32 ulps, 6e-8 near 1. Together that is below rho0 = 5e-7 (3.0e-7
+# measured). The amplitude 1 / t is off by a few float64 ulps, and the
+# float64 sums of q~ and of the exact re-score each add at most n * 1.1e-16
+# per term, below 3e-13 for the 2304 elements of a 48x48 array. With
+# |s~ - s| <= rho0 sqrt(e) ||y||, sqrt(q~) is within rho0 ||y|| of sqrt(q).
+# _PHASOR_ERROR keeps a margin of 20 over all of it, so the point that the
+# exact score ranks first always survives.
 _PHASOR_ERROR = 1e-5
+#
+# The table route adds, with u = 2^-24 and M the region's elements:
+# - the complex64 rounding of each table entry, u of its modulus, and of each
+#   scaled echo entry, u of its modulus (an entry below the normal float32
+#   range adds at most 2^-149 per part, against an echo norm of at least 1);
+# - float32 accumulation: s sums M complex products, within (M + 2) u of
+#   sqrt(e) ||y||, and e sums 2M squares, within 2M u of e.
+# So |s~ - s| <= (rho0 + (M + 4) u) sqrt(e) ||y|| and e~ = e (1 + delta) with
+# |delta| <= 2 rho0 + (2M + 2) u. Since sqrt(q) <= ||y||, the energy moves
+# sqrt(q~) by at most |delta| / 2 ||y||, and in all sqrt(q~) lies within
+# (2 rho0 + (2M + 5) u) ||y|| of sqrt(q). The table's rho,
+# _PHASOR_ERROR + (M + 4) 2^-23, keeps a margin of 10 over 2 rho0 and covers
+# the rest. The row and echo scales are divided out in float64, a relative
+# 2^-53 each, and the row scales cancel from q. The bound needs every entry's
+# square in the normal float32 range: a box whose scaled amplitudes reach
+# down to _TABLE_FLOOR gets no table.
+_TABLE_FLOOR = 2.0**-60
+
+
+def _table_error(m: int) -> float:
+    """rho of the table route over an m-element region."""
+    return _PHASOR_ERROR + (m + 4) * 2.0**-23
+
+
+# The seed-table memo: at most _TABLES_MAX boxes, the last used at the end,
+# and no table above _TABLE_BYTES (about 11,500 elements). A build's
+# buffers take about _BUILD_BYTES.
+_TABLES_MAX = 4
+_TABLE_BYTES = 2**26
+_BUILD_BYTES = 2**18
+
+
+@dataclass
+class _TableEntry:
+    """A box the memo has seen: its geometry, which keeps the key's id its
+    own, and, once built, its table (None where the box gets none)."""
+
+    geom: UpaGeometry
+    built: bool = False
+    table: np.ndarray | None = None
+
+
+_tables: OrderedDict[tuple, _TableEntry] = OrderedDict()
 
 # A channel energy below the smallest normal float carries too few bits to score.
 _TINY = np.finfo(float).tiny
@@ -249,21 +314,21 @@ def _cholesky_solve(a, b):
     return x
 
 
-def prefilter_scores(
-    geom: UpaGeometry, y: np.ndarray, rows: slice, grid
-) -> tuple[np.ndarray, np.ndarray]:
-    """Prefilter scores q~ of every lattice point and their bounds dq.
+def _phasor_planes(geom: UpaGeometry, rows: slice, grid):
+    """The prefilter's phasors for the elements in rows, one x-plane of the
+    lattice at a time (module docstring).
 
-    y is the echo on the region slice rows and grid is (xs, ys, zs). Both
-    results are flat, in lattice order, and |q~ - q| <= dq for the exact
-    score q of each point (module docstring). Raises SingularGeometryError
-    when a lattice point coincides with an element of the region.
+    Yields, for each x in lattice order, amp, the (points of the plane,
+    elements) amplitudes 1 / t, and parts, amp cos(2 pi t) stacked over
+    amp sin(2 pi t). The buffers are reused: each plane overwrites the last.
+    A point on an element makes its amp infinite. The caller sets the error
+    state, since only it knows what an infinity means.
     """
-    n = y.size
     # In wavelength units a distance t is the phase in turns, and 1 / t is the
     # amplitude up to the factor lambda / 4 pi, which cancels from q.
     elems = geom.coords[:, rows] / geom.wavelength
     xs, ys, zs = (np.asarray(g, dtype=float) / geom.wavelength for g in grid)
+    n = elems.shape[1]
     count = ys.size * zs.size
     dx = np.subtract.outer(xs, elems[0])
     dx *= dx
@@ -278,22 +343,29 @@ def prefilter_scores(
     parts = np.empty((2 * count, n))
     # The sin half holds the plane's distances until its sines overwrite them.
     cos, sin = parts[:count], parts[count:]
+    for plane in dx:
+        turns = np.add(yz, plane, out=sin)
+        np.sqrt(turns, out=turns)
+        np.subtract(turns, np.floor(turns, out=amp), out=amp)
+        np.multiply(amp, 2.0 * np.pi, out=phase32)
+        np.reciprocal(turns, out=amp)
+        np.cos(phase32, out=cos)
+        cos *= amp
+        np.sin(phase32, out=sin)
+        sin *= amp
+        yield amp, parts
+
+
+def _direct_scores(geom: UpaGeometry, y: np.ndarray, rows: slice, grid) -> np.ndarray:
+    """q~ of every lattice point from phasors formed for this call."""
+    count = grid[1].size * grid[2].size
     sums = np.empty((2 * count, 2))
     echo = np.stack([y.real, y.imag], axis=1)
-    power = np.empty((xs.size, count))
-    energy = np.empty((xs.size, count))
+    power = np.empty((grid[0].size, count))
+    energy = np.empty((grid[0].size, count))
     # A point on an element makes its 1 / t, and so its energy, infinite.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for i in range(xs.size):
-            turns = np.add(yz, dx[i], out=sin)
-            np.sqrt(turns, out=turns)
-            np.subtract(turns, np.floor(turns, out=amp), out=amp)
-            np.multiply(amp, 2.0 * np.pi, out=phase32)
-            np.reciprocal(turns, out=amp)
-            np.cos(phase32, out=cos)
-            cos *= amp
-            np.sin(phase32, out=sin)
-            sin *= amp
+        for i, (amp, parts) in enumerate(_phasor_planes(geom, rows, grid)):
             # s = sum_n amp_n (cos - j sin)(Re y_n - j Im y_n).
             np.matmul(parts, echo, out=sums)
             re = sums[:count, 0] - sums[count:, 1]
@@ -302,8 +374,114 @@ def prefilter_scores(
             energy[i] = np.einsum("ij,ij->i", amp, amp)
         if np.isinf(energy).any():
             raise SingularGeometryError("a candidate point coincides with an array element")
-        q = (power / energy).reshape(-1)
-    reach = _PHASOR_ERROR * math.sqrt(np.vdot(y, y).real)
+        return (power / energy).reshape(-1)
+
+
+def _build_table(geom: UpaGeometry, grid) -> np.ndarray | None:
+    """The lattice's seed table over the full aperture, or None where the box
+    stays on the direct route.
+
+    Row p holds point p's phasors amp (cos + j sin) for every element, divided
+    by the row's largest amplitude and rounded to complex64. A box gets no
+    table when the table would exceed _TABLE_BYTES, or when some scaled
+    amplitude is not above _TABLE_FLOOR: a point on an element (an infinite
+    amplitude), a distance that overflows (a zero one) or a range of distances
+    so wide that an entry's square would leave the normal float32 range. The
+    kernel runs on a few y values of the lattice at a time, so that its
+    buffers stay near _BUILD_BYTES, whatever the size of the array.
+    """
+    xs, ys, zs = grid
+    n = geom.n_elements
+    if math.prod(g.size for g in grid) * n * 8 > _TABLE_BYTES:
+        return None
+    table = np.empty((xs.size, ys.size, zs.size, n), dtype=np.complex64)
+    # amp, parts and the float32 phase take 28 bytes per point and element.
+    step = max(1, _BUILD_BYTES // (28 * zs.size * n))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for j in range(0, ys.size, step):
+            planes = _phasor_planes(geom, slice(None), (xs, ys[j : j + step], zs))
+            for block, (amp, parts) in zip(table[:, j : j + step], planes):
+                top = amp.max(axis=1, keepdims=True)
+                if not (amp.min(axis=1, keepdims=True) > top * _TABLE_FLOOR).all():
+                    return None
+                rows = block.reshape(-1, n)
+                np.divide(parts[: rows.shape[0]], top, out=rows.real)
+                np.divide(parts[rows.shape[0] :], top, out=rows.imag)
+    return table.reshape(-1, n)
+
+
+def _table_scores(table: np.ndarray, y: np.ndarray, rows: slice) -> np.ndarray:
+    """q~ of every lattice point from the box's seed table.
+
+    The echo is divided by its largest |entry| before it is rounded to
+    complex64, and the scale is restored in float64; the row scales cancel
+    from q~ = |s|^2 / e.
+    """
+    start, stop, _ = rows.indices(table.shape[1])
+    top = float(np.abs(y).max())
+    scale = top if top > 0.0 else 1.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        s = (table[:, start:stop] @ (y / scale).astype(np.complex64)).astype(complex)
+        entries = table.view(np.float32)[:, 2 * start : 2 * stop]
+        energy = np.einsum("ij,ij->i", entries, entries)
+        return (s.real * s.real + s.imag * s.imag) / energy * scale * scale
+
+
+def _table_key(geom: UpaGeometry, grid) -> tuple:
+    """The memo's key of a box: the geometry's id and the lattice's axes."""
+    return (id(geom), *(g.tobytes() for g in grid))
+
+
+def _seed_table(geom: UpaGeometry, grid) -> np.ndarray | None:
+    """The seed table of the box from its second use on, else None.
+
+    The memo keeps the _TABLES_MAX boxes used last. A box's first use records
+    it and its second builds its table, so a command that locates each box
+    once builds none; a box evicted before it comes back starts again. The
+    key holds the geometry's id, and the entry holds the geometry itself, so
+    that id cannot be reused while the entry lives.
+    """
+    key = _table_key(geom, grid)
+    entry = _tables.get(key)
+    if entry is None:
+        _tables[key] = _TableEntry(geom)
+        if len(_tables) > _TABLES_MAX:
+            _tables.popitem(last=False)
+        return None
+    _tables.move_to_end(key)
+    if not entry.built:
+        entry.table = _build_table(geom, grid)
+        entry.built = True
+    return entry.table
+
+
+def clear_seed_tables() -> None:
+    """Empty the seed-table memo; cli.main does so at the start of every command."""
+    _tables.clear()
+
+
+def prefilter_scores(
+    geom: UpaGeometry, y: np.ndarray, rows: slice, grid
+) -> tuple[np.ndarray, np.ndarray]:
+    """Prefilter scores q~ of every lattice point and their bounds dq.
+
+    y is the echo on the region slice rows and grid is (xs, ys, zs). Both
+    results are flat, in lattice order, and |q~ - q| <= dq for the exact
+    score q of each point (module docstring). From the second call on the
+    same geometry object and lattice, the scores come from the box's seed
+    table, which the memo holds, with the wider bound that its single-
+    precision storage and sums need; before that, and for a box that gets no
+    table, they come from phasors formed for this call. Both routes form the
+    phasors with one kernel, _phasor_planes. Raises SingularGeometryError
+    when a lattice point coincides with an element of the region.
+    """
+    grid = [np.asarray(g, dtype=float) for g in grid]
+    table = _seed_table(geom, grid)
+    if table is None:
+        q, rho = _direct_scores(geom, y, rows, grid), _PHASOR_ERROR
+    else:
+        q, rho = _table_scores(table, y, rows), _table_error(y.size)
+    reach = rho * math.sqrt(np.vdot(y, y).real)
     return q, reach * (2.0 * np.sqrt(q) + reach)
 
 
@@ -312,7 +490,9 @@ def lattice_seed(geom: UpaGeometry, y: np.ndarray, rows: slice, grid) -> tuple[_
 
     The prefilter keeps the points that may hold the maximum, and each of them
     is probed exactly, in lattice order. When every point survives, as for a
-    zero echo, that is the whole lattice.
+    zero echo, that is the whole lattice. The seed does not depend on the
+    prefilter's route, but the count can: the table route's wider bound may
+    keep more points.
     """
     q, dq = prefilter_scores(geom, y, rows, grid)
     if not (np.isfinite(q).all() and np.isfinite(dq).all()):

@@ -1,12 +1,16 @@
-"""Tests for scripts/cli_digest.py: its printed lines and its drift
-comparison, on in-memory CSV texts; the digest's own commands are not run
-here."""
+"""Tests for scripts/cli_digest.py: its printed lines, its scenario files and
+its drift comparison, on in-memory CSV texts. Of the digest's own commands,
+only the 1e30 Hz carrier one is run here, in process."""
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 
 import pytest
+
+from nfwpt import localize
+from nfwpt.cli import main
 
 _PATH = Path(__file__).resolve().parents[1] / "scripts" / "cli_digest.py"
 _SPEC = importlib.util.spec_from_file_location("cli_digest", _PATH)
@@ -68,3 +72,26 @@ def test_commands_run_the_pinned_scenario_beside_the_script():
     assert argv[:2] == ["crb", "--config"]
     assert Path(argv[2]) == _PATH.parent / "pinned_8x8.json"
     assert Path(argv[2]).is_absolute() and Path(argv[2]).is_file()
+
+
+def test_the_carrier_command_reads_the_same_bytes_from_the_seed_tables(monkeypatch, capsys):
+    (command,) = [c for c in cli_digest.COMMANDS if cli_digest.CARRIER in c]
+    argv = cli_digest.argv(command)
+    path = Path(argv[argv.index("--config") + 1])
+    assert path == _PATH.parent / "carrier_1e30.json"
+    assert json.loads(path.read_text()) == {"array": {"carrier_freq": 1e30}}
+    outputs = []
+    for bound in (localize._TABLES_MAX, 0):
+        # A memo bound of 0 evicts every box at once, so every locate takes
+        # the direct route.
+        monkeypatch.setattr(localize, "_TABLES_MAX", bound)
+        built = []
+        real = localize._build_table
+        monkeypatch.setattr(localize, "_build_table", lambda *a: built.append(a) or real(*a))
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+        # Two receivers, three trials: each box is built on its second locate.
+        assert len(built) == (2 if bound else 0)
+        monkeypatch.undo()
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("\n") == 2

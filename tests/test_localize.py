@@ -18,6 +18,7 @@ from nfwpt import (
     localize,
 )
 from nfwpt.channel import ErState, VisibilityRegion, channel
+from nfwpt.cli import main
 from nfwpt.echo import aggregate, simulate_echo, uniform_probe
 from nfwpt.errors import DegenerateChannelError, SingularGeometryError
 from oracles import cholesky_solve, full_aperture_objective, lattice_scores
@@ -254,7 +255,7 @@ def _golden_oracle(geom, y, vr, box, tol=1e-4, max_cycles=50, line_iters=30):
     return point, best
 
 
-def _run_trial_inputs(monkeypatch, schemes, trials, side=16):
+def _run_trial_inputs(monkeypatch, schemes, trials, side=16, carrier_freq=28e9):
     """locate_er arguments of run_trial on the built-in scenario, side x side."""
     captured = []
     real = harness.locate_er
@@ -265,7 +266,7 @@ def _run_trial_inputs(monkeypatch, schemes, trials, side=16):
 
     monkeypatch.setattr(harness, "locate_er", record)
     base = ScenarioConfig()
-    base = replace(base, array=replace(base.array, n_y=side, n_z=side))
+    base = replace(base, array=replace(base.array, n_y=side, n_z=side, carrier_freq=carrier_freq))
     for scheme in schemes:
         cfg = replace(base, scheme=scheme)
         for t in range(trials):
@@ -334,16 +335,45 @@ def _seed_inputs(y_bar, vr, box):
     return np.asarray(y_bar, dtype=complex)[rows], rows, grid
 
 
-def _assert_seed_matches_the_oracle(geom, y, rows, grid):
+def _table(geom, grid):
+    """The memo's seed table of the box, None when the box has none."""
+    return localize._tables[localize._table_key(geom, grid)].table
+
+
+def _route_seeds(geom, y, rows, grid, tabulated=True):
+    """lattice_seed on the direct route and then on the table route, once
+    every prefilter score is checked within dq / 10 of the exact score on
+    both.
+
+    On a fresh memo the first call on a box takes the direct route and the
+    second reads the box's table, which it builds unless the box gets none.
+    """
     exact = lattice_scores(geom, y, rows, grid)
-    q, dq = localize.prefilter_scores(geom, y, rows, grid)
-    assert np.all(np.abs(q - exact) <= dq / 10)
-    seed, probed = localize.lattice_seed(geom, y, rows, grid)
-    index = np.unravel_index(np.argmax(exact), tuple(g.size for g in grid))
-    at = localize._probe(geom, y, rows, np.array([g[i] for g, i in zip(grid, index)]))
+    localize.clear_seed_tables()
+    for route in ("direct", "table"):
+        q, dq = localize.prefilter_scores(geom, y, rows, grid)
+        assert np.all(np.abs(q - exact) <= dq / 10), route
+    assert (_table(geom, grid) is not None) == tabulated
+    localize.clear_seed_tables()
+    seeds = [localize.lattice_seed(geom, y, rows, grid) for route in ("direct", "table")]
+    for _, probed in seeds:
+        assert 1 <= probed <= exact.size
+    return [seed for seed, _ in seeds]
+
+
+def _assert_same_probe(seed, at):
     assert seed.point.tobytes() == at.point.tobytes()
     assert (seed.s, seed.e, seed.q) == (at.s, at.e, at.q)
-    assert 1 <= probed <= exact.size
+
+
+def _assert_seed_matches_the_oracle(geom, y, rows, grid, tabulated=True):
+    """On both routes, every prefilter score is within dq / 10 of the exact
+    score, and the seed is the probe of the exact argmax, bit for bit."""
+    exact = lattice_scores(geom, y, rows, grid)
+    index = np.unravel_index(np.argmax(exact), tuple(g.size for g in grid))
+    at = localize._probe(geom, y, rows, np.array([g[i] for g, i in zip(grid, index)]))
+    for seed in _route_seeds(geom, y, rows, grid, tabulated):
+        _assert_same_probe(seed, at)
 
 
 @pytest.mark.parametrize("side", [16, 32])
@@ -352,6 +382,30 @@ def test_seed_is_the_full_lattice_argmax_on_run_trial_inputs(monkeypatch, side):
     assert len(inputs) >= 12
     for geom, y_bar, vr, box in inputs:
         _assert_seed_matches_the_oracle(geom, *_seed_inputs(y_bar, vr, box))
+
+
+@pytest.mark.parametrize("factor", [1e-40, 1e40])
+def test_both_routes_keep_the_argmax_of_an_echo_scaled_far_from_one(monkeypatch, factor):
+    inputs = _run_trial_inputs(monkeypatch, ("proposed", "no_vr"), 2)
+    for geom, y_bar, vr, box in inputs:
+        _assert_seed_matches_the_oracle(geom, *_seed_inputs(y_bar * factor, vr, box))
+
+
+def test_both_routes_pick_the_same_seed_at_a_1e30_carrier(monkeypatch):
+    # The amplitudes 1 / t are near 1e-22: unscaled, their squares would fall
+    # below the float32 range. The array is so small against the distances
+    # that every lattice score is nearly the same, so every point survives
+    # and the seed is the first maximum of the exact probes, whose last bits
+    # the batched oracle need not share.
+    inputs = _run_trial_inputs(monkeypatch, ("equal_time",), 4, carrier_freq=1e30)
+    assert len(inputs) == 8
+    for geom, y_bar, vr, box in inputs:
+        assert geom.carrier_freq == 1e30
+        y, rows, grid = _seed_inputs(y_bar, vr, box)
+        lattice = np.stack(np.meshgrid(*grid, indexing="ij"), axis=-1).reshape(-1, 3)
+        at = max((localize._probe(geom, y, rows, p) for p in lattice), key=lambda p: p.q)
+        for seed in _route_seeds(geom, y, rows, grid):
+            _assert_same_probe(seed, at)
 
 
 @st.composite
@@ -396,31 +450,160 @@ def test_zero_echo_scores_the_whole_lattice_once(monkeypatch):
         return real(geom, y, rows, point)
 
     monkeypatch.setattr(localize, "_probe", record)
-    seed, count = localize.lattice_seed(geom, y, rows, grid)
-    # Every point ties at q = 0, so every point survives; the seed is index 0.
     lattice = np.stack(np.meshgrid(*grid, indexing="ij"), axis=-1).reshape(-1, 3)
-    np.testing.assert_array_equal(np.array(probed), lattice)
-    assert count == len(lattice)
-    np.testing.assert_array_equal(seed.point, lattice[0])
+    # Every point ties at q = 0 on either route, so every point survives; the
+    # seed is index 0.
+    for route in ("direct", "table"):
+        probed.clear()
+        seed, count = localize.lattice_seed(geom, y, rows, grid)
+        np.testing.assert_array_equal(np.array(probed), lattice)
+        assert count == len(lattice)
+        np.testing.assert_array_equal(seed.point, lattice[0])
+    assert _table(geom, grid) is not None
     result = locate_er(geom, np.zeros(geom.n_elements, dtype=complex), er.vr, box)
     np.testing.assert_array_equal(result.position_hat, box[0])
 
 
-@pytest.mark.parametrize("corner", [0, 1])
-def test_a_lattice_point_on_an_element_is_rejected(corner):
+def _on_element(corner):
+    """An 8x8 array and a box with a corner, a lattice point, on element 28."""
     geom = build_upa(8, 8, 28e9)
     element = geom.coords.T[27]
     box = (element, element + 0.2) if corner == 0 else (element - 0.2, element)
+    return geom, box
+
+
+@pytest.mark.parametrize("corner", [0, 1])
+def test_a_lattice_point_on_an_element_is_rejected(corner):
+    geom, box = _on_element(corner)
     y = np.ones(geom.n_elements, dtype=complex)
     vr = VisibilityRegion(1, geom.n_elements)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        # The prefilter scores the lattice first, so it is the one to raise.
-        with pytest.raises(SingularGeometryError):
-            localize.prefilter_scores(geom, *_seed_inputs(y, vr, box))
+        # The prefilter scores the lattice first, so it is the one to raise,
+        # on the first call and on the second alike: such a box gets no table.
+        for route in ("direct", "table"):
+            with pytest.raises(SingularGeometryError):
+                localize.prefilter_scores(geom, *_seed_inputs(y, vr, box))
         with pytest.raises(SingularGeometryError):
             locate_er(geom, y, vr, box)
     assert [str(w.message) for w in caught] == []
+    assert _table(geom, _seed_inputs(y, vr, box)[2]) is None
+
+
+@pytest.mark.parametrize("corner", [0, 1])
+def test_a_lattice_point_on_an_element_outside_the_region_scores_on_both_calls(corner):
+    geom, box = _on_element(corner)
+    rng = np.random.default_rng(corner)
+    y_bar = rng.standard_normal(geom.n_elements) + 1j * rng.standard_normal(geom.n_elements)
+    vr = VisibilityRegion(40, geom.n_elements)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _assert_seed_matches_the_oracle(geom, *_seed_inputs(y_bar, vr, box), tabulated=False)
+        for route in ("direct", "table"):
+            result = locate_er(geom, y_bar, vr, box)
+            assert np.all(box[0] <= result.position_hat) and np.all(result.position_hat <= box[1])
+    assert [str(w.message) for w in caught] == []
+
+
+def _record_builds(monkeypatch):
+    """The memo keys of the boxes whose seed tables get built, in order."""
+    built = []
+    real = localize._build_table
+
+    def record(geom, grid):
+        built.append(localize._table_key(geom, grid))
+        return real(geom, grid)
+
+    monkeypatch.setattr(localize, "_build_table", record)
+    return built
+
+
+def _outcome(result):
+    return (
+        result.position_hat.tobytes(),
+        result.objective,
+        result.iterations,
+        result.converged,
+        result.evaluations,
+    )
+
+
+class TestSeedTableMemo:
+    def test_a_one_trial_simulate_builds_no_table(self, monkeypatch, capsys):
+        built = _record_builds(monkeypatch)
+        assert main(["simulate", "--trials", "1"]) == 0
+        capsys.readouterr()
+        assert built == []
+        # Each receiver's box was seen once.
+        assert [entry.built for entry in localize._tables.values()] == [False, False]
+
+    def test_a_gamma_sweep_builds_one_table_per_receiver(self, monkeypatch, capsys):
+        built = _record_builds(monkeypatch)
+        assert main(["sweep-gamma", "--trials", "1"]) == 0
+        capsys.readouterr()
+        assert len(built) == len(set(built)) == len(ScenarioConfig().ers)
+        assert all(localize._tables[key].table is not None for key in built)
+
+    def test_every_command_starts_with_an_empty_memo(self, monkeypatch, capsys):
+        built = _record_builds(monkeypatch)
+        sweep = ["sweep-gamma", "--trials", "1"]
+        assert main(sweep) == 0
+        assert len(built) == 2 and len(localize._tables) == 2
+        assert main(["crb"]) == 0
+        assert not localize._tables
+        assert main(sweep) == 0
+        # The second sweep builds its own tables, on its own geometry.
+        assert len(built) == 4 and set(built[:2]).isdisjoint(built[2:])
+        capsys.readouterr()
+
+    def test_more_boxes_than_the_bound_in_turn_take_the_direct_route(self, monkeypatch):
+        built = _record_builds(monkeypatch)
+        geom, er, y = _noiseless_scene(5)
+        boxes = [
+            (er.position - 0.2 + 0.01 * k, er.position + 0.2 + 0.01 * k)
+            for k in range(localize._TABLES_MAX + 1)
+        ]
+        fresh = []
+        for box in boxes:
+            localize.clear_seed_tables()
+            fresh.append(_outcome(locate_er(geom, y, er.vr, box)))
+        localize.clear_seed_tables()
+        for cycle in range(3):
+            assert [_outcome(locate_er(geom, y, er.vr, box)) for box in boxes] == fresh
+        # Each box was evicted before it came back, so none got a table.
+        assert built == []
+        assert len(localize._tables) == localize._TABLES_MAX
+
+    def test_boxes_within_the_bound_get_one_table_each(self, monkeypatch):
+        built = _record_builds(monkeypatch)
+        geom, er, y = _noiseless_scene(5)
+        boxes = [
+            (er.position - 0.2 + 0.01 * k, er.position + 0.2 + 0.01 * k)
+            for k in range(localize._TABLES_MAX)
+        ]
+        fresh = []
+        for box in boxes:
+            localize.clear_seed_tables()
+            fresh.append(_outcome(locate_er(geom, y, er.vr, box))[:4])
+        localize.clear_seed_tables()
+        # evaluations may differ: the table's wider bound can let more points
+        # survive to an exact probe.
+        for cycle in range(3):
+            assert [_outcome(locate_er(geom, y, er.vr, box))[:4] for box in boxes] == fresh
+        assert len(built) == len(set(built)) == len(boxes)
+
+    def test_an_equal_geometry_is_another_box(self, monkeypatch):
+        built = _record_builds(monkeypatch)
+        geom, er, y_bar = _noiseless_scene(6)
+        y, rows, grid = _seed_inputs(y_bar, er.vr, (er.position - 0.2, er.position + 0.2))
+        for call in range(2):
+            localize.prefilter_scores(geom, y, rows, grid)
+        twin = build_upa(geom.n_y, geom.n_z, geom.carrier_freq)
+        localize.prefilter_scores(twin, y, rows, grid)
+        assert built == [localize._table_key(geom, grid)]
+        # The memo holds each geometry, so its id cannot pass to another.
+        held = [entry.geom for entry in localize._tables.values()]
+        assert len(held) == 2 and held[0] is geom and held[1] is twin
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
