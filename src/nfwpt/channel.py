@@ -88,6 +88,21 @@ def _as_point(point) -> np.ndarray:
     return pos
 
 
+def point_distances(geom: UpaGeometry, points: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """Distances from the elements in rows to each column of points, shape (P, n_rows).
+
+    points is a (3, P) array, one point per column. One subtraction forms the
+    three offset rows of every point, which are squared and summed
+    (x + y) + z as in grid_distances, so each row has the bits of that point
+    alone and of the same point on the grid path. A point on an element has
+    a zero distance: this function does not check, its callers do.
+    """
+    part = np.subtract(points.astype(float, copy=False)[:, :, None], geom.coords[:, None, rows])
+    part *= part
+    dists = (part[0] + part[1]) + part[2]
+    return np.sqrt(dists, out=dists)
+
+
 def grid_distances(geom: UpaGeometry, grid, rows=slice(None)) -> np.ndarray:
     """Distances from the elements in rows to every point of a grid.
 
@@ -97,17 +112,14 @@ def grid_distances(geom: UpaGeometry, grid, rows=slice(None)) -> np.ndarray:
     axis at a time, in the order (x + y) + z that np.linalg.norm also uses,
     so no (points, elements, 3) array forms. Each axis reads one contiguous
     row of geom.coords. A single point given as a (3, 1) array, the form
-    steering_vector and the localizer's probes use, takes its three offset
-    rows from one subtraction, with the same arithmetic and so the same bits.
-    Raises SingularGeometryError when a point coincides with an element.
+    steering_vector uses, takes point_distances, with the same arithmetic
+    and so the same bits. Raises SingularGeometryError when a point
+    coincides with an element.
     """
     elems = geom.coords[:, rows]
     n = elems.shape[1]
     if isinstance(grid, np.ndarray) and grid.shape == (3, 1):
-        part = np.subtract(grid.astype(float, copy=False), elems)
-        part *= part
-        dists = ((part[0] + part[1]) + part[2]).reshape(1, 1, 1, n)
-        np.sqrt(dists, out=dists)
+        dists = point_distances(geom, grid, rows).reshape(1, 1, 1, n)
         # Counts NaN as nonzero, as np.any(dists == 0.0) does, in one cheap pass.
         singular = np.count_nonzero(dists) < n
     else:
@@ -129,6 +141,12 @@ def grid_distances(geom: UpaGeometry, grid, rows=slice(None)) -> np.ndarray:
     return dists
 
 
+def free_space(geom: UpaGeometry, dists: np.ndarray) -> np.ndarray:
+    """Free-space responses lambda / (4 pi d) exp(-j 2 pi d / lambda) at distances d."""
+    amp = geom.wavelength / (4.0 * np.pi * dists)
+    return amp * np.exp(-2j * np.pi / geom.wavelength * dists)
+
+
 def array_response(geom: UpaGeometry, grid, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
     """Distances and free-space responses of the elements in rows over a grid.
 
@@ -137,8 +155,19 @@ def array_response(geom: UpaGeometry, grid, rows=slice(None)) -> tuple[np.ndarra
     point[:, None].
     """
     dists = grid_distances(geom, grid, rows)
-    amp = geom.wavelength / (4.0 * np.pi * dists)
-    return dists, amp * np.exp(-2j * np.pi / geom.wavelength * dists)
+    return dists, free_space(geom, dists)
+
+
+def radial_rows(geom: UpaGeometry, point, dists: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """(u_n - u) / d_n for the elements in rows, one C-ordered row per axis u.
+
+    point is one point (3,) and dists its (n_rows,) distances. The
+    derivative and Hessian kernels share these rows: a caller that needs both
+    forms them once and passes them as radial.
+    """
+    radial = geom.coords[:, rows] - np.asarray(point, dtype=float)[:, None]
+    radial /= dists
+    return radial
 
 
 def response_derivatives(
@@ -148,6 +177,7 @@ def response_derivatives(
     entries: np.ndarray,
     rows=slice(None),
     out=None,
+    radial=None,
 ) -> np.ndarray:
     """Partial derivatives of the responses at one point, shape (3, n_rows).
 
@@ -163,10 +193,10 @@ def response_derivatives(
     array is the result itself. Its bits are those of
     entries * (radial / d + (2j pi / lambda) * radial), radial = (u_n - u) / d_n,
     and it is C-ordered. With out, a complex (3, n_rows) array, the result is
-    written there.
+    written there. radial, when given, is radial_rows at the point.
     """
-    radial = geom.coords[:, rows] - np.asarray(point, dtype=float)[:, None]
-    radial /= dists
+    if radial is None:
+        radial = radial_rows(geom, point, dists, rows)
     if out is None:
         out = np.empty_like(radial, dtype=complex)
     np.divide(radial, dists, out=out.real)
@@ -175,7 +205,12 @@ def response_derivatives(
 
 
 def response_hessians(
-    geom: UpaGeometry, point, dists: np.ndarray, entries: np.ndarray, rows=slice(None)
+    geom: UpaGeometry,
+    point,
+    dists: np.ndarray,
+    entries: np.ndarray,
+    rows=slice(None),
+    radial=None,
 ) -> np.ndarray:
     """Second partial derivatives of the responses at one point, shape (3, 3, n_rows).
 
@@ -185,12 +220,14 @@ def response_hessians(
         d2 a_n / du dv = a_n * ( r_u r_v (c_n^2 + c_n / d_n + 1 / d_n^2) - delta_uv c_n / d_n ).
 
     u_n is read from the contiguous rows of geom.coords, as in
-    response_derivatives.
+    response_derivatives, and radial, when given, is radial_rows at the point.
     """
-    radial = (geom.coords[:, rows] - np.asarray(point, dtype=float)[:, None]) / dists
+    if radial is None:
+        radial = radial_rows(geom, point, dists, rows)
     c = 1.0 / dists + 2j * np.pi / geom.wavelength
     hess = entries * radial[:, None, :] * radial[None, :, :] * (c * c + c / dists + 1.0 / dists**2)
-    hess[[0, 1, 2], [0, 1, 2]] -= entries * c / dists
+    # Rows 0, 4 and 8 of the nine (u, v) rows are the diagonal u = v.
+    hess.reshape(9, -1)[::4] -= entries * c / dists
     return hess
 
 

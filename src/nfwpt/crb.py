@@ -28,15 +28,18 @@ Planning needs the FIM at the 27 points of each receiver's prior lattice, so
 fim() takes the lattice as per-axis offsets and evaluates every point in one
 call: one array_response over the grid on the region's M elements, then, one
 point at a time, that point's (3, M) derivative rows and its 5 x 5 matrix,
-and finally one eigvalsh, cond and inv over the (points, 5, 5) stack. The
-derivative rows of every point are written into one C-ordered (3, M) buffer
-that the loop reuses. No array spans points, axes and elements at once, so
-every temporary of the loop stays small. The matrix is ill-conditioned, so
-the order of every sum counts: the per-point probe projections (x . u) and
-inner products (vdot) stay separate BLAS reductions over C-contiguous rows,
-combined in the same scalar order as for a single point. A reduction batched
-across points, or one over a strided row, rounds differently and moves the
-worst CRB in its last digits.
+and finally one eigvalsh, cond and inv over the (points, 5, 5) stack. Each
+point's channel and derivative rows are written into one C-ordered (4, M)
+block that the loop reuses. No array spans points, axes and elements at
+once, so every temporary of the loop stays small. The matrix is
+ill-conditioned, so the order of every sum counts. A point's 14 reductions,
+the probe projections x . u and the inner products vdot(u, v) over its rows,
+come from three np.vecdot calls on the block; vecdot reduces each row on its
+own, with the bits of x.dot and np.vdot on that row alone (a test in
+tests/test_channel.py guards this). The Python scalars they give are
+combined in the same order as for a single point. A product through gemv
+(np.matmul, np.matvec), a reduction batched across points, or one over a
+strided row rounds differently and moves the worst CRB in its last digits.
 
 Every block is proportional to tau, so F(tau) = tau * F(1) exactly and the
 position CRB scales as 1 / tau. FisherInfo therefore stores the per-symbol
@@ -116,14 +119,16 @@ def fim(
     offsets the nominal position is the only point and base_matrix is 5 x 5.
     Every form sums over the rows of the nominal visibility region only.
     The grid's responses come from one array_response; each point's channel,
-    derivative rows and matrix are then built on their own, so a point's
-    matrix has the same bits whatever other points share the call (see the
-    module docstring). A matrix that is not finite, at any point, raises
-    SingularFimError; otherwise the first failing point in product order
-    raises: DegenerateChannelError for a zero channel, SingularFimError for a
-    channel energy, probe gain or largest matrix entry below the smallest
-    normal float, or for a matrix that lost positive semidefiniteness. Only
-    inputs at the edge of the float range fail these checks.
+    derivative rows and matrix are then built on their own, from three
+    np.vecdot calls over the point's (4, M) block and scalar algebra on
+    Python lists, so a point's matrix has the same bits whatever other
+    points share the call (see the module docstring). A matrix that is not
+    finite, at any point, raises SingularFimError; otherwise the first
+    failing point in product order raises: DegenerateChannelError for a zero
+    channel, SingularFimError for a channel energy, probe gain or largest
+    matrix entry below the smallest normal float, or for a matrix that lost
+    positive semidefiniteness. Only inputs at the edge of the float range
+    fail these checks.
     """
     if noise_power <= 0:
         raise ValueError(f"noise power must be positive, got {noise_power}")
@@ -152,46 +157,54 @@ def fim(
     points = np.stack(np.meshgrid(*grid, indexing="ij"), axis=-1).reshape(-1, 3)
     b = er_nominal.reflection
     b2, b_conj = abs(b) ** 2, b.conjugate()
-    mats = np.zeros((len(points), 5, 5))
-    zero = np.zeros(len(points), dtype=bool)
-    underflow = np.zeros(len(points), dtype=bool)
-    # C order puts each axis row in one contiguous run: a strided row would
-    # make the BLAS reductions below sum in another order.
-    derivs = np.empty((3, x.size), dtype=complex)
-    for k, (point, dist, h, mat) in enumerate(zip(points, dists, entries, mats)):
-        zero[k] = not h.any()
+    x_conj = x.conj()
+    mats, zero, underflow = [], [], []
+    # Row 0 holds the point's channel h and rows 1-3 its derivative rows. C
+    # order puts every row in one contiguous run: a strided row would make
+    # the reductions below sum in another order.
+    block = np.empty((4, x.size), dtype=complex)
+    derivs = block[1:]
+    for point, dist, h in zip(points, dists, entries):
+        zero.append(not h.any())
+        block[0] = h
         response_derivatives(geom, point, dist, h, rows, out=derivs)
         # x^T u for u = h and each derivative: u^H S* v = conj(x^T u) (x^T v).
-        # Each BLAS result becomes a Python scalar once; the algebra on them
-        # rounds as numpy scalars do, in the same order.
-        xh = complex(x.dot(h))
-        xd = [complex(x.dot(d)) for d in derivs]
+        # np.vecdot takes each row's reduction on its own, with the bits of
+        # x.dot(u) and np.vdot(u, v) on that row. Each result becomes a
+        # Python scalar once; the algebra on them rounds as numpy scalars do,
+        # in the same order.
+        xh, *xd = np.vecdot(x_conj, block).tolist()
+        hh, *dh = np.vecdot(block, h).tolist()
+        dd = np.vecdot(derivs[:, None], derivs[None, :]).tolist()
+        hh = hh.real
         xh_conj = xh.conjugate()
         xd_conj = [v.conjugate() for v in xd]
-        dh = [complex(np.vdot(d, h)) for d in derivs]
         # vdot(h, d) is the exact conjugate of vdot(d, h) (tests/oracles.py
         # takes vdot(h, d) and the oracle tests compare bits).
         hd = [v.conjugate() for v in dh]
 
-        hh = float(np.vdot(h, h).real)
         hsh = xh_conj * xh
-        underflow[k] = min(hh, hsh.real) < _TINY
+        underflow.append(min(hh, hsh.real) < _TINY)
+        mat = [[0.0] * 5 for _ in range(5)]
         for i in range(3):
             for j in range(i, 3):
                 g_uv = b2 * (
-                    complex(np.vdot(derivs[i], derivs[j])) * hsh
+                    dd[i][j] * hsh
                     + dh[i] * xh_conj * xd[j]
                     + hd[j] * xd_conj[i] * xh
                     + hh * xd_conj[i] * xd[j]
                 )
-                mat[i, j] = mat[j, i] = g_uv.real
+                mat[i][j] = mat[j][i] = g_uv.real
         for i in range(3):
             g_ub = dh[i] * b_conj * hsh + hh * b_conj * xd_conj[i] * xh
-            mat[i, 3] = mat[3, i] = g_ub.real
-            mat[i, 4] = mat[4, i] = -g_ub.imag
+            mat[i][3] = mat[3][i] = g_ub.real
+            mat[i][4] = mat[4][i] = -g_ub.imag
         g_bb = hh * hsh
-        mat[3, 3] = mat[4, 4] = g_bb.real
-        mat[3, 4] = mat[4, 3] = -g_bb.imag
+        mat[3][3] = mat[4][4] = g_bb.real
+        mat[3][4] = mat[4][3] = -g_bb.imag
+        mats.append(mat)
+    mats = np.array(mats, dtype=float).reshape(-1, 5, 5)
+    zero, underflow = np.array(zero, dtype=bool), np.array(underflow, dtype=bool)
     mats *= 2.0 / noise_power
     # eigvalsh does not converge on a matrix that is not finite.
     if not np.isfinite(mats).all():

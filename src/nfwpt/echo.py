@@ -35,7 +35,10 @@ def simulate_echo(
 
     Returns the read-only (N, slot_len) block, one column per symbol. Each
     complex noise entry draws two independent zero-mean normals (real block
-    first, then imaginary), each with variance noise_power / 2.
+    first, then imaginary), each with variance noise_power / 2. Each drawn
+    block is scaled in place and added to the signal's part straight into
+    the real or the imaginary part of the block, so no complex temporary
+    forms; the sums are those of signal + (real noise + 1j * imaginary noise).
     """
     h = np.asarray(h, dtype=complex)
     probe = np.asarray(probe, dtype=complex)
@@ -46,12 +49,15 @@ def simulate_echo(
     if noise_power < 0:
         raise ValueError(f"noise power must be nonnegative, got {noise_power}")
     signal = complex(b) * h * (h @ probe)
-    samples = np.broadcast_to(signal[:, None], (h.size, slot_len)).astype(complex)
     if noise_power > 0:
+        samples = np.empty((h.size, slot_len), dtype=complex)
         scale = np.sqrt(noise_power / 2.0)
-        noise = scale * rng.standard_normal((h.size, slot_len))
-        noise = noise + 1j * scale * rng.standard_normal((h.size, slot_len))
-        samples = samples + noise
+        for part, mean in ((samples.real, signal.real), (samples.imag, signal.imag)):
+            noise = rng.standard_normal((h.size, slot_len))
+            noise *= scale
+            np.add(noise, mean[:, None], out=part)
+    else:
+        samples = np.broadcast_to(signal[:, None], (h.size, slot_len)).astype(complex)
     samples.setflags(write=False)
     return samples
 

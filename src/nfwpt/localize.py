@@ -41,9 +41,16 @@ The search has three parts.
   dq = rho ||y_bar|| (2 sqrt(q~) + rho ||y_bar||) of q; the table route's rho
   adds its roundings and float32 sums (_PHASOR_ERROR and _table_error). Only
   points with q~ + dq >= max(q~ - dq) can hold the maximum. Each of them is
-  probed exactly, one at a time in lattice order, by the same
-  double-precision kernel as every other candidate, and the first maximum
-  among them is the seed, whichever route scored the lattice.
+  probed exactly, in lattice order, by the same double-precision kernel as
+  every other candidate, and the first maximum among them is the seed,
+  whichever route scored the lattice. The kernel scores a batch of points
+  at once with the bits each has alone: one distance and response
+  computation over the batch (channel.point_distances), and np.vecdot for
+  each point's own dot products, which match np.vdot on that row bit for
+  bit (a test in tests/test_channel.py guards this). The survivors go
+  through it in batches of about _BUILD_BYTES, and the ray samples below
+  in one batch; the ascent's steps, each depending on the last, stay one
+  at a time.
 - A bound-constrained Levenberg-Marquardt ascent climbs from it. With
   s = h^H y_bar and e = ||h||^2, the analytic first and second derivatives of
   h give the gradient g and the Hessian H of q in closed form; for example
@@ -59,17 +66,19 @@ The search has three parts.
   rejected one or while the damped matrix is not positive definite. A kept
   step is doubled for as long as q keeps rising.
 
-  The sums over the region come from BLAS products; g, H, M and the step,
-  one to three unknowns, are Python floats. The step is solved in closed
-  form: a Cholesky factor L of the damped block, then forward and back
-  substitution. Where a pivot is not positive the factor does not exist, and
+  The sums over the region come from BLAS products, over derivative and
+  Hessian rows that share one set of radial rows (u_n - u) / d_n; g, H, M
+  and the step, one to three unknowns, are Python floats. The step is
+  solved in closed form: a Cholesky factor L of the damped block, then
+  forward and back substitution. Where a pivot is not positive the factor does not exist, and
   there is no step. Python float arithmetic raises where numpy would return
   inf or nan, and such an error ends the search in a ValueError.
 - The objective is sharply peaked across the ray from the visibility region
   toward the estimate but nearly flat along it (the range direction), and
   along that ray it can have a second, higher maximum at the far side of the
-  box. Once the ascent stops, q is sampled along the ray across the box, and
-  the ascent restarts from any sample that beats the estimate.
+  box. Once the ascent stops, q is sampled along the ray across the box, in
+  one batch, and the ascent restarts from the first best sample if it beats
+  the estimate.
 """
 
 from __future__ import annotations
@@ -83,7 +92,9 @@ import numpy as np
 from .channel import (
     VisibilityRegion,
     _as_point,
-    array_response,
+    free_space,
+    point_distances,
+    radial_rows,
     response_derivatives,
     response_hessians,
 )
@@ -142,7 +153,7 @@ def _table_error(m: int) -> float:
 
 # The seed-table memo: at most _TABLES_MAX boxes, the last used at the end,
 # and no table above _TABLE_BYTES (about 11,500 elements). A build's
-# buffers take about _BUILD_BYTES.
+# buffers take about _BUILD_BYTES, and so does a batch of exact probes.
 _TABLES_MAX = 4
 _TABLE_BYTES = 2**26
 _BUILD_BYTES = 2**18
@@ -220,14 +231,45 @@ class _Probe:
     q: float
 
 
+# The exact kernel holds about 64 bytes per point and element at once: the
+# distances, the amplitudes and three complex arrays.
+_PROBE_BYTES = 64
+
+
+def _probes(geom: UpaGeometry, y: np.ndarray, rows: slice, points: np.ndarray) -> list[_Probe]:
+    """Exact probes of the columns of points, a (3, P) array, in order.
+
+    One distance and response kernel covers every point, and np.vecdot takes
+    each point's two dot products over its own contiguous row, with the bits
+    of np.vdot on that row alone; so every probe has the bits it has when it
+    is the only point. The first failing point in order raises, as a loop of
+    single probes would: SingularGeometryError for a point on an element,
+    DegenerateChannelError for a subnormal energy, and OverflowError where
+    its score leaves the float range.
+    """
+    dists = point_distances(geom, points, rows)
+    count = points.shape[1]
+    # Counts NaN as nonzero, as grid_distances does. Only the points before
+    # the first one on an element are scored.
+    if np.count_nonzero(dists) < dists.size:
+        count = int((dists == 0.0).any(axis=1).argmax())
+        dists = dists[:count]
+    h = free_space(geom, dists)
+    s = np.vecdot(h, y).tolist()
+    e = np.vecdot(h, h).real.tolist()
+    probes = []
+    for k in range(count):
+        if e[k] < _TINY:
+            raise DegenerateChannelError(f"masked response energy {e[k]:.3g} is subnormal")
+        probes.append(_Probe(points[:, k], dists[k], h[k], s[k], e[k], abs(s[k]) ** 2 / e[k]))
+    if count < points.shape[1]:
+        raise SingularGeometryError("a candidate point coincides with an array element")
+    return probes
+
+
 def _probe(geom: UpaGeometry, y: np.ndarray, rows: slice, point: np.ndarray) -> _Probe:
-    dists, resp = array_response(geom, point[:, None], rows)
-    h = resp.reshape(-1)
-    s = complex(np.vdot(h, y))
-    e = float(np.vdot(h, h).real)
-    if e < _TINY:
-        raise DegenerateChannelError(f"masked response energy {e:.3g} is subnormal")
-    return _Probe(point, dists.reshape(-1), h, s, e, abs(s) ** 2 / e)
+    """Exact probe of one point (3,)."""
+    return _probes(geom, y, rows, point[:, None])[0]
 
 
 def _ascent_model(geom: UpaGeometry, y: np.ndarray, rows: slice, at: _Probe):
@@ -237,13 +279,15 @@ def _ascent_model(geom: UpaGeometry, y: np.ndarray, rows: slice, at: _Probe):
     them runs on Python floats, and the results are nested lists. With
     r = s / e and w = |r|^2, q = e w and no power of s or e is formed.
     """
-    d = response_derivatives(geom, at.point, at.dists, at.h, rows)
-    d2 = response_hessians(geom, at.point, at.dists, at.h, rows)
+    radial = radial_rows(geom, at.point, at.dists, rows)
+    d = response_derivatives(geom, at.point, at.dists, at.h, rows, radial=radial)
+    d2 = response_hessians(geom, at.point, at.dists, at.h, rows, radial=radial)
     h_conj = at.h.conj()
-    s_u = (d.conj() @ y).tolist()
+    d_conj = d.conj()
+    s_u = (d_conj @ y).tolist()
     s_uv = (d2.conj() @ y).tolist()
     h_d = (d @ h_conj).tolist()
-    d_d = (d.conj() @ d.T).real.tolist()
+    d_d = (d_conj @ d.T).real.tolist()
     d2_h = (d2 @ h_conj).real.tolist()
     e = at.e
     r = at.s / e
@@ -489,27 +533,35 @@ def lattice_seed(geom: UpaGeometry, y: np.ndarray, rows: slice, grid) -> tuple[_
     """Probe of the first lattice point with the highest q, and the probe count.
 
     The prefilter keeps the points that may hold the maximum, and each of them
-    is probed exactly, in lattice order. When every point survives, as for a
-    zero echo, that is the whole lattice. The seed does not depend on the
-    prefilter's route, but the count can: the table route's wider bound may
-    keep more points.
+    is probed exactly, in lattice order, in batches of about _BUILD_BYTES.
+    When every point survives, as for a zero echo, that is the whole lattice.
+    The seed does not depend on the prefilter's route, but the count can: the
+    table route's wider bound may keep more points.
     """
     q, dq = prefilter_scores(geom, y, rows, grid)
     if not (np.isfinite(q).all() and np.isfinite(dq).all()):
         raise ValueError("lattice scores are not finite: the echo overflows")
     survivors = np.flatnonzero(q + dq >= np.max(q - dq))
     index = np.unravel_index(survivors, tuple(g.size for g in grid))
-    points = np.stack([g[i] for g, i in zip(grid, index)], axis=1)
-    # max keeps the first of equal scores, as np.argmax does.
-    return max((_probe(geom, y, rows, p) for p in points), key=lambda at: at.q), survivors.size
+    points = np.stack([g[i] for g, i in zip(grid, index)])
+    step = max(1, _BUILD_BYTES // (_PROBE_BYTES * y.size))
+    best = None
+    for start in range(0, survivors.size, step):
+        for at in _probes(geom, y, rows, points[:, start : start + step]):
+            # Only a higher score replaces the best, so the first of equal
+            # scores stays, as under max and np.argmax.
+            if best is None or at.q > best.q:
+                best = at
+    return best, survivors.size
 
 
 def _ray_samples(origin, point, lo, hi, count):
-    """Evenly spaced points of the ray from origin through point inside the box."""
+    """Evenly spaced points of the ray from origin through point inside the
+    box, one per column of a (3, count) array; (3, 0) where there is no ray."""
     direction = point - origin
     norm = float(np.linalg.norm(direction))
     if norm == 0.0:
-        return []
+        return np.empty((3, 0))
     u = direction / norm
     t_lo, t_hi = -np.inf, np.inf
     for i in range(3):
@@ -517,8 +569,10 @@ def _ray_samples(origin, point, lo, hi, count):
             ends = sorted(((lo[i] - point[i]) / u[i], (hi[i] - point[i]) / u[i]))
             t_lo, t_hi = max(t_lo, ends[0]), min(t_hi, ends[1])
     if not t_lo < t_hi:
-        return []
-    return [np.clip(point + t * u, lo, hi) for t in np.linspace(t_lo, t_hi, count)]
+        return np.empty((3, 0))
+    # Column k is point + t_k u, clipped to the box, as for each t_k alone.
+    ts = np.linspace(t_lo, t_hi, count)
+    return np.clip(point[:, None] + ts * u[:, None], lo[:, None], hi[:, None])
 
 
 def _clip(x: float, lo: float, hi: float) -> float:
@@ -602,10 +656,9 @@ def _ascend(
             stationary = math.dist(at, point) < tol and not landed
             current = kept
         if stationary:
-            samples = [
-                _probe(geom, y, rows, p)
-                for p in _ray_samples(origin, current.point, lo, hi, _LATTICE_POINTS)
-            ]
+            samples = _probes(
+                geom, y, rows, _ray_samples(origin, current.point, lo, hi, _LATTICE_POINTS)
+            )
             evaluations += len(samples)
             better = max(samples, key=lambda c: c.q, default=current)
             if better.q > current.q:

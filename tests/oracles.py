@@ -29,6 +29,9 @@ computes another way, kept so the tests can arbitrate the fast path:
 - cholesky_solve: the localizer's damped step through LAPACK, the
   np.linalg.cholesky factor and two np.linalg.solve calls, against which
   localize._cholesky_solve, the same step in closed form, is checked.
+- echo_expression: echo.simulate_echo as complex array expressions, the
+  signal block plus the complex noise block; simulate_echo, which writes
+  the noise into the block's real and imaginary parts, must match its bits.
 """
 
 from __future__ import annotations
@@ -263,3 +266,16 @@ def cholesky_solve(a, b):
     except np.linalg.LinAlgError:
         return None
     return np.linalg.solve(chol.T, np.linalg.solve(chol, np.asarray(b, dtype=float)))
+
+
+def echo_expression(h, b, probe, slot_len: int, noise_power: float, rng) -> np.ndarray:
+    """signal + (scale N_re + 1j scale N_im), N_re drawn before N_im, as one
+    complex expression over the (N, slot_len) block."""
+    signal = complex(b) * h * (h @ probe)
+    samples = np.broadcast_to(signal[:, None], (h.size, slot_len)).astype(complex)
+    if noise_power > 0:
+        scale = np.sqrt(noise_power / 2.0)
+        noise = scale * rng.standard_normal((h.size, slot_len))
+        noise = noise + 1j * scale * rng.standard_normal((h.size, slot_len))
+        samples = samples + noise
+    return samples

@@ -9,8 +9,11 @@ from nfwpt.channel import (
     VisibilityRegion,
     array_response,
     channel,
+    free_space,
     grid_distances,
     min_vr_span,
+    point_distances,
+    radial_rows,
     response_derivatives,
     response_hessians,
     steering_vector,
@@ -261,6 +264,61 @@ def test_one_point_distances_equal_the_grid_path(size, rows):
         grid_dists, grid_entries = array_response(geom, axes, rows)
         assert dists.tobytes() == grid_dists.tobytes()
         assert entries.tobytes() == grid_entries.tobytes()
+
+
+@pytest.mark.parametrize("side", [8, 16, 48])
+@pytest.mark.parametrize("rows", [slice(None), slice(5, 40), slice(17, 19)])
+def test_point_set_rows_equal_the_single_point_responses(side, rows):
+    # Each row of the (3, P) kernel carries the bits of array_response at
+    # that point alone, whatever other points share the call.
+    geom = build_upa(side, side, 28e9)
+    rng = np.random.default_rng(side)
+    for count in (1, 2, 9, 30):
+        points = rng.uniform([0.3, -0.8, -0.8], [2.5, 0.8, 0.8], size=(count, 3)).T
+        dists = point_distances(geom, points, rows)
+        entries = free_space(geom, dists)
+        assert dists.shape == entries.shape == (count, geom.coords[:, rows].shape[1])
+        for k in range(count):
+            alone, alone_entries = array_response(geom, points[:, k : k + 1], rows)
+            assert dists[k].tobytes() == alone.tobytes()
+            assert entries[k].tobytes() == alone_entries.tobytes()
+
+
+@pytest.mark.parametrize("size", [*range(1, 41), 117, 256, 1024, 2304])
+@pytest.mark.parametrize("stack", [(1,), (3,), (27,)])
+def test_vecdot_reduces_each_row_as_vdot_and_dot_do(size, stack):
+    # The localizer's batched probes and the planning FIM take per-row
+    # reductions from np.vecdot and rely on them having the bits of np.vdot
+    # and of x.dot on each row alone. np.matmul and np.matvec route through
+    # gemv, which rounds differently; a numpy that did so for vecdot fails
+    # here first.
+    rng = np.random.default_rng(size * 100 + stack[0])
+    shape = stack + (size,)
+    u, v = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in "uv")
+    x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    where = f"numpy {np.__version__}, {size} elements, {stack[0]} rows"
+    rowwise = np.array([np.vdot(a, b) for a, b in zip(u, v)])
+    assert np.vecdot(u, v).tobytes() == rowwise.tobytes(), f"vecdot(u, v) != vdot on {where}"
+    dots = np.array([x.dot(a) for a in u])
+    assert np.vecdot(np.conj(x), u).tobytes() == dots.tobytes(), (
+        f"vecdot(conj(x), u) != x.dot on {where}"
+    )
+    # The FIM's 3 x 3 form pairs every row with every row by broadcasting.
+    pairs = np.array([[np.vdot(a, b) for b in u[:3]] for a in u[:3]])
+    assert np.vecdot(u[:3, None], u[None, :3]).tobytes() == pairs.tobytes(), f"pairs on {where}"
+
+
+def test_shared_radial_rows_keep_the_kernel_bits():
+    # The ascent forms the radial rows once and passes them to both kernels.
+    geom = build_upa(16, 16, 28e9)
+    rows = slice(30, 147)
+    point = np.array([1.3, 0.2, -0.1])
+    dists, entries = (a.reshape(-1) for a in array_response(geom, point[:, None], rows))
+    radial = radial_rows(geom, point, dists, rows)
+    assert radial.flags.c_contiguous
+    for kernel in (response_derivatives, response_hessians):
+        shared = kernel(geom, point, dists, entries, rows, radial=radial)
+        assert shared.tobytes() == kernel(geom, point, dists, entries, rows).tobytes()
 
 
 @pytest.mark.parametrize("one_point", [True, False])

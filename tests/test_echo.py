@@ -5,6 +5,7 @@ import pytest
 
 from nfwpt import aggregate, build_upa, simulate_echo, uniform_probe
 from nfwpt.channel import ErState, VisibilityRegion, channel
+from oracles import echo_expression
 
 
 def _scene(n_y=8, n_z=8, vr=(5, 40)):
@@ -62,6 +63,20 @@ def test_echo_block_is_deterministic_per_seed():
     a = simulate_echo(h, er.reflection, x, 7, 1e-15, np.random.default_rng(42))
     b = simulate_echo(h, er.reflection, x, 7, 1e-15, np.random.default_rng(42))
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("noise_power", [0.0, 1e-15, 2.5e-3, 3.0])
+@pytest.mark.parametrize("shape", [(8, 8, 1), (16, 16, 7), (4, 6, 90)])
+def test_echo_block_keeps_the_bits_of_the_complex_expression(noise_power, shape):
+    n_y, n_z, slot_len = shape
+    geom, er, h = _scene(n_y, n_z, vr=(2, n_y * n_z - 3))
+    x = uniform_probe(geom, 1.0)
+    args = (h, er.reflection, x, slot_len, noise_power)
+    for seed in range(3):
+        samples = simulate_echo(*args, np.random.default_rng(seed))
+        expected = echo_expression(*args, np.random.default_rng(seed))
+        assert samples.shape == (n_y * n_z, slot_len)
+        assert samples.tobytes() == expected.tobytes()
 
 
 def test_echo_block_is_read_only_and_validated():

@@ -1,6 +1,7 @@
 """Tests for the concentrated-likelihood position search."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -443,13 +444,13 @@ def test_zero_echo_scores_the_whole_lattice_once(monkeypatch):
     box = (er.position - 0.2, er.position + 0.2)
     y, rows, grid = _seed_inputs(np.zeros(geom.n_elements), er.vr, box)
     probed = []
-    real = localize._probe
+    real = localize._probes
 
-    def record(geom, y, rows, point):
-        probed.append(point)
-        return real(geom, y, rows, point)
+    def record(geom, y, rows, points):
+        probed.extend(points.T)
+        return real(geom, y, rows, points)
 
-    monkeypatch.setattr(localize, "_probe", record)
+    monkeypatch.setattr(localize, "_probes", record)
     lattice = np.stack(np.meshgrid(*grid, indexing="ij"), axis=-1).reshape(-1, 3)
     # Every point ties at q = 0 on either route, so every point survives; the
     # seed is index 0.
@@ -462,6 +463,77 @@ def test_zero_echo_scores_the_whole_lattice_once(monkeypatch):
     assert _table(geom, grid) is not None
     result = locate_er(geom, np.zeros(geom.n_elements, dtype=complex), er.vr, box)
     np.testing.assert_array_equal(result.position_hat, box[0])
+
+
+def _assert_same_fields(batched, alone):
+    assert batched.point.tobytes() == alone.point.tobytes()
+    assert batched.dists.tobytes() == alone.dists.tobytes()
+    assert batched.h.tobytes() == alone.h.tobytes()
+    assert (batched.s, batched.e, batched.q) == (alone.s, alone.e, alone.q)
+
+
+@pytest.mark.parametrize("side", [8, 16, 48])
+def test_batched_probes_equal_probes_one_at_a_time(side):
+    geom, er, y_bar = _noiseless_scene(side, n_y=side, n_z=side)
+    rows = er.vr.rows(geom.n_elements)
+    y = y_bar[rows]
+    rng = np.random.default_rng(side)
+    for count in (1, 2, 9, 30):
+        points = er.position[:, None] + rng.uniform(-0.3, 0.3, size=(3, count))
+        batch = localize._probes(geom, y, rows, points)
+        assert len(batch) == count
+        for k, at in enumerate(batch):
+            _assert_same_fields(at, localize._probe(geom, y, rows, points[:, k].copy()))
+    assert localize._probes(geom, y, rows, np.empty((3, 0))) == []
+
+
+def test_a_batch_raises_the_error_of_its_first_failing_point():
+    geom, er, y_bar = _noiseless_scene(3, n_y=8, n_z=8)
+    rows = er.vr.rows(geom.n_elements)
+    y = y_bar[rows]
+    # At 1e153 m every |h_n|^2 is subnormal, and so is their sum.
+    far = np.array([1e153, 0.0, 0.0])
+    on_element = geom.coords[:, er.vr.start]
+    fine = er.position
+    with pytest.raises(DegenerateChannelError):
+        localize._probe(geom, y, rows, far)
+    with pytest.raises(SingularGeometryError):
+        localize._probe(geom, y, rows, on_element)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for order, error in (
+            ((fine, far, on_element), DegenerateChannelError),
+            ((fine, on_element, far), SingularGeometryError),
+            ((on_element, far, fine), SingularGeometryError),
+            ((far, fine, on_element), DegenerateChannelError),
+        ):
+            with pytest.raises(error):
+                localize._probes(geom, y, rows, np.stack(order, axis=1))
+
+
+def test_survivor_batches_stay_near_the_prefilter_footprint():
+    # A zero echo keeps all 729 points of a 48x48 box. Probed in one batch
+    # over the full aperture they would peak near 80 MB; in batches of about
+    # _BUILD_BYTES the seed's peak stays within 2 _BUILD_BYTES of the
+    # prefilter's (about 7.4 MB).
+    geom, er, _ = _noiseless_scene(48, n_y=48, n_z=48)
+    box = (er.position - 0.2, er.position + 0.2)
+    vr = VisibilityRegion(1, geom.n_elements)
+    y, rows, grid = _seed_inputs(np.zeros(geom.n_elements), vr, box)
+
+    def peak(call):
+        localize.clear_seed_tables()
+        tracemalloc.start()
+        try:
+            result = call()
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    prefilter, _ = peak(lambda: localize.prefilter_scores(geom, y, rows, grid))
+    seed_peak, (_, count) = peak(lambda: localize.lattice_seed(geom, y, rows, grid))
+    assert count == 729
+    assert seed_peak <= prefilter + 2 * localize._BUILD_BYTES
 
 
 def _on_element(corner):
