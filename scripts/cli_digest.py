@@ -18,9 +18,9 @@ byte is checked with
 
 A change that may move the last bits is measured instead with --drift OLD,
 which runs every command in OLD and in CHECKOUT. For each command whose
-output differs it prints, per CSV column, the largest relative change
-|new - old| / |old| over the rows; the last line counts the commands that
-differ.
+output differs it prints, per CSV column or per field of a crb report, the
+largest relative change |new - old| / |old| over the rows; the last line
+counts the commands that differ.
 """
 
 from __future__ import annotations
@@ -44,7 +44,13 @@ PINNED = "scripts/pinned_8x8.json"
 # A 1e30 Hz carrier: the seed prefilter's amplitudes 1 / t are near 1e-22, so
 # their squares leave the float32 range unless the seed table scales them.
 CARRIER = "scripts/carrier_1e30.json"
-_SCENARIOS = {name: Path(__file__).resolve().parent / Path(name).name for name in (PINNED, CARRIER)}
+# The built-in scenario at a 0.1 W budget: the plan divides the 1 W lattices
+# by the budget, so these CRBs and the default gamma grid are quotients.
+TENTH_WATT = "scripts/p_max_0p1.json"
+_SCENARIOS = {
+    name: Path(__file__).resolve().parent / Path(name).name
+    for name in (PINNED, CARRIER, TENTH_WATT)
+}
 
 COMMANDS = (
     "crb",
@@ -67,6 +73,9 @@ COMMANDS = (
     f"sweep-power --trials 3 --grid 1,10 --config {PINNED}",
     # Each receiver is located three times, so the last two read its seed table.
     f"simulate --trials 3 --scheme equal_time --config {CARRIER}",
+    # A plan and a default gamma grid off the 1 W budget.
+    f"crb --config {TENTH_WATT}",
+    f"sweep-gamma --trials 2 --config {TENTH_WATT}",
 )
 
 
@@ -100,14 +109,35 @@ def _relative_change(old: float, new: float) -> float:
     return abs(new - old) / abs(old)
 
 
+def _table(text: str) -> list[list[str]]:
+    """A CSV text's rows, or a crb report as one header and one row.
+
+    Each `key=value` field of a report line becomes a column, named by the
+    line's `erK:` label when it has one, so that er1's and er2's CRBs are
+    compared apart.
+    """
+    lines = text.splitlines()
+    if not lines or "=" not in lines[0]:
+        return list(csv.reader(io.StringIO(text)))
+    header, row = [], []
+    for line in lines:
+        label, _, fields = line.rpartition(": ")
+        for field in fields.split():
+            key, _, value = field.partition("=")
+            header.append(f"{label} {key}" if label else key)
+            row.append(value)
+    return [header, row]
+
+
 def drift(old: str, new: str) -> dict[str, float]:
-    """Largest relative change of each numeric column between two CSV texts.
+    """Largest relative change of each numeric column between two CSV texts
+    or two crb reports.
 
     Both texts must have the same header and the same number of rows; a
     column whose cells are not all numbers must be unchanged. Raises
     ValueError when the texts cannot be compared that way.
     """
-    old_rows, new_rows = (list(csv.reader(io.StringIO(text))) for text in (old, new))
+    old_rows, new_rows = (_table(text) for text in (old, new))
     if not old_rows or not new_rows or old_rows[0] != new_rows[0]:
         raise ValueError("the outputs do not share a CSV header")
     if len(old_rows) != len(new_rows):
@@ -145,7 +175,7 @@ def _print_drift(old_checkout: Path, checkout: Path) -> None:
             continue
         for column, change in changes.items():
             if change:
-                print(f"  {column:<18} {change:.2g}")
+                print(f"  {column:<22} {change:.2g}")
     print(f"{differ} of {len(COMMANDS)} commands differ")
 
 

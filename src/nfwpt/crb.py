@@ -45,6 +45,15 @@ Every block is proportional to tau, so F(tau) = tau * F(1) exactly and the
 position CRB scales as 1 / tau. FisherInfo therefore stores the per-symbol
 matrix F(1) and reconstructs F(tau) on demand, which keeps the scaling law
 exact in floating point instead of approximate.
+
+F is also quadratic in the probe: every form above carries S = x x^H once,
+so for the constant probe x = sqrt(P / N) 1 the information at budget P is
+P times the information at 1 W, and the position CRB scales as 1 / P. The
+planner (harness.plan) therefore evaluates each lattice once with the 1 W
+probe and divides by the budget. Unlike the tau law this one is exact in
+real arithmetic only: the probe sqrt(P / N) is rounded, so F at a budget's
+own probe and P * F(1 W) differ in their last bits, and the ill-conditioned
+inverse amplifies that by up to its equilibrated condition number.
 """
 
 from __future__ import annotations

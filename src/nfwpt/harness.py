@@ -40,7 +40,7 @@ from .channel import (
 )
 from .crb import LatticeCrb, lattice_crb, min_sensing_duration
 from .echo import aggregate, simulate_echo, uniform_probe
-from .errors import DegenerateChannelError, InfeasibleBlockError
+from .errors import DegenerateChannelError, InfeasibleBlockError, SingularFimError
 from .geometry import SPEED_OF_LIGHT, UpaGeometry, build_upa
 from .localize import LocalizationResult, locate_er
 from .visibility import estimate_power_levels, identify_vr, scaling_factor
@@ -322,6 +322,10 @@ def array_geometry(array: ArraySpec) -> UpaGeometry:
     return build_upa(array.n_y, array.n_z, array.carrier_freq, array.spacing)
 
 
+# Budget (W) of the probe the memoized planning lattices are evaluated with.
+_PLAN_BUDGET = 1.0
+
+
 def plan(cfg: ScenarioConfig) -> tuple[LatticeCrb, ...]:
     """Receivers' lattice CRBs under the configured scheme, memoized on its planning inputs.
 
@@ -331,6 +335,17 @@ def plan(cfg: ScenarioConfig) -> tuple[LatticeCrb, ...]:
     its region. The plan depends on neither the accuracy target, the block
     length nor the seed, so one plan serves every trial and every target of a
     configuration, and min_sensing_duration turns it into the slot length.
+
+    The Fisher information is quadratic in the constant probe sqrt(P / N),
+    so the single-symbol CRB at budget P is the 1 W CRB over P. The memo
+    therefore keys on the array, the noise power and the receivers, not on
+    the budget: it holds each lattice evaluated with the 1 W probe, and every
+    call divides both extremes by cfg.p_max, which keeps their bits at the
+    default 1 W. The law is exact in real arithmetic only: off 1 W a quotient
+    and a direct evaluation at the budget's probe differ by up to about the
+    equilibrated condition number times the unit roundoff. A quotient that
+    overflows or underflows raises the SingularFimError that lattice_crb
+    raises for such a CRB.
     """
     n = cfg.array.n_elements
     priors = tuple(
@@ -344,15 +359,24 @@ def plan(cfg: ScenarioConfig) -> tuple[LatticeCrb, ...]:
         for spec in cfg.ers
     )
     bounds = tuple(spec.error_bounds for spec in cfg.ers)
-    return _plan(cfg.array, cfg.p_max, cfg.noise_power, priors, bounds)
+    planned = []
+    for k, lattice in enumerate(_plan(cfg.array, cfg.noise_power, priors, bounds), 1):
+        nominal, worst = lattice.nominal / cfg.p_max, lattice.worst / cfg.p_max
+        bad = next((c for c in (nominal, worst) if not 0 < c < math.inf), None)
+        if bad is not None:
+            raise SingularFimError(
+                f"er{k}: single-symbol position CRB {bad:.3e} is not finite and positive"
+            )
+        planned.append(LatticeCrb(nominal=nominal, worst=worst, region=lattice.region))
+    return tuple(planned)
 
 
 @functools.lru_cache(maxsize=128)
 def _plan(
-    array: ArraySpec, p_max: float, noise_power: float, priors: tuple, bounds: tuple
+    array: ArraySpec, noise_power: float, priors: tuple, bounds: tuple
 ) -> tuple[LatticeCrb, ...]:
     geom = array_geometry(array)
-    return lattice_crb(geom, priors, bounds, uniform_probe(geom, p_max), noise_power)
+    return lattice_crb(geom, priors, bounds, uniform_probe(geom, _PLAN_BUDGET), noise_power)
 
 
 # The memo's controls, named as on any lru_cache-wrapped function.

@@ -37,6 +37,21 @@ def test_drift_from_zero_or_to_nan_is_infinite():
     assert changes["power_er1_watts"] == changes["pos_rmse_m"] == math.inf
 
 
+def test_drift_compares_crb_reports_field_by_field():
+    old = (
+        "er1: crb1_nominal_m2=2.0e+00 crb1_worst_m2=1.0e+02 vr=[1,256]\n"
+        "er2: crb1_nominal_m2=3.0e+00 crb1_worst_m2=1.0e+03 vr=[1,256]\n"
+        "gamma_m2=4.0e+04 tau_star=4 block_len=200\n"
+    )
+    new = old.replace("1.0e+03", "1.2e+03")
+    changes = cli_digest.drift(old, new)
+    assert changes["er2 crb1_worst_m2"] == pytest.approx(0.2)
+    assert changes["er1 crb1_worst_m2"] == changes["tau_star"] == 0.0
+    assert len(changes) == 9
+    with pytest.raises(ValueError, match="vr"):
+        cli_digest.drift(old, new.replace("vr=[1,256]", "vr=[1,200]"))
+
+
 @pytest.mark.parametrize(
     "new",
     [
@@ -72,6 +87,17 @@ def test_commands_run_the_pinned_scenario_beside_the_script():
     assert argv[:2] == ["crb", "--config"]
     assert Path(argv[2]) == _PATH.parent / "pinned_8x8.json"
     assert Path(argv[2]).is_absolute() and Path(argv[2]).is_file()
+
+
+def test_the_tenth_watt_commands_run_the_scenario_beside_the_script():
+    commands = [c for c in cli_digest.COMMANDS if cli_digest.TENTH_WATT in c]
+    assert [c.split(" --")[0] for c in commands] == ["crb", "sweep-gamma"]
+    for command in commands:
+        argv = cli_digest.argv(command)
+        assert command.endswith("--config scripts/p_max_0p1.json")
+        path = Path(argv[argv.index("--config") + 1])
+        assert path == _PATH.parent / "p_max_0p1.json"
+    assert json.loads(path.read_text()) == {"p_max": 0.1}
 
 
 def test_the_carrier_command_reads_the_same_bytes_from_the_seed_tables(monkeypatch, capsys):

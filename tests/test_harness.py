@@ -25,7 +25,7 @@ from nfwpt import build_upa, lattice_crb, min_sensing_duration, solve_energy_cov
 from nfwpt.beamform import harvested_power, weighted_channel_matrix
 from nfwpt.channel import ErState, VisibilityRegion, channel
 from nfwpt.echo import uniform_probe
-from nfwpt.crb import crb_position, fim
+from nfwpt.crb import LatticeCrb, crb_position, fim
 from nfwpt.errors import DegenerateChannelError, InfeasibleBlockError
 from nfwpt.harness import (
     SCHEMES,
@@ -230,27 +230,54 @@ _CONFIG_CHANGES = {
     "scheme": lambda c: replace(c, scheme="no_vr"),
 }
 # The fields the plan memo, the sensing key and the scene key do not read.
-# Every other change above is a keyed input of that stage.
+# Every other change above is a keyed input of that stage, but for
+# _PLAN_SCALED: plan reads the budget and divides the memoized 1 W lattices
+# by it, so a budget change reuses the memo.
 _NOT_SENSED = {"weight", "block_len", "gamma", "trials"}
 _NOT_PLANNED = _NOT_SENSED | {"eta", "n_alpha", "master_seed"}
+_PLAN_SCALED = {"p_max"}
 _NOT_IN_SCENE = _NOT_SENSED | {"p_max", "noise_power", "scheme"}
 
 
 def test_every_config_field_has_a_memo_key_decision():
     names = {f.name for cls in (ArraySpec, ErSpec, ScenarioConfig) for f in fields(cls)}
     assert set(_CONFIG_CHANGES) == names | {"vr_drawn"}
-    assert _NOT_PLANNED | _NOT_IN_SCENE <= names
+    assert _NOT_PLANNED | _PLAN_SCALED | _NOT_IN_SCENE <= names
+
+
+def _unit_power_lattices(cfg):
+    """The receivers' lattices of lattice_crb at the 1 W probe, planned as plan(cfg) plans."""
+    geom = build_upa(cfg.array.n_y, cfg.array.n_z, cfg.array.carrier_freq, cfg.array.spacing)
+    priors = [
+        (spec.prior_position, lattice.region, abs(spec.reflection))
+        for spec, lattice in zip(cfg.ers, plan(cfg))
+    ]
+    bounds = [spec.error_bounds for spec in cfg.ers]
+    return lattice_crb(geom, priors, bounds, uniform_probe(geom, 1.0), cfg.noise_power)
+
+
+def _over(lattices, p_max):
+    return tuple(
+        LatticeCrb(nominal=c.nominal / p_max, worst=c.worst / p_max, region=c.region)
+        for c in lattices
+    )
+
+
+# Budgets off 1 W: decades, the default power grid's half decades and a
+# budget with no short binary expansion.
+_BUDGETS = (1e-3, 0.1, 10**-0.5, 10**0.5, 7.3, 1e3)
+
+
+def _count_fim_calls(monkeypatch):
+    calls = []
+    inner = crb.fim
+    monkeypatch.setattr(crb, "fim", lambda *a, **k: calls.append(1) or inner(*a, **k))
+    return calls
 
 
 class TestPlan:
-    def _count_fim_calls(self, monkeypatch):
-        calls = []
-        inner = crb.fim
-        monkeypatch.setattr(crb, "fim", lambda *a, **k: calls.append(1) or inner(*a, **k))
-        return calls
-
     def test_the_plan_depends_on_planning_inputs_only(self, monkeypatch):
-        calls = self._count_fim_calls(monkeypatch)
+        calls = _count_fim_calls(monkeypatch)
         cfg = _small_cfg()
         first = run_trial(cfg, 0)
         # One fim() call evaluates a receiver's whole 27-point lattice.
@@ -264,10 +291,14 @@ class TestPlan:
             run_trial(other, 1)
         assert len(calls) == 2
         assert run_trial(cfg, 0) == first
-        run_trial(replace(cfg, p_max=2 * cfg.p_max), 0)
-        assert len(calls) == 4
+        # The budget is read, not keyed: it scales the 1 W lattices.
+        doubled = replace(cfg, p_max=2 * cfg.p_max)
+        run_trial(doubled, 0)
+        assert len(calls) == 2
         info = plan.cache_info()
-        assert (info.misses, info.hits) == (2, 5)
+        assert (info.misses, info.hits) == (1, 6)
+        assert cfg.p_max == 1.0
+        assert plan(doubled) == _over(plan(cfg), 2.0)
 
     @pytest.mark.parametrize("key", _CONFIG_CHANGES)
     def test_each_config_field_is_keyed_or_not_read(self, key):
@@ -275,7 +306,54 @@ class TestPlan:
         plan(cfg)
         plan(_CONFIG_CHANGES[key](cfg))
         info = plan.cache_info()
-        assert (info.misses, info.hits) == ((1, 1) if key in _NOT_PLANNED else (2, 0))
+        keyed = key not in _NOT_PLANNED | _PLAN_SCALED
+        assert (info.misses, info.hits) == ((2, 0) if keyed else (1, 1))
+
+    @pytest.mark.parametrize("p_max", _BUDGETS)
+    @pytest.mark.parametrize("scheme", ["proposed", "no_vr"])
+    def test_a_budget_divides_the_1_w_lattices_bit_for_bit(self, monkeypatch, scheme, p_max):
+        calls = _count_fim_calls(monkeypatch)
+        cfg = _small_cfg(scheme=scheme)
+        unit = _unit_power_lattices(cfg)
+        # One call per receiver for the plan, and one for the direct lattices.
+        assert len(calls) == 2 + 2
+        assert plan(cfg) == unit
+        assert plan(replace(cfg, p_max=p_max)) == _over(unit, p_max)
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("p_max", _BUDGETS)
+    @pytest.mark.parametrize("cfg", [_small_cfg(), ScenarioConfig()], ids=["8x8", "16x16"])
+    def test_a_budget_agrees_with_its_own_probe_within_the_conditioning(self, cfg, p_max):
+        """The scaled plan against lattice_crb at the budget's own probe.
+
+        Both routes equilibrate the same matrix up to rounding: each entry of
+        the unit-diagonal matrix B differs by a few units of roundoff u
+        between them, and each inverts B by LU. To first order a change dB
+        moves diagonal entry i of inv(B) by v^T dB v with v = inv(B) e_i, and
+        |v|^2 <= |inv(B)| inv(B)_ii, so by at most |inv(B)| |dB| relative, and
+        |inv(B)| = kappa / lambda_max <= kappa, as the unit diagonal makes
+        lambda_max >= 1. Allowing 20 roundings per entry of B and of its
+        inverse, over 5 rows, gives 100 kappa u per point; the position CRB
+        sums three positive diagonal entries and the worst point is a max,
+        so both keep the largest relative bound of their points.
+        """
+        geom = build_upa(cfg.array.n_y, cfg.array.n_z, cfg.array.carrier_freq)
+        scaled = plan(replace(cfg, p_max=p_max))
+        unit_probe = uniform_probe(geom, 1.0)
+        u = np.finfo(float).eps / 2
+        for spec, lattice in zip(cfg.ers, scaled):
+            prior = [(spec.prior_position, lattice.region, abs(spec.reflection))]
+            direct = lattice_crb(
+                geom, prior, spec.error_bounds, uniform_probe(geom, p_max), cfg.noise_power
+            )[0]
+            state = ErState(np.asarray(spec.prior_position), lattice.region, abs(spec.reflection))
+            offsets = [(-d, 0.0, d) for d in spec.error_bounds]
+            base = fim(geom, state, unit_probe, 1, cfg.noise_power, offsets=offsets).base_matrix
+            scale = 1.0 / np.sqrt(np.diagonal(base, axis1=1, axis2=2))
+            kappa = np.linalg.cond(base * scale[:, :, None] * scale[:, None, :])
+            bound = 100 * u * kappa
+            assert abs(lattice.nominal - direct.nominal) <= bound[13] * direct.nominal
+            assert abs(lattice.worst - direct.worst) <= bound.max() * direct.worst
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_each_receiver_is_planned_on_its_pinned_region_under_proposed_only(self, scheme):
@@ -960,9 +1038,14 @@ class TestExtremeInputs:
             {"ers": [{"prior_position": _PRIOR, "reflection": 1e-300}]},
             {"ers": [{"prior_position": _PRIOR, "reflection": 1e-160}]},
             pytest.param({"block_len": 10**400}, id="block_len=10**400"),
-            # The Fisher information underflows.
+            # The plan is evaluated at 1 W, where these plan finitely; the
+            # CRB over the budget overflows.
             {"p_max": 1e-160, "noise_power": 1e154},
             {"p_max": 1e-160, "noise_power": 1e150},
+            # The CRB over the budget underflows to zero.
+            {"p_max": 1e300, "noise_power": 1e-300},
+            # The Fisher information underflows.
+            {"noise_power": 1e300, "ers": [{"prior_position": _PRIOR, "reflection": 1e-5}]},
             # The channel energy is subnormal: lambda / (4 pi d) is about 1e-160.
             {"array": {"carrier_freq": 3e167}},
             # The element coordinates overflow.
@@ -1004,6 +1087,43 @@ class TestExtremeInputs:
         code, out, err, caught = _main_quietly(command, payload)
         assert caught == []
         _assert_report_or_one_line(code, out, err)
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (
+                {"noise_power": 1e300, "ers": [{"prior_position": _PRIOR, "reflection": 1e-5}]},
+                "er1: Fisher information underflows: ",
+            ),
+            (
+                {"ers": [{"prior_position": _PRIOR, "reflection": 1e154}]},
+                "er1: Fisher information is not finite: ",
+            ),
+            (
+                {"p_max": 1e-160, "noise_power": 1e154},
+                "er1: single-symbol position CRB inf is not finite and positive",
+            ),
+            (
+                {"p_max": 1e300, "noise_power": 1e-300},
+                "er1: single-symbol position CRB 0.000e+00 is not finite and positive",
+            ),
+            ({"p_max": 1e-300}, "sensing needs 2 x 3.18227e+300 symbols "),
+        ],
+        ids=["fim-underflow", "fim-not-finite", "crb-inf", "crb-zero", "infeasible"],
+    )
+    def test_each_planning_guard_has_a_cli_case(self, payload, message):
+        # The budget reaches only the quotient of the 1 W plan, so the
+        # Fisher information guards are reached through the noise power and
+        # the reflection.
+        code, out, err, caught = _main_quietly(["crb"], payload)
+        assert (code, out, caught) == (2, "", [])
+        assert err.startswith(f"nfwpt: error: {message}") and err.count("\n") == 1
+
+    def test_a_huge_budget_plans_from_the_1_w_lattice(self):
+        code, out, err, caught = _main_quietly(["crb"], {"p_max": 1e300})
+        assert (code, err, caught) == (0, "", [])
+        unit = _unit_power_lattices(ScenarioConfig())
+        assert f"crb1_worst_m2={unit[1].worst / 1e300:.12e}" in out
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_a_subnormal_channel_is_rejected_under_every_scheme(self, scheme):
@@ -1341,6 +1461,22 @@ class TestCli:
             info = plan.cache_info()
             assert (info.misses, info.hits) == (1, 2)
         capsys.readouterr()
+
+    @pytest.mark.parametrize("pinned, fim_calls", [(False, 2), (True, 4)], ids=["drawn", "pinned"])
+    def test_sweep_power_plans_each_distinct_input_once(
+        self, tmp_path, capsys, monkeypatch, pinned, fim_calls
+    ):
+        calls = _count_fim_calls(monkeypatch)
+        argv = ["sweep-power", "--trials", "1"]
+        if pinned:
+            # Budgets at which no_vr's full-aperture slot still fits the block.
+            argv += ["--config", str(self._write_config(tmp_path)), "--grid", "1,3,10"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        # One fim() call per receiver and distinct planning input, whatever
+        # the budgets: proposed plans a pinned region, no_vr always the
+        # full aperture, so only pinned regions give them different inputs.
+        assert len(calls) == fim_calls
 
     def test_each_command_senses_from_scratch(self, tmp_path, capsys, monkeypatch):
         calls = _count_locates(monkeypatch)
