@@ -2,6 +2,7 @@
 
     python scripts/cli_digest.py [CHECKOUT]
     python scripts/cli_digest.py [CHECKOUT] --drift OLD
+    python scripts/cli_digest.py [CHECKOUT] --record PATH
 
 runs each command below as `python -m nfwpt ...` against CHECKOUT/src (the
 checkout holding this script by default), from CHECKOUT so that relative
@@ -21,19 +22,30 @@ which runs every command in OLD and in CHECKOUT. For each command whose
 output differs it prints, per CSV column or per field of a crb report, the
 largest relative change |new - old| / |old| over the rows; the last line
 counts the commands that differ.
+
+--record PATH writes each command's stdout and exit status as run against
+CHECKOUT to the JSON file PATH, with the environment() that produced them.
+tests/test_cli_output.py runs every command and compares its bytes with
+tests/cli_output.json, written this way: the bytes depend on the BLAS kernel
+that the CPU selects, so the file names the numpy version and the OpenBLAS
+version and core, and the test fails on another environment.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import hashlib
 import io
+import json
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ELAA = "perfbench/scenarios/elaa_32x32.json"
 # Scenarios beside this script. Commands name them relative to the checkout;
@@ -158,31 +170,63 @@ def drift(old: str, new: str) -> dict[str, float]:
     return changes
 
 
-def _print_drift(old_checkout: Path, checkout: Path) -> None:
-    differ = 0
-    for command in COMMANDS:
-        (old, old_status), (new, new_status) = run(old_checkout, command), run(checkout, command)
+def environment() -> dict[str, str]:
+    """The numpy version, and the version and the core of the OpenBLAS that
+    numpy loads, read from the library through ctypes; "unknown" where numpy
+    bundles no scipy-openblas."""
+    found = {"numpy": np.__version__, "openblas": "unknown", "openblas_core": "unknown"}
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*.so*"))
+    if libs:
+        lib = ctypes.CDLL(str(libs[0]))
+        for key, name in (("openblas", "config"), ("openblas_core", "corename")):
+            getter = getattr(lib, f"scipy_openblas_get_{name}64_")
+            getter.restype = ctypes.c_char_p
+            found[key] = getter().decode()
+        # The config string reads "OpenBLAS 0.3.31.188.0  USE64BITINT ...".
+        found["openblas"] = found["openblas"].split()[1]
+    return found
+
+
+def drift_lines(runs) -> list[str]:
+    """The drift report of (command, (old stdout, status), (new stdout,
+    status)) triples: per command whose output differs, its largest relative
+    change per column, and a last line counting the commands that differ."""
+    lines = []
+    total = differ = 0
+    for command, (old, old_status), (new, new_status) in runs:
+        total += 1
         if (old, old_status) == (new, new_status):
             continue
         differ += 1
-        print(command, flush=True)
+        lines.append(command)
         if old_status != new_status:
-            print(f"  exit status {old_status} -> {new_status}")
+            lines.append(f"  exit status {old_status} -> {new_status}")
         try:
             changes = drift(old.decode(), new.decode())
         except ValueError as exc:
-            print(f"  not comparable: {exc}")
+            lines.append(f"  not comparable: {exc}")
             continue
-        for column, change in changes.items():
-            if change:
-                print(f"  {column:<22} {change:.2g}")
-    print(f"{differ} of {len(COMMANDS)} commands differ")
+        lines.extend(f"  {column:<22} {change:.2g}" for column, change in changes.items() if change)
+    lines.append(f"{differ} of {total} commands differ")
+    return lines
+
+
+def record(checkout: Path, path: Path) -> None:
+    """Write every command's stdout and exit status, run against the
+    checkout, and the environment() to the JSON file path."""
+    outputs = {}
+    for command in COMMANDS:
+        stdout, status = run(checkout, command)
+        outputs[command] = {"status": status, "stdout": stdout.decode()}
+    text = json.dumps({"environment": environment(), "commands": outputs}, indent=1)
+    path.write_text(text + "\n")
 
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout", nargs="?", default=Path(__file__).resolve().parent.parent)
     parser.add_argument("--drift", metavar="OLD", help="print the CSV drift from checkout OLD")
+    parser.add_argument("--record", metavar="PATH", help="write the outputs to the JSON file PATH")
     args = parser.parse_args(argv)
     checkout = Path(args.checkout).resolve()
     old_checkout = Path(args.drift).resolve() if args.drift else None
@@ -191,7 +235,12 @@ def main(argv: list[str]) -> int:
             print(f"cli_digest: no src/nfwpt under {root}", file=sys.stderr)
             return 2
     if old_checkout is not None:
-        _print_drift(old_checkout, checkout)
+        runs = ((c, run(old_checkout, c), run(checkout, c)) for c in COMMANDS)
+        for line in drift_lines(runs):
+            print(line, flush=True)
+        return 0
+    if args.record:
+        record(checkout, Path(args.record))
         return 0
     for command in COMMANDS:
         stdout, status = run(checkout, command)

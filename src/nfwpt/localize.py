@@ -15,31 +15,42 @@ The search has three parts.
   lattice point with the highest q, the first one in lattice order on a tie.
   A prefilter scores every point cheaply, one x-plane at a time in buffers
   reused across planes. It works in wavelength units: with the coordinates
-  scaled by 1 / lambda once, the distance t_n = d_n / lambda is the phase in
-  turns, and the squared y and z offsets of a plane are formed once per call.
-  It reduces the phase exactly in float64 to 2 pi (t - floor t), rounds it to
-  float32 and takes single-precision cos and sin; the amplitude 1 / t_n stays
-  in float64 (the factor lambda / 4 pi cancels from q). That one kernel,
-  _phasor_planes, feeds two routes.
-  - The direct route forms the phasors of the region's elements on every
-    call and sums them with the echo in float64. A point on an element makes
-    its 1 / t_n, and so its energy sum, infinite, which is the prefilter's
-    only singularity check.
+  scaled by 1 / lambda once, a distance t_n = d_n / lambda is the phase in
+  turns, and 1 / t_n the amplitude up to the factor lambda / 4 pi, which
+  cancels from q. One kernel, _phasor_planes, forms the phasors in the
+  precision of the route that asks, and its distance stage follows that
+  precision; cos and sin are taken in float32 on both.
+  - The direct route serves a box's first use in a command, and with it
+    every locate of a command that locates each box once. It forms the
+    phasors of the region's elements in float32, from the distances to the
+    energy sums. A float32 t would hold the phase to only about
+    2^-24 t turns, so the float32 stage measures each distance from the
+    point's distance T to the region's center, t - T = N / (t + T) with
+    N = t^2 - T^2 formed from per-axis terms; the row-wide phase 2 pi T
+    cancels from q. The error then grows with the region's radius, not with
+    t. Where its bound says nothing, as at a 1e30 Hz carrier, or a float32
+    value could leave its normal range, the route scores no point and every
+    point survives. A lattice point on an element of the region is found
+    exactly, from its float64 squared offsets, and raises.
   - The table route serves a box from its second use on. The box, prior
     +- 2 D, and the array stay fixed for a whole command, and so do its
     phasors; only the echo and the region change. The first use of a
     (geometry, lattice) pair only records it in a small memo; the second
-    builds the box's seed table, the kernel's phasors of every lattice point
-    over the full aperture, each row divided by its largest amplitude and
-    stored as complex64. A call then takes one float32 product of the
-    table's region columns with the echo, divided by its largest entry and
-    rounded to complex64, and one float32 energy sum over the same columns.
-    A box with a lattice point on any element gets no table and stays on the
-    direct route, so the singularity check stays exact for the region.
+    builds the box's seed table from the float64 stage, which reduces the
+    phase exactly to 2 pi (t - floor t) and rounds it to float32: the
+    phasors of every lattice point over the full aperture, each row divided
+    by its largest amplitude and stored as complex64. A call then takes one
+    float32 product of the table's region columns with the echo, divided by
+    its largest entry and rounded to complex64, and one float32 energy sum
+    over the same columns. The table's phases keep the float64 reduction,
+    since a table is read many times and its tight bound keeps about one
+    survivor. A box with a lattice point on any element gets no table and
+    stays on the direct route, so the singularity check stays exact for the
+    region.
   If rho bounds the error of each phasor, then |s~ - s| <= rho sqrt(e)
   ||y_bar||, which bounds the prefilter score q~ within
-  dq = rho ||y_bar|| (2 sqrt(q~) + rho ||y_bar||) of q; the table route's rho
-  adds its roundings and float32 sums (_PHASOR_ERROR and _table_error). Only
+  dq = rho ||y_bar|| (2 sqrt(q~) + rho ||y_bar||) of q; each route's rho
+  adds its roundings and float32 sums (_table_error, _direct_error). Only
   points with q~ + dq >= max(q~ - dq) can hold the maximum. Each of them is
   probed exactly, in lattice order, by the same double-precision kernel as
   every other candidate, and the first maximum among them is the seed,
@@ -111,24 +122,23 @@ _MAX_ITERS = 50
 
 # Bound rho on the prefilter's error, in the sense that the score q~ of each
 # lattice point lies within dq = rho ||y|| (2 sqrt(q~) + rho ||y||) of q.
+# Below, u = 2^-24, M is the region's elements and t a distance in
+# wavelengths.
 #
-# The direct route. Against the exact exp(-j 2 pi d / lambda), one phasor p~
-# of the kernel is off by |p~ - p| <= rho0 |p|. The wavelength-unit distance
-# t = d / lambda comes from coordinates each scaled by 1 / lambda with one
-# rounding, so t carries a relative error of a few float64 ulps: about 1e-12
-# rad of phase while d is below 1e3 wavelengths, and the reduction t - floor t
-# adds none. Rounding the reduced phase to float32 on [0, 2 pi) moves it by at
-# most 2^-22, about 2.4e-7 rad; float32 cos and sin are each within a few
-# float32 ulps, 6e-8 near 1. Together that is below rho0 = 5e-7 (3.0e-7
-# measured). The amplitude 1 / t is off by a few float64 ulps, and the
-# float64 sums of q~ and of the exact re-score each add at most n * 1.1e-16
-# per term, below 3e-13 for the 2304 elements of a 48x48 array. With
-# |s~ - s| <= rho0 sqrt(e) ||y||, sqrt(q~) is within rho0 ||y|| of sqrt(q).
-# _PHASOR_ERROR keeps a margin of 20 over all of it, so the point that the
-# exact score ranks first always survives.
+# The table route's phasors come from the float64 stage, _plane_turns.
+# Against the exact exp(-j 2 pi d / lambda), one of them is off by
+# |p~ - p| <= rho0 |p|. The wavelength-unit distance t comes from
+# coordinates each scaled by 1 / lambda with one rounding, so t carries a
+# relative error of a few float64 ulps: about 1e-12 rad of phase while d is
+# below 1e3 wavelengths, and the reduction t - floor t adds none. Rounding
+# the reduced phase to float32 on [0, 2 pi) moves it by at most 2^-22, about
+# 2.4e-7 rad; float32 cos and sin are each within a few float32 ulps, 6e-8
+# near 1. Together that is below rho0 = 5e-7 (3.0e-7 measured); the
+# amplitude 1 / t is off by a few float64 ulps. _PHASOR_ERROR keeps a margin
+# of 20 over rho0.
 _PHASOR_ERROR = 1e-5
 #
-# The table route adds, with u = 2^-24 and M the region's elements:
+# The table route adds:
 # - the complex64 rounding of each table entry, u of its modulus, and of each
 #   scaled echo entry, u of its modulus (an entry below the normal float32
 #   range adds at most 2^-149 per part, against an echo norm of at least 1);
@@ -144,6 +154,38 @@ _PHASOR_ERROR = 1e-5
 # square in the normal float32 range: a box whose scaled amplitudes reach
 # down to _TABLE_FLOOR gets no table.
 _TABLE_FLOOR = 2.0**-60
+#
+# The direct route runs the float32 stage, _plane_offsets, whose phase is
+# 2 pi r with r = t - T = N / (t + T) (its docstring). A float32 t would
+# hold the phase to only about 2 pi u t, 2e-4 rad at 600 wavelengths, and a
+# bound that wide keeps many more points; r is held to about u A instead,
+# where A is the region's radius about its center. With R the largest and
+# t_lo a lower bound on the smallest distance (the nearest lattice point's
+# distance to the center less A) and g = (R + A) / t_lo >= (T + f) / t for
+# every element at f <= A from the center, first order in u:
+# - N is the float32 sum of its (y, z) and x terms, each formed in float64
+#   and rounded once, so within 2u (f^2 + 2 T f); t^2 = N + T^2 within
+#   3u (T + f)^2, so t within (1.5 g^2 + 1) u t and the amplitude 1 / t
+#   within (1.5 g^2 + 2) u;
+# - t + T >= f, T, t, so N / (t + T) is within u f (10 + 1.5 g^2), and the
+#   product with 2 pi within 2 pi u A (12 + 1.5 g^2) rad;
+# - float32 cos and sin are within 1.5 float32 ulps, 3u each, and their
+#   products with the amplitude add u each: 7.75 u with the amplitude's 2u;
+# - the float64 steps on both sides, here and in the exact probes, move the
+#   phase by at most 2 pi 2^-50 (R + A + |center|).
+# That sum, rho1, bounds |p~ - p| / |p|, and (1.5 g^2 + 2) u of it bounds the
+# amplitude alone. The energy sums M float32 squares, so with the table
+# route's terms sqrt(q~) lies within (2 rho1 + (M + 4) 2^-23) ||y|| of
+# sqrt(q). _direct_error returns that rho with a margin of _DIRECT_MARGIN
+# over 2 rho1 (at 32x32 about 2e-4, where a float32 t would need 1e-3 and
+# more). An entry below the normal float32 range adds at most 2^-149, which
+# the bound needs no term for while every t lies in [_F32_FLOOR, 2^50]: so
+# where t_lo is below _F32_FLOOR, or rho is 1 or more, or a score is not
+# finite, the route scores no point. Any rho >= 1 then holds for q~ = 0,
+# since q <= ||y||^2; _NO_BOUND keeps a margin over it.
+_DIRECT_MARGIN = 2.0
+_F32_FLOOR = 2.0**-40
+_NO_BOUND = 4.0
 
 
 def _table_error(m: int) -> float:
@@ -358,22 +400,40 @@ def _cholesky_solve(a, b):
     return x
 
 
-def _phasor_planes(geom: UpaGeometry, rows: slice, grid):
+def _phasor_planes(geom: UpaGeometry, rows: slice, grid, dtype=np.float64):
     """The prefilter's phasors for the elements in rows, one x-plane of the
-    lattice at a time (module docstring).
+    lattice at a time, in dtype (module docstring).
 
     Yields, for each x in lattice order, amp, the (points of the plane,
-    elements) amplitudes 1 / t, and parts, amp cos(2 pi t) stacked over
-    amp sin(2 pi t). The buffers are reused: each plane overwrites the last.
-    A point on an element makes its amp infinite. The caller sets the error
-    state, since only it knows what an infinity means.
+    elements) amplitudes, and parts, amp cos(phase) stacked over
+    amp sin(phase); the phase, rounded to float32, comes from the distance
+    stage of the precision, _plane_turns or _plane_offsets. The buffers are
+    reused: each plane overwrites the last.
     """
     # In wavelength units a distance t is the phase in turns, and 1 / t is the
     # amplitude up to the factor lambda / 4 pi, which cancels from q.
     elems = geom.coords[:, rows] / geom.wavelength
-    xs, ys, zs = (np.asarray(g, dtype=float) / geom.wavelength for g in grid)
-    n = elems.shape[1]
-    count = ys.size * zs.size
+    axes = [np.asarray(g, dtype=float) / geom.wavelength for g in grid]
+    count = axes[1].size * axes[2].size
+    amp = np.empty((count, elems.shape[1]), dtype)
+    phase = np.empty(amp.shape, dtype=np.float32)
+    parts = np.empty((2 * count, elems.shape[1]), dtype)
+    cos, sin = parts[:count], parts[count:]
+    stage = _plane_turns if dtype == np.float64 else _plane_offsets
+    # The sin half is the stage's spare buffer until the sines overwrite it.
+    for _ in stage(elems, axes, amp, phase, sin):
+        np.cos(phase, out=cos)
+        cos *= amp
+        np.sin(phase, out=sin)
+        sin *= amp
+        yield amp, parts
+
+
+def _plane_turns(elems, axes, amp, phase, spare):
+    """The float64 distance stage: per plane, amp = 1 / t and the phase
+    2 pi (t - floor t). A point on an element makes its amp infinite; the
+    caller sets the error state, since only it knows what that means."""
+    xs, ys, zs = axes
     dx = np.subtract.outer(xs, elems[0])
     dx *= dx
     dy = np.subtract.outer(ys, elems[1])
@@ -381,44 +441,113 @@ def _phasor_planes(geom: UpaGeometry, rows: slice, grid):
     dz = np.subtract.outer(zs, elems[2])
     dz *= dz
     # The squared y and z offsets are the same on every x-plane.
-    yz = (dy[:, None, :] + dz[None, :, :]).reshape(count, n)
-    amp = np.empty((count, n))
-    phase32 = np.empty((count, n), dtype=np.float32)
-    parts = np.empty((2 * count, n))
-    # The sin half holds the plane's distances until its sines overwrite them.
-    cos, sin = parts[:count], parts[count:]
+    yz = (dy[:, None, :] + dz[None, :, :]).reshape(amp.shape)
     for plane in dx:
-        turns = np.add(yz, plane, out=sin)
+        turns = np.add(yz, plane, out=spare)
         np.sqrt(turns, out=turns)
         np.subtract(turns, np.floor(turns, out=amp), out=amp)
-        np.multiply(amp, 2.0 * np.pi, out=phase32)
+        np.multiply(amp, 2.0 * np.pi, out=phase)
         np.reciprocal(turns, out=amp)
-        np.cos(phase32, out=cos)
-        cos *= amp
-        np.sin(phase32, out=sin)
-        sin *= amp
-        yield amp, parts
+        yield
 
 
-def _direct_scores(geom: UpaGeometry, y: np.ndarray, rows: slice, grid) -> np.ndarray:
-    """q~ of every lattice point from phasors formed for this call."""
-    count = grid[1].size * grid[2].size
-    sums = np.empty((2 * count, 2))
-    echo = np.stack([y.real, y.imag], axis=1)
-    power = np.empty((grid[0].size, count))
-    energy = np.empty((grid[0].size, count))
-    # A point on an element makes its 1 / t, and so its energy, infinite.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for i, (amp, parts) in enumerate(_phasor_planes(geom, rows, grid)):
-            # s = sum_n amp_n (cos - j sin)(Re y_n - j Im y_n).
-            np.matmul(parts, echo, out=sums)
-            re = sums[:count, 0] - sums[count:, 1]
-            im = sums[:count, 1] + sums[count:, 0]
-            power[i] = re * re + im * im
-            energy[i] = np.einsum("ij,ij->i", amp, amp)
-        if np.isinf(energy).any():
-            raise SingularGeometryError("a candidate point coincides with an array element")
-        return (power / energy).reshape(-1)
+def _plane_offsets(elems, axes, amp, phase, spare):
+    """The float32 distance stage: per plane, amp = 1 / t and the phase
+    2 pi (t - T), T the point's distance to the region's center.
+
+    With P = point - center and F = element - center, t^2 = T^2 + N and
+    t - T = N / (t + T), where N = |F|^2 - 2 P.F. N is the sum of a (y, z)
+    term, formed once per call, and an x term, formed once per plane; each
+    is formed in float64 and rounded to float32 once, and so is T^2.
+    """
+    _, offsets, (xs, ys, zs) = _region_frame(elems, axes)
+    cross = np.empty((ys.size, zs.size, offsets.shape[1]), dtype=np.float32)
+    y_terms = -2.0 * np.multiply.outer(ys, offsets[1])
+    z_terms = -2.0 * np.multiply.outer(zs, offsets[2])
+    np.add(y_terms[:, None, :], z_terms[None, :, :], out=cross)
+    cross = cross.reshape(amp.shape)
+    near = np.einsum("ij,ij->j", offsets, offsets) - 2.0 * np.multiply.outer(xs, offsets[0])
+    yz = (ys[:, None] * ys[:, None] + zs * zs).reshape(-1, 1)
+    for x, term in zip(xs, near.astype(np.float32)):
+        square = yz + x * x
+        num = np.add(cross, term, out=phase)
+        np.add(num, square.astype(np.float32), out=amp)
+        np.sqrt(amp, out=amp)
+        np.add(amp, np.sqrt(square).astype(np.float32), out=spare)
+        np.divide(num, spare, out=num)
+        num *= np.float32(2.0 * np.pi)
+        np.reciprocal(amp, out=amp)
+        yield
+
+
+def _region_frame(elems: np.ndarray, axes):
+    """The center of the elements' bounding box, their offsets F from it and
+    the lattice axes measured from it, in wavelengths."""
+    center = (elems.min(axis=1) + elems.max(axis=1)) / 2.0
+    return center, elems - center[:, None], [g - c for g, c in zip(axes, center)]
+
+
+def _direct_error(elems: np.ndarray, axes) -> float:
+    """rho of the direct route over the elements elems (wavelength units),
+    or inf where t_lo is below _F32_FLOOR (the comment above _DIRECT_MARGIN)."""
+    center, offsets, axes = _region_frame(elems, axes)
+    radius = math.sqrt(float(np.einsum("ij,ij->j", offsets, offsets).max()))
+    squares = [g * g for g in axes]
+    far = math.sqrt(sum(float(s.max()) for s in squares))
+    close = math.sqrt(sum(float(s.min()) for s in squares)) - radius
+    if not close >= _F32_FLOOR:
+        return math.inf
+    g2 = ((far + radius) / close) ** 2
+    span = far + radius + math.hypot(*center)
+    phase = 2.0 * math.pi * (2.0**-24 * radius * (12.0 + 1.5 * g2) + 2.0**-50 * span)
+    rho1 = phase + 2.0**-24 * (1.5 * g2 + 7.75)
+    return _DIRECT_MARGIN * 2.0 * rho1 + (elems.shape[1] + 4) * 2.0**-23
+
+
+def _on_element(elems: np.ndarray, axes) -> bool:
+    """Whether a lattice point coincides with an element: all three of its
+    squared offsets are zero, as in _plane_turns' distances."""
+    hit = np.ones(elems.shape[1], dtype=bool)
+    for g, e in zip(axes, elems):
+        offset = np.subtract.outer(g, e)
+        hit &= (offset * offset == 0.0).any(axis=0)
+    return bool(hit.any())
+
+
+def _direct_scores(
+    geom: UpaGeometry, y: np.ndarray, rows: slice, grid
+) -> tuple[np.ndarray, float]:
+    """q~ of every lattice point from float32 phasors formed for this call,
+    and the rho that bounds them.
+
+    Where the route cannot score the lattice (the comment above
+    _DIRECT_MARGIN), every point gets q~ = 0 and rho = _NO_BOUND, so every
+    point survives, unless a lattice point sits on an element of the region.
+    """
+    elems = geom.coords[:, rows] / geom.wavelength
+    axes = [g / geom.wavelength for g in grid]
+    rho = _direct_error(elems, axes)
+    if rho < 1.0:
+        count = grid[1].size * grid[2].size
+        top = float(np.abs(y).max())
+        scale = top if top > 0.0 else 1.0
+        echo = (np.stack([y.real, y.imag], axis=1) / scale).astype(np.float32)
+        sums = np.empty((grid[0].size, 2 * count, 2), dtype=np.float32)
+        energy = np.empty((grid[0].size, count))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, (amp, parts) in enumerate(_phasor_planes(geom, rows, grid, np.float32)):
+                np.matmul(parts, echo, out=sums[i])
+                energy[i] = np.einsum("ij,ij->i", amp, amp)
+            # s = sum_n amp_n (cos - j sin)(Re y_n - j Im y_n), combined in float64.
+            cos_y, sin_y = sums[:, :count].astype(float), sums[:, count:].astype(float)
+            re = cos_y[..., 0] - sin_y[..., 1]
+            im = cos_y[..., 1] + sin_y[..., 0]
+            q = ((re * re + im * im) / energy * scale * scale).reshape(-1)
+        if np.isfinite(q).all():
+            return q, rho
+    if _on_element(elems, axes):
+        raise SingularGeometryError("a candidate point coincides with an array element")
+    return np.zeros(math.prod(g.size for g in grid)), _NO_BOUND
 
 
 def _build_table(geom: UpaGeometry, grid) -> np.ndarray | None:
@@ -513,16 +642,16 @@ def prefilter_scores(
     results are flat, in lattice order, and |q~ - q| <= dq for the exact
     score q of each point (module docstring). From the second call on the
     same geometry object and lattice, the scores come from the box's seed
-    table, which the memo holds, with the wider bound that its single-
-    precision storage and sums need; before that, and for a box that gets no
-    table, they come from phasors formed for this call. Both routes form the
-    phasors with one kernel, _phasor_planes. Raises SingularGeometryError
-    when a lattice point coincides with an element of the region.
+    table, which the memo holds; before that, and for a box that gets no
+    table, they come from float32 phasors formed for this call. Both routes
+    form the phasors with one kernel, _phasor_planes, and each bound covers
+    the route's single-precision steps. Raises SingularGeometryError when a
+    lattice point coincides with an element of the region.
     """
     grid = [np.asarray(g, dtype=float) for g in grid]
     table = _seed_table(geom, grid)
     if table is None:
-        q, rho = _direct_scores(geom, y, rows, grid), _PHASOR_ERROR
+        q, rho = _direct_scores(geom, y, rows, grid)
     else:
         q, rho = _table_scores(table, y, rows), _table_error(y.size)
     reach = rho * math.sqrt(np.vdot(y, y).real)
@@ -535,8 +664,8 @@ def lattice_seed(geom: UpaGeometry, y: np.ndarray, rows: slice, grid) -> tuple[_
     The prefilter keeps the points that may hold the maximum, and each of them
     is probed exactly, in lattice order, in batches of about _BUILD_BYTES.
     When every point survives, as for a zero echo, that is the whole lattice.
-    The seed does not depend on the prefilter's route, but the count can: the
-    table route's wider bound may keep more points.
+    The seed does not depend on the prefilter's route, but the count can: a
+    first locate's float32 bound keeps a few more points than the table's.
     """
     q, dq = prefilter_scores(geom, y, rows, grid)
     if not (np.isfinite(q).all() and np.isfinite(dq).all()):

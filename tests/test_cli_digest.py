@@ -68,6 +68,24 @@ def test_drift_rejects_outputs_it_cannot_compare(new):
         cli_digest.drift(old, new)
 
 
+def test_drift_lines_report_only_the_commands_that_differ():
+    old = _HEADER + "1.0,proposed,2.0e-06,4.0e-01\n"
+    new = old.replace("4.0e-01", "5.0e-01")
+    runs = [
+        ("same", (old.encode(), 0), (old.encode(), 0)),
+        ("moved", (old.encode(), 0), (new.encode(), 0)),
+        ("failed", (old.encode(), 0), (b"", 2)),
+    ]
+    assert cli_digest.drift_lines(runs) == [
+        "moved",
+        "  pos_rmse_m             0.25",
+        "failed",
+        "  exit status 0 -> 2",
+        "  not comparable: the outputs do not share a CSV header",
+        "2 of 3 commands differ",
+    ]
+
+
 
 def test_lines_name_the_pinned_scenario_relative_to_the_checkout(monkeypatch, capsys):
     ran = []

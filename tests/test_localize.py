@@ -412,7 +412,12 @@ def test_both_routes_pick_the_same_seed_at_a_1e30_carrier(monkeypatch):
 @st.composite
 def _seed_problems(draw):
     seed = draw(st.integers(0, 2**32 - 1))
-    side = draw(st.integers(4, 24))
+    side = draw(st.integers(4, 48))
+    # Arrays up to 48x48, whose regions reach the widest radius the direct
+    # route's float32 bound grows with, and boxes out to 30 m, about 2,800
+    # wavelengths at 28 GHz, where a float32 distance would hold the phase to
+    # only about 1e-3 rad.
+    stretch = draw(st.floats(1.0, 10.0))
     pinned = draw(st.lists(st.booleans(), min_size=3, max_size=3))
     two_elements = draw(st.booleans())
     snr_db = draw(st.one_of(st.none(), st.floats(-20.0, 60.0)))
@@ -422,7 +427,7 @@ def _seed_problems(draw):
     start = int(rng.integers(1, n))
     end = start + 1 if two_elements else int(rng.integers(start + 1, n + 1))
     vr = VisibilityRegion(start, end)
-    center = rng.uniform([0.5, -1.0, -1.0], [3.0, 1.0, 1.0])
+    center = rng.uniform([0.5, -1.0, -1.0], [3.0, 1.0, 1.0]) * stretch
     half = np.where(pinned, 0.0, rng.uniform(0.02, 0.3, size=3))
     y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     if snr_db is not None:
@@ -437,6 +442,23 @@ def _seed_problems(draw):
 def test_seed_prefilter_is_within_its_bound_and_keeps_the_argmax(problem):
     geom, y_bar, vr, box = problem
     _assert_seed_matches_the_oracle(geom, *_seed_inputs(y_bar, vr, box))
+
+
+@pytest.mark.parametrize("side", [16, 32])
+def test_a_first_locate_probes_a_few_points(monkeypatch, side):
+    # The float32 route measures each distance from the point's distance to
+    # the region's center, so its bound grows with the region, not with the
+    # range, and stays near 1e-4: a first locate probes a handful of points,
+    # not the dozens that a float32 distance's 2^-24 t turns would keep.
+    inputs = _run_trial_inputs(monkeypatch, ("proposed",), 4, side)
+    counts = []
+    for geom, y_bar, vr, box in inputs:
+        y, rows, grid = _seed_inputs(y_bar, vr, box)
+        localize.clear_seed_tables()
+        _, rho = localize._direct_scores(geom, y, rows, grid)
+        assert rho < 5e-4
+        counts.append(localize.lattice_seed(geom, y, rows, grid)[1])
+    assert max(counts) <= 9 and sum(counts) <= 4 * len(counts)
 
 
 def test_zero_echo_scores_the_whole_lattice_once(monkeypatch):
