@@ -1,65 +1,57 @@
 """Fisher information, position CRB, and sensing-duration planning.
 
 The unknown parameter vector is theta = (x, y, z, Re b, Im b). Over one slot
-of tau constant probe symbols the aggregated model mean is linear in b and
-nonlinear in position, and the Gaussian-noise Fisher information takes the
-block form
+of tau constant probe symbols x the aggregated model mean is
+mu = b h (x^T h), with h the channel on the visibility region's M elements
+(zero elsewhere, so no other element adds to any sum). Writing hd_u for the
+derivative of h along coordinate u, its Jacobian is
 
-    F = (2 / sigma_r^2) * [[ Re G_pp,  Re g_pb, -Im g_pb ],
-                           [ Re g_pb^T,  Re g_bb, -Im g_bb ],
-                           [-Im g_pb^T, -Im g_bb,  Re g_bb ]]
+    J = [h, hd_x, hd_y, hd_z] C,
 
-with, writing h for the channel on the visibility region's elements, hd_u
-for its derivative along coordinate u and S for the probe sample covariance
-on those elements (the channel is zero elsewhere, so no other element adds
-to any form),
+an (M, 4) block times the 4 x 5 matrix C that the rank-one probe gives:
+position column u holds b x^T hd_u on h and b x^T h on hd_u, and the columns
+of Re b and Im b hold x^T h and j x^T h on h. The Gaussian-noise Fisher
+information is F = (2 tau / sigma_r^2) Re(J^H J).
 
-    G_uv  = tau |b|^2 ( hd_u^H hd_v (h^H S* h) + hd_u^H h (h^H S* hd_v)
-                        + h^H hd_v (hd_u^H S* h) + h^H h (hd_u^H S* hd_v) ),
-    g_ub  = tau ( hd_u^H h (b* h^H S* h) + h^H h (b* hd_u^H S* h) ),
-    g_bb  = tau ( h^H h ) ( h^H S* h ).
+fim() never forms J^H J, whose conditioning is that of J squared. It takes
+the QR factor R of the block, so that Re(J^H J) = K^T K with the 8 x 5 real
+matrix K = [Re(R C); Im(R C)]. With the columns of K scaled to unit norm and
+factored again, K = Q U D with U upper triangular, and
 
-The probe is constant over the slot, so S = x x^H has rank one and every
-quadratic form factors as u^H S* v = conj(x^T u) (x^T v). fim() therefore
-projects h and the three derivatives onto the probe once and builds each form
-from two scalars, in O(N) with no N x N array.
+    F = tau S U^T U S,    S = sqrt(2 / sigma_r^2) D,
 
-Planning needs the FIM at the 27 points of each receiver's prior lattice, so
-fim() takes the lattice as per-axis offsets and evaluates every point in one
-call: one array_response over the grid on the region's M elements, then, one
-point at a time, that point's (3, M) derivative rows and its 5 x 5 matrix,
-and finally one eigvalsh, cond and inv over the (points, 5, 5) stack. Each
-point's channel and derivative rows are written into one C-ordered (4, M)
-block that the loop reuses. No array spans points, axes and elements at
-once, so every temporary of the loop stays small. The matrix is
-ill-conditioned, so the order of every sum counts. A point's 14 reductions,
-the probe projections x . u and the inner products vdot(u, v) over its rows,
-come from three np.vecdot calls on the block; vecdot reduces each row on its
-own, with the bits of x.dot and np.vdot on that row alone (a test in
-tests/test_channel.py guards this). The Python scalars they give are
-combined in the same order as for a single point. A product through gemv
-(np.matmul, np.matvec), a reduction batched across points, or one over a
-strided row rounds differently and moves the worst CRB in its last digits.
+so U^T U is F equilibrated to a unit diagonal, its condition number is
+cond(U)^2, and the CRB of axis i is (U^-1 U^-T)_ii / (tau S_ii^2): the
+squared norm of row i of U^-1 over tau S_ii^2. Against a 60-digit CRB of the
+same double-precision block this is within a few times cond(U) u
+(tests/test_crb.py), where inverting the formed F loses up to cond(U)^2 u.
 
-Every block is proportional to tau, so F(tau) = tau * F(1) exactly and the
-position CRB scales as 1 / tau. FisherInfo therefore stores the per-symbol
-matrix F(1) and reconstructs F(tau) on demand, which keeps the scaling law
-exact in floating point instead of approximate.
+Planning needs the information at the 27 points of each receiver's prior
+lattice, so fim() takes the lattice as per-axis offsets and evaluates every
+point in one call: one array_response over the grid on the region's
+elements, then, one x-plane of the grid at a time, a loop that writes each
+point's derivative rows into its C-ordered (4, M) block, one np.vecdot for
+the probe projections x^T u and one QR of the plane's blocks, and finally
+the 5 x 5 work in batched calls over every point. np.vecdot reduces each row
+with the bits of x.dot on that row alone, and LAPACK factors each stack item
+on its own (tests in tests/test_channel.py and tests/test_crb.py guard
+both), so a point's results have the same bits whatever other points share
+a call.
 
-F is also quadratic in the probe: every form above carries S = x x^H once,
-so for the constant probe x = sqrt(P / N) 1 the information at budget P is
-P times the information at 1 W, and the position CRB scales as 1 / P. The
-planner (harness.plan) therefore evaluates each lattice once with the 1 W
-probe and divides by the budget. Unlike the tau law this one is exact in
-real arithmetic only: the probe sqrt(P / N) is rounded, so F at a budget's
-own probe and P * F(1 W) differ in their last bits, and the ill-conditioned
-inverse amplifies that by up to its equilibrated condition number.
+Every block of F is proportional to tau, so FisherInfo stores the
+per-symbol matrix and its root, and crb(tau) * tau is the same for every
+tau. F is also quadratic in the probe: for the constant probe
+x = sqrt(P / N) 1 the position CRB at budget P is the 1 W CRB over P, and
+the planner (harness.plan) evaluates each lattice once at 1 W. That law is
+exact in real arithmetic only: the probe sqrt(P / N) is rounded, so U at a
+budget's own probe and at 1 W differ in their last bits, which the CRB
+amplifies by up to about cond(U).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,12 +73,17 @@ class FisherInfo:
 
     base_matrix holds the information contributed by a single probe symbol,
     already scaled by 2 / noise_power; the full matrix for the slot is
-    tau * base_matrix. fim() over a lattice stacks one such matrix per point
-    along a leading axis.
+    tau * base_matrix. root, which fim() fills, is its square root as a pair
+    (unit, scale): unit is upper triangular with unit-norm columns, and
+    base_matrix is S unit^T unit S with S = diag(scale), up to rounding. A
+    FisherInfo built from a matrix alone has no root; crb_position() then
+    takes one from a Cholesky factor. fim() over a lattice stacks one matrix
+    and one root per point along a leading axis.
     """
 
     base_matrix: np.ndarray
     tau: int
+    root: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -119,25 +116,22 @@ def fim(
     noise_power: float,
     offsets=None,
 ) -> FisherInfo:
-    """Closed-form Fisher information at a nominal receiver state.
+    """Fisher information and its square root at a nominal receiver state.
 
     offsets, when given, is (dx, dy, dz), one 1-D displacement array per
     axis: the information is then evaluated at the nominal position plus
-    every displacement of their product, and base_matrix stacks one 5 x 5
-    matrix per point along a leading axis, in product order. Without
-    offsets the nominal position is the only point and base_matrix is 5 x 5.
-    Every form sums over the rows of the nominal visibility region only.
-    The grid's responses come from one array_response; each point's channel,
-    derivative rows and matrix are then built on their own, from three
-    np.vecdot calls over the point's (4, M) block and scalar algebra on
-    Python lists, so a point's matrix has the same bits whatever other
-    points share the call (see the module docstring). A matrix that is not
-    finite, at any point, raises SingularFimError; otherwise the first
-    failing point in product order raises: DegenerateChannelError for a zero
-    channel, SingularFimError for a channel energy, probe gain or largest
-    matrix entry below the smallest normal float, or for a matrix that lost
-    positive semidefiniteness. Only inputs at the edge of the float range
-    fail these checks.
+    every displacement of their product, and base_matrix and the root stack
+    one point each along a leading axis, in product order. Without offsets
+    the nominal position is the only point and base_matrix is 5 x 5. Every
+    sum runs over the rows of the nominal visibility region only. The root
+    comes from two QR factorizations per point (module docstring), and
+    base_matrix is (2 / noise_power) K^T K.
+    A matrix that is not finite, at any point, raises SingularFimError;
+    otherwise the first failing point in product order raises:
+    DegenerateChannelError for a zero channel, SingularFimError for a
+    channel energy, probe gain or largest matrix entry below the smallest
+    normal float. Only inputs at the edge of the float range fail these
+    checks.
     """
     if noise_power <= 0:
         raise ValueError(f"noise power must be positive, got {noise_power}")
@@ -164,76 +158,55 @@ def fim(
     dists = dists.reshape(-1, x.size)
     entries = entries.reshape(-1, x.size)
     points = np.stack(np.meshgrid(*grid, indexing="ij"), axis=-1).reshape(-1, 3)
+    # A point's block holds h in row 0 and its derivative rows below, each
+    # row one contiguous run, as np.vecdot needs for its bits. A plane's
+    # blocks are factored while fresh in the cache (one call over the whole
+    # grid took twice as long at 32 x 32).
+    blocks = np.empty((len(grid[1]) * len(grid[2]), 4, x.size), dtype=complex)
+    projections = np.empty((len(points), 4), dtype=complex)
+    r = np.empty((len(points), min(x.size, 4), 4), dtype=complex)
+    for start in range(0, len(points), len(blocks)):
+        plane = slice(start, start + len(blocks))
+        for point, dist, h, block in zip(points[plane], dists[plane], entries[plane], blocks):
+            block[0] = h
+            response_derivatives(geom, point, dist, h, rows, out=block[1:])
+        projections[plane] = np.vecdot(x.conj(), blocks)
+        r[plane] = np.linalg.qr(blocks.transpose(0, 2, 1), mode="r")
     b = er_nominal.reflection
-    b2, b_conj = abs(b) ** 2, b.conjugate()
-    x_conj = x.conj()
-    mats, zero, underflow = [], [], []
-    # Row 0 holds the point's channel h and rows 1-3 its derivative rows. C
-    # order puts every row in one contiguous run: a strided row would make
-    # the reductions below sum in another order.
-    block = np.empty((4, x.size), dtype=complex)
-    derivs = block[1:]
-    for point, dist, h in zip(points, dists, entries):
-        zero.append(not h.any())
-        block[0] = h
-        response_derivatives(geom, point, dist, h, rows, out=derivs)
-        # x^T u for u = h and each derivative: u^H S* v = conj(x^T u) (x^T v).
-        # np.vecdot takes each row's reduction on its own, with the bits of
-        # x.dot(u) and np.vdot(u, v) on that row. Each result becomes a
-        # Python scalar once; the algebra on them rounds as numpy scalars do,
-        # in the same order.
-        xh, *xd = np.vecdot(x_conj, block).tolist()
-        hh, *dh = np.vecdot(block, h).tolist()
-        dd = np.vecdot(derivs[:, None], derivs[None, :]).tolist()
-        hh = hh.real
-        xh_conj = xh.conjugate()
-        xd_conj = [v.conjugate() for v in xd]
-        # vdot(h, d) is the exact conjugate of vdot(d, h) (tests/oracles.py
-        # takes vdot(h, d) and the oracle tests compare bits).
-        hd = [v.conjugate() for v in dh]
-
-        hsh = xh_conj * xh
-        underflow.append(min(hh, hsh.real) < _TINY)
-        mat = [[0.0] * 5 for _ in range(5)]
-        for i in range(3):
-            for j in range(i, 3):
-                g_uv = b2 * (
-                    dd[i][j] * hsh
-                    + dh[i] * xh_conj * xd[j]
-                    + hd[j] * xd_conj[i] * xh
-                    + hh * xd_conj[i] * xd[j]
-                )
-                mat[i][j] = mat[j][i] = g_uv.real
-        for i in range(3):
-            g_ub = dh[i] * b_conj * hsh + hh * b_conj * xd_conj[i] * xh
-            mat[i][3] = mat[3][i] = g_ub.real
-            mat[i][4] = mat[4][i] = -g_ub.imag
-        g_bb = hh * hsh
-        mat[3][3] = mat[4][4] = g_bb.real
-        mat[3][4] = mat[4][3] = -g_bb.imag
-        mats.append(mat)
-    mats = np.array(mats, dtype=float).reshape(-1, 5, 5)
-    zero, underflow = np.array(zero, dtype=bool), np.array(underflow, dtype=bool)
-    mats *= 2.0 / noise_power
-    # eigvalsh does not converge on a matrix that is not finite.
+    coeffs = [
+        [
+            [b * v for v in xd] + [xh, 1j * xh],
+            [b * xh, 0, 0, 0, 0],
+            [0, b * xh, 0, 0, 0],
+            [0, 0, b * xh, 0, 0],
+        ]
+        for xh, *xd in projections.tolist()
+    ]
+    # Re(J^H J) = K^T K. A region of fewer than 4 elements has fewer than 4
+    # rows of R, and K keeps zero rows in their place.
+    product = r @ np.array(coeffs)
+    k = np.zeros((len(points), 8, 5))
+    k[:, : product.shape[1]] = product.real
+    k[:, 4 : 4 + product.shape[1]] = product.imag
+    mats = (k.transpose(0, 2, 1) @ k) * (2.0 / noise_power)
     if not np.isfinite(mats).all():
         raise SingularFimError("Fisher information is not finite: the planning inputs overflow")
 
-    scale = np.abs(mats).max(axis=(1, 2))
-    underflow |= scale < _TINY
-    lost = np.linalg.eigvalsh(mats).min(axis=1) < -1e-8 * scale
-    failed = zero | underflow | lost
+    zero = ~entries.any(axis=1)
+    gain = np.minimum(np.abs(r[:, 0, 0]), np.abs(projections[:, 0])) ** 2
+    underflow = (gain < _TINY) | (np.abs(mats).max(axis=(1, 2)) < _TINY)
+    failed = zero | underflow
     if failed.any():
-        first = failed.argmax()
-        if zero[first]:
+        if zero[failed.argmax()]:
             raise DegenerateChannelError("nominal channel is identically zero")
-        if underflow[first]:
-            raise SingularFimError(
-                "Fisher information underflows: the planning inputs are too small"
-            )
-        raise SingularFimError("Fisher information lost positive semidefiniteness")
+        raise SingularFimError("Fisher information underflows: the planning inputs are too small")
+    norms = np.linalg.norm(k, axis=1)
+    unit = np.linalg.qr(k / norms[:, None, :], mode="r")
+    scale = norms * math.sqrt(2.0 / noise_power)
     mats.setflags(write=False)
-    return FisherInfo(base_matrix=mats if offsets is not None else mats[0], tau=int(slot_len))
+    if offsets is None:
+        mats, unit, scale = mats[0], unit[0], scale[0]
+    return FisherInfo(base_matrix=mats, tau=int(slot_len), root=(unit, scale))
 
 
 def fim_finite_difference(
@@ -289,13 +262,13 @@ def fim_finite_difference(
 
 
 def crb_position(info: FisherInfo) -> CrbReport:
-    """Position CRB from the inverse Fisher information.
+    """Position CRB from a square root of the Fisher information.
 
     The parameter vector mixes meters with a unitless reflection, so the raw
     matrix carries a large artificial scale spread. Conditioning is therefore
     judged after symmetric diagonal equilibration, which measures actual
-    parameter coupling rather than units; the inverse is computed through the
-    same scaling. Inverting the per-symbol matrix and dividing by tau keeps
+    parameter coupling rather than units, and the CRB is read from the
+    equilibrated root (_root). Dividing the per-symbol CRB by tau keeps
     crb(tau) * tau exactly constant. A lattice FisherInfo, which stacks one
     matrix per point, is rejected: lattice_crb() reduces such a stack.
     """
@@ -305,25 +278,47 @@ def crb_position(info: FisherInfo) -> CrbReport:
             f"crb_position takes one 5 x 5 Fisher information, got shape {shape}; "
             "use lattice_crb for a lattice"
         )
-    per_axis = tuple(float(v) for v in _axis_crbs(info.base_matrix[None], info.tau)[0])
+    per_axis = tuple(float(v) for v in _axis_crbs(*_root(info), info.tau)[0])
     return CrbReport(crb_total=float(sum(per_axis)), per_axis=per_axis, tau=info.tau)
 
 
-@_QUIET
-def _axis_crbs(base: np.ndarray, tau: int) -> np.ndarray:
-    """Per-axis position CRBs, shape (P, 3), of a (P, 5, 5) stack of per-symbol FIMs.
-
-    The conditioning and the inverse of every matrix come from one call on
-    the stack. Like a loop over crb_position, this raises at the first point
-    in stack order with a nonpositive diagonal or an ill-conditioned matrix.
-    """
+def _root(info: FisherInfo) -> tuple[np.ndarray, np.ndarray]:
+    """info's root (unit, scale), stacked as _axis_crbs reads it: fim()'s, or
+    scale = sqrt(diag) and unit the upper Cholesky factor of the matrix
+    equilibrated by it. A point whose diagonal is not positive or whose
+    matrix is not finite gets scale 0, and one whose equilibrated matrix has
+    no Cholesky factor a zero unit, which _axis_crbs finds singular."""
+    if info.root is not None:
+        unit, scale = info.root
+        return unit.reshape(-1, 5, 5), scale.reshape(-1, 5)
+    base = np.reshape(info.base_matrix, (-1, 5, 5))
     diag = np.diagonal(base, axis1=1, axis2=2)
     valid = np.all(diag > 0, axis=1) & np.all(np.isfinite(base), axis=(1, 2))
+    scale = np.sqrt(np.where(valid[:, None], diag, 1.0))
+    units = []
+    for mat, inv_scale in zip(base, 1.0 / scale):
+        try:
+            balanced = mat * inv_scale[:, None] * inv_scale[None, :]
+            units.append(np.linalg.cholesky(balanced, upper=True))
+        except np.linalg.LinAlgError:
+            units.append(np.zeros((5, 5)))
+    return np.array(units), np.where(valid[:, None], scale, 0.0)
+
+
+@_QUIET
+def _axis_crbs(unit: np.ndarray, scale: np.ndarray, tau: int) -> np.ndarray:
+    """Per-axis position CRBs, shape (P, 3), of a stack of per-symbol roots:
+    unit (P, 5, 5), upper triangular with unit-norm columns, and scale (P, 5).
+
+    One call on the stack gives every cond(unit)^2, the condition number of
+    the equilibrated information, and every unit^-1 (module docstring). Like
+    a loop over crb_position, this raises at the first point in stack order
+    with a scale that is not positive or an ill-conditioned matrix.
+    """
+    valid = np.all(scale > 0, axis=1)
     # Only the points before the first invalid one can raise first.
     usable = len(valid) if valid.all() else int(valid.argmin())
-    scale = 1.0 / np.sqrt(diag[:usable])
-    balanced = base[:usable] * scale[:, :, None] * scale[:, None, :]
-    cond = np.linalg.cond(balanced)
+    cond = np.linalg.cond(unit[:usable]) ** 2
     bad = ~np.isfinite(cond) | (cond >= _COND_LIMIT)
     if bad.any():
         raise SingularFimError(
@@ -332,8 +327,8 @@ def _axis_crbs(base: np.ndarray, tau: int) -> np.ndarray:
         )
     if usable < len(valid):
         raise SingularFimError("Fisher information has a nonpositive diagonal entry")
-    cov = np.linalg.inv(balanced) * scale[:, :, None] * scale[:, None, :] / tau
-    return np.diagonal(cov, axis1=1, axis2=2)[:, :3]
+    rows = np.linalg.inv(unit)[:, :3]
+    return (rows * rows).sum(axis=2) / (scale[:, :3] * scale[:, :3]) / tau
 
 
 @dataclass(frozen=True)
@@ -366,8 +361,8 @@ def lattice_crb(
     {-D, 0, +D}^3, and one fim() call at tau = 1 evaluates all 27 points in
     product order. The first failing point raises the error it raises on its
     own, except that fim()'s checks (zero channel, a matrix that is not
-    finite or underflows, lost semidefiniteness) cover the whole lattice
-    before any point's conditioning is judged. Every SingularFimError names
+    finite or underflows) cover the whole lattice before any point's
+    conditioning is judged. Every SingularFimError names
     the receiver, er1 for the first prior; a lattice CRB that is not finite
     and positive, which only an overflowing or underflowing input gives,
     raises one too.
@@ -389,7 +384,7 @@ def lattice_crb(
         state = ErState(position, vr, reflection)
         try:
             info = fim(geom, state, probe, 1, noise_power, offsets=[(-d, 0.0, d) for d in dvec])
-            per_axis = _axis_crbs(info.base_matrix, info.tau)
+            per_axis = _axis_crbs(*_root(info), info.tau)
             # Summed as crb_position sums its Python floats: (x + y) + z.
             crbs = ((per_axis[:, 0] + per_axis[:, 1]) + per_axis[:, 2]).tolist()
             bad = next((c for c in crbs if not 0 < c < math.inf), None)

@@ -342,8 +342,8 @@ def plan(cfg: ScenarioConfig) -> tuple[LatticeCrb, ...]:
     the budget: it holds each lattice evaluated with the 1 W probe, and every
     call divides both extremes by cfg.p_max, which keeps their bits at the
     default 1 W. The law is exact in real arithmetic only: off 1 W a quotient
-    and a direct evaluation at the budget's probe differ by up to about the
-    equilibrated condition number times the unit roundoff. A quotient that
+    and a direct evaluation at the budget's probe differ by up to about
+    cond(U) times the unit roundoff (crb module docstring). A quotient that
     overflows or underflows raises the SingularFimError that lattice_crb
     raises for such a CRB.
     """

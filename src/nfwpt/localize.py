@@ -126,16 +126,19 @@ _MAX_ITERS = 50
 # wavelengths.
 #
 # The table route's phasors come from the float64 stage, _plane_turns.
-# Against the exact exp(-j 2 pi d / lambda), one of them is off by
-# |p~ - p| <= rho0 |p|. The wavelength-unit distance t comes from
-# coordinates each scaled by 1 / lambda with one rounding, so t carries a
-# relative error of a few float64 ulps: about 1e-12 rad of phase while d is
-# below 1e3 wavelengths, and the reduction t - floor t adds none. Rounding
-# the reduced phase to float32 on [0, 2 pi) moves it by at most 2^-22, about
-# 2.4e-7 rad; float32 cos and sin are each within a few float32 ulps, 6e-8
-# near 1. Together that is below rho0 = 5e-7 (3.0e-7 measured); the
+# Against the exact probes' exp(-j 2 pi d / lambda), one of them is off by
+# |p~ - p| <= (rho0 + e64) |p|. The wavelength-unit distance t, here and in
+# the exact probes, comes from coordinates each scaled by 1 / lambda with one
+# rounding, so it carries a relative error of a few float64 ulps: e64 is the
+# direct route's float64 term below over the full aperture: 3e-12 rad for
+# the built-in boxes at 28 GHz, 1e-2 at 1e20 Hz, and from about 3e21 Hz on
+# it makes rho >= 1, which keeps every point. The reduction t - floor t adds
+# none. Rounding the reduced phase to float32 on [0, 2 pi) moves it by at
+# most 2^-22, about 2.4e-7 rad; float32 cos and sin are each within a few
+# float32 ulps, 6e-8 near 1. Together that is below rho0 = 5e-7 (3.0e-7
+# measured); the
 # amplitude 1 / t is off by a few float64 ulps. _PHASOR_ERROR keeps a margin
-# of 20 over rho0.
+# of 20 over rho0, and e64 takes the direct route's margin.
 _PHASOR_ERROR = 1e-5
 #
 # The table route adds:
@@ -144,12 +147,12 @@ _PHASOR_ERROR = 1e-5
 #   range adds at most 2^-149 per part, against an echo norm of at least 1);
 # - float32 accumulation: s sums M complex products, within (M + 2) u of
 #   sqrt(e) ||y||, and e sums 2M squares, within 2M u of e.
-# So |s~ - s| <= (rho0 + (M + 4) u) sqrt(e) ||y|| and e~ = e (1 + delta) with
-# |delta| <= 2 rho0 + (2M + 2) u. Since sqrt(q) <= ||y||, the energy moves
-# sqrt(q~) by at most |delta| / 2 ||y||, and in all sqrt(q~) lies within
-# (2 rho0 + (2M + 5) u) ||y|| of sqrt(q). The table's rho,
-# _PHASOR_ERROR + (M + 4) 2^-23, keeps a margin of 10 over 2 rho0 and covers
-# the rest. The row and echo scales are divided out in float64, a relative
+# So, with rho0 for rho0 + e64, |s~ - s| <= (rho0 + (M + 4) u) sqrt(e) ||y||
+# and e~ = e (1 + delta) with |delta| <= 2 rho0 + (2M + 2) u. Since
+# sqrt(q) <= ||y||, the energy moves sqrt(q~) by at most |delta| / 2 ||y||,
+# and in all sqrt(q~) lies within (2 rho0 + (2M + 5) u) ||y|| of sqrt(q).
+# The table's rho, _PHASOR_ERROR + 2 _DIRECT_MARGIN e64 + (M + 4) 2^-23,
+# covers that. The row and echo scales are divided out in float64, a relative
 # 2^-53 each, and the row scales cancel from q. The bound needs every entry's
 # square in the normal float32 range: a box whose scaled amplitudes reach
 # down to _TABLE_FLOOR gets no table.
@@ -188,9 +191,11 @@ _F32_FLOOR = 2.0**-40
 _NO_BOUND = 4.0
 
 
-def _table_error(m: int) -> float:
-    """rho of the table route over an m-element region."""
-    return _PHASOR_ERROR + (m + 4) * 2.0**-23
+def _table_error(m: int, span: float) -> float:
+    """rho of the table route over an m-element region of a box of the given
+    span (_extent) over the full aperture."""
+    e64 = 2.0 * math.pi * 2.0**-50 * span
+    return _PHASOR_ERROR + _DIRECT_MARGIN * 2.0 * e64 + (m + 4) * 2.0**-23
 
 
 # The seed-table memo: at most _TABLES_MAX boxes, the last used at the end,
@@ -204,11 +209,13 @@ _BUILD_BYTES = 2**18
 @dataclass
 class _TableEntry:
     """A box the memo has seen: its geometry, which keeps the key's id its
-    own, and, once built, its table (None where the box gets none)."""
+    own, and, once built, its table (None where the box gets none) and its
+    span over the full aperture (_extent)."""
 
     geom: UpaGeometry
     built: bool = False
     table: np.ndarray | None = None
+    span: float = math.inf
 
 
 _tables: OrderedDict[tuple, _TableEntry] = OrderedDict()
@@ -487,18 +494,24 @@ def _region_frame(elems: np.ndarray, axes):
     return center, elems - center[:, None], [g - c for g, c in zip(axes, center)]
 
 
-def _direct_error(elems: np.ndarray, axes) -> float:
-    """rho of the direct route over the elements elems (wavelength units),
-    or inf where t_lo is below _F32_FLOOR (the comment above _DIRECT_MARGIN)."""
+def _extent(elems: np.ndarray, axes) -> tuple[float, float, float, float]:
+    """A, R, t_lo and the span R + A + |center| of the elements elems and
+    the lattice axes, in wavelengths (the comment above _DIRECT_MARGIN)."""
     center, offsets, axes = _region_frame(elems, axes)
     radius = math.sqrt(float(np.einsum("ij,ij->j", offsets, offsets).max()))
     squares = [g * g for g in axes]
     far = math.sqrt(sum(float(s.max()) for s in squares))
     close = math.sqrt(sum(float(s.min()) for s in squares)) - radius
+    return radius, far, close, far + radius + math.hypot(*center)
+
+
+def _direct_error(elems: np.ndarray, axes) -> float:
+    """rho of the direct route over the elements elems (wavelength units),
+    or inf where t_lo is below _F32_FLOOR (the comment above _DIRECT_MARGIN)."""
+    radius, far, close, span = _extent(elems, axes)
     if not close >= _F32_FLOOR:
         return math.inf
     g2 = ((far + radius) / close) ** 2
-    span = far + radius + math.hypot(*center)
     phase = 2.0 * math.pi * (2.0**-24 * radius * (12.0 + 1.5 * g2) + 2.0**-50 * span)
     rho1 = phase + 2.0**-24 * (1.5 * g2 + 7.75)
     return _DIRECT_MARGIN * 2.0 * rho1 + (elems.shape[1] + 4) * 2.0**-23
@@ -605,8 +618,8 @@ def _table_key(geom: UpaGeometry, grid) -> tuple:
     return (id(geom), *(g.tobytes() for g in grid))
 
 
-def _seed_table(geom: UpaGeometry, grid) -> np.ndarray | None:
-    """The seed table of the box from its second use on, else None.
+def _seed_table(geom: UpaGeometry, grid) -> _TableEntry | None:
+    """The box's memo entry from its second use on if it has a table, else None.
 
     The memo keeps the _TABLES_MAX boxes used last. A box's first use records
     it and its second builds its table, so a command that locates each box
@@ -624,8 +637,9 @@ def _seed_table(geom: UpaGeometry, grid) -> np.ndarray | None:
     _tables.move_to_end(key)
     if not entry.built:
         entry.table = _build_table(geom, grid)
+        entry.span = _extent(geom.coords / geom.wavelength, [g / geom.wavelength for g in grid])[3]
         entry.built = True
-    return entry.table
+    return entry if entry.table is not None else None
 
 
 def clear_seed_tables() -> None:
@@ -649,11 +663,11 @@ def prefilter_scores(
     lattice point coincides with an element of the region.
     """
     grid = [np.asarray(g, dtype=float) for g in grid]
-    table = _seed_table(geom, grid)
-    if table is None:
+    entry = _seed_table(geom, grid)
+    if entry is None:
         q, rho = _direct_scores(geom, y, rows, grid)
     else:
-        q, rho = _table_scores(table, y, rows), _table_error(y.size)
+        q, rho = _table_scores(entry.table, y, rows), _table_error(y.size, entry.span)
     reach = rho * math.sqrt(np.vdot(y, y).real)
     return q, reach * (2.0 * np.sqrt(q) + reach)
 

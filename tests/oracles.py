@@ -12,11 +12,13 @@ computes another way, kept so the tests can arbitrate the fast path:
   its C-ordered (3, n_rows) layout, which the expression inherits from the
   contiguous coordinate rows of geom.coords, and any subset
   of its axis rows must match the expression formed on those axes alone.
+- point_block: one state's (4, M) block, channel() and three
+  channel_derivative() rows over the elements the cover keeps.
 - fim_per_point, crb_per_point, lattice_crb_per_point: the Fisher
-  information and position CRB built one point and one axis at a time, from
-  channel() and three channel_derivative() rows reduced over the elements
-  the cover keeps, and the planning lattice as a loop over them. crb.fim,
-  crb.crb_position and crb.lattice_crb must match them bit for bit.
+  information, its root and the position CRB of one point, from QR
+  factorizations of that point's block alone, and the planning lattice as a
+  loop over them. crb.fim, crb.crb_position and crb.lattice_crb must match
+  them bit for bit.
 - sample_covariance, dense_weighted, beam_covariance, isotropic_covariance:
   the N x N matrices the package never forms.
 - nominal_sensing_duration: slot planning from the nominal lattice points
@@ -103,80 +105,63 @@ def response_derivatives_expression(
     return entries * bracket
 
 
+def point_block(geom, er_nominal: ErState) -> np.ndarray:
+    """The (4, M) block [h, hd_x, hd_y, hd_z] of one state over the elements
+    its region's cover keeps, from channel() and channel_derivative()."""
+    kept = vr_cover(er_nominal.vr, geom.n_elements) == 1.0
+    rows = [channel(geom, er_nominal)] + [
+        channel_derivative(geom, er_nominal.position, er_nominal.vr, ax) for ax in ("x", "y", "z")
+    ]
+    return np.array([row[kept] for row in rows])
+
+
 def fim_per_point(
     geom, er_nominal: ErState, probe, slot_len: int, noise_power: float
 ) -> FisherInfo:
-    """Closed-form Fisher information of one state, one derivative axis at a time.
+    """Fisher information and its root of one state, from one QR of its block.
 
-    Every form sums over the elements the region's cover keeps: the masked
-    entries outside it are zero and add nothing but rounding steps.
+    The block is point_block's, the probe projections are x.dot of its rows,
+    and J = [h, hd] C is factored as crb.fim factors each point of a stack.
     """
-    if noise_power <= 0:
-        raise ValueError(f"noise power must be positive, got {noise_power}")
-    if slot_len < 1:
-        raise ValueError(f"slot length must be >= 1, got {slot_len}")
-    kept = vr_cover(er_nominal.vr, geom.n_elements) == 1.0
-    h = channel(geom, er_nominal)
-    if not np.any(h):
+    block = point_block(geom, er_nominal)
+    if not block[0].any():
         raise DegenerateChannelError("nominal channel is identically zero")
-    x = np.asarray(probe, dtype=complex)
-    if x.shape != h.shape:
-        raise ValueError(f"probe shape {x.shape} does not match channel shape {h.shape}")
-    h, x = h[kept], x[kept]
-    derivs = [
-        channel_derivative(geom, er_nominal.position, er_nominal.vr, ax)[kept]
-        for ax in ("x", "y", "z")
-    ]
+    x = np.asarray(probe, dtype=complex)[vr_cover(er_nominal.vr, geom.n_elements) == 1.0]
+    xh, *xd = (x.dot(row) for row in block)
     b = er_nominal.reflection
-    xh = x @ h
-    xd = [x @ d for d in derivs]
-
-    hh = np.vdot(h, h).real
-    hsh = np.conj(xh) * xh
-    mat = np.zeros((5, 5))
-    for i in range(3):
-        for j in range(i, 3):
-            g_uv = abs(b) ** 2 * (
-                np.vdot(derivs[i], derivs[j]) * hsh
-                + np.vdot(derivs[i], h) * np.conj(xh) * xd[j]
-                + np.vdot(h, derivs[j]) * np.conj(xd[i]) * xh
-                + hh * np.conj(xd[i]) * xd[j]
-            )
-            mat[i, j] = mat[j, i] = g_uv.real
-    for i in range(3):
-        g_ub = (
-            np.vdot(derivs[i], h) * np.conj(b) * hsh
-            + hh * np.conj(b) * np.conj(xd[i]) * xh
-        )
-        mat[i, 3] = mat[3, i] = g_ub.real
-        mat[i, 4] = mat[4, i] = -g_ub.imag
-    g_bb = hh * hsh
-    mat[3, 3] = mat[4, 4] = g_bb.real
-    mat[3, 4] = mat[4, 3] = -g_bb.imag
-    mat *= 2.0 / noise_power
-
-    scale = np.abs(mat).max()
-    if scale > 0 and np.linalg.eigvalsh(mat).min() < -1e-8 * scale:
-        raise SingularFimError("Fisher information lost positive semidefiniteness")
+    coeff = np.array(
+        [
+            [b * v for v in xd] + [xh, 1j * xh],
+            [b * xh, 0, 0, 0, 0],
+            [0, b * xh, 0, 0, 0],
+            [0, 0, b * xh, 0, 0],
+        ]
+    )
+    product = np.linalg.qr(block.T, mode="r") @ coeff
+    k = np.zeros((8, 5))
+    k[: len(product)] = product.real
+    k[4 : 4 + len(product)] = product.imag
+    norms = np.linalg.norm(k, axis=0)
+    unit = np.linalg.qr(k / norms, mode="r")
+    mat = (k.T @ k) * (2.0 / noise_power)
     mat.setflags(write=False)
-    return FisherInfo(base_matrix=mat, tau=int(slot_len))
+    root = (unit, norms * math.sqrt(2.0 / noise_power))
+    return FisherInfo(base_matrix=mat, tau=int(slot_len), root=root)
 
 
 def crb_per_point(info: FisherInfo) -> CrbReport:
-    """Position CRB of one 5 x 5 Fisher information, equilibrated as crb_position does."""
-    base = info.base_matrix
-    diag = np.diag(base).copy()
-    if np.any(diag <= 0) or not np.all(np.isfinite(base)):
+    """Position CRB of one root (unit, scale): row norms of unit^-1 over scale."""
+    unit, scale = info.root
+    if np.any(scale <= 0):
         raise SingularFimError("Fisher information has a nonpositive diagonal entry")
-    scale = 1.0 / np.sqrt(diag)
-    balanced = base * scale[:, None] * scale[None, :]
-    cond = np.linalg.cond(balanced)
+    cond = np.linalg.cond(unit) ** 2
     if not np.isfinite(cond) or cond >= 1e12:
         raise SingularFimError(
             f"equilibrated Fisher information condition number {cond:.3e} exceeds 1e+12"
         )
-    cov = np.linalg.inv(balanced) * scale[:, None] * scale[None, :] / info.tau
-    per_axis = (float(cov[0, 0]), float(cov[1, 1]), float(cov[2, 2]))
+    rows = np.linalg.inv(unit)[:3]
+    per_axis = (rows * rows).sum(axis=1) / (scale[:3] * scale[:3]) / info.tau
+    per_axis = tuple(float(v) for v in per_axis)
     return CrbReport(crb_total=float(sum(per_axis)), per_axis=per_axis, tau=info.tau)
 
 

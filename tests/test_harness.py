@@ -326,16 +326,18 @@ class TestPlan:
     def test_a_budget_agrees_with_its_own_probe_within_the_conditioning(self, cfg, p_max):
         """The scaled plan against lattice_crb at the budget's own probe.
 
-        Both routes equilibrate the same matrix up to rounding: each entry of
-        the unit-diagonal matrix B differs by a few units of roundoff u
-        between them, and each inverts B by LU. To first order a change dB
-        moves diagonal entry i of inv(B) by v^T dB v with v = inv(B) e_i, and
-        |v|^2 <= |inv(B)| inv(B)_ii, so by at most |inv(B)| |dB| relative, and
-        |inv(B)| = kappa / lambda_max <= kappa, as the unit diagonal makes
-        lambda_max >= 1. Allowing 20 roundings per entry of B and of its
-        inverse, over 5 rows, gives 100 kappa u per point; the position CRB
-        sums three positive diagonal entries and the worst point is a max,
-        so both keep the largest relative bound of their points.
+        Both routes factor the same blocks; only the probe sqrt(P / N) and
+        its projections x^T u round differently, which changes each column
+        of K by a few units of roundoff u of its norm, and the columnwise
+        backward stable QR adds as much. A CRB depends on K only through
+        F = K^T K = D U^T U D: to first order a change dK moves (F^-1)_ii by
+        2 w^T Q^T dK D^-1 U^-1 w with w = U^-T D^-1 e_i, so by at most
+        2 |dK D^-1| |U^-1| relative, and |U^-1| <= cond(U) as U's columns
+        have unit norm. A columnwise change of delta gives |dK D^-1| <=
+        sqrt(5) delta; allowing 20 roundings gives 100 cond(U) u per point
+        (0.04 cond(U) u measured at 16x16). The position CRB sums three
+        positive terms and the worst point is a max, so both keep the
+        largest relative bound of their points.
         """
         geom = build_upa(cfg.array.n_y, cfg.array.n_z, cfg.array.carrier_freq)
         scaled = plan(replace(cfg, p_max=p_max))
@@ -348,10 +350,8 @@ class TestPlan:
             )[0]
             state = ErState(np.asarray(spec.prior_position), lattice.region, abs(spec.reflection))
             offsets = [(-d, 0.0, d) for d in spec.error_bounds]
-            base = fim(geom, state, unit_probe, 1, cfg.noise_power, offsets=offsets).base_matrix
-            scale = 1.0 / np.sqrt(np.diagonal(base, axis1=1, axis2=2))
-            kappa = np.linalg.cond(base * scale[:, :, None] * scale[:, None, :])
-            bound = 100 * u * kappa
+            unit, _ = fim(geom, state, unit_probe, 1, cfg.noise_power, offsets=offsets).root
+            bound = 100 * u * np.linalg.cond(unit)
             assert abs(lattice.nominal - direct.nominal) <= bound[13] * direct.nominal
             assert abs(lattice.worst - direct.worst) <= bound.max() * direct.worst
 
@@ -1438,10 +1438,12 @@ class TestCli:
         assert re.search(r"gamma_m2=.* tau_star=\d+ block_len=200", out)
 
     def test_crb_on_the_built_in_scenario_is_unchanged(self, capsys):
+        # Every printed digit agrees with a 60-digit CRB of the same
+        # double-precision blocks (tests/test_crb.py).
         assert main(["crb"]) == 0
         assert capsys.readouterr().out == (
-            "er1: crb1_nominal_m2=3.410932020671e-01 crb1_worst_m2=1.222918053937e+02 vr=[1,256]\n"
-            "er2: crb1_nominal_m2=8.689404966254e+00 crb1_worst_m2=1.272909146697e+05 vr=[1,256]\n"
+            "er1: crb1_nominal_m2=3.410922615622e-01 crb1_worst_m2=1.222917566626e+02 vr=[1,256]\n"
+            "er2: crb1_nominal_m2=8.689423236706e+00 crb1_worst_m2=1.272907349654e+05 vr=[1,256]\n"
             "gamma_m2=4.000000000000e+04 tau_star=4 block_len=200\n"
         )
 

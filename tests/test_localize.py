@@ -409,6 +409,33 @@ def test_both_routes_pick_the_same_seed_at_a_1e30_carrier(monkeypatch):
             _assert_same_probe(seed, at)
 
 
+@pytest.mark.parametrize("carrier", [1e20, 1e22, 1e24])
+def test_the_table_bound_covers_the_exact_probes_at_extreme_carriers(carrier):
+    # A float64 distance rounds the phase by about 2^-52 t turns, which grows
+    # with the carrier: at 1e22 Hz, t reaches 1e14 wavelengths. The table's
+    # bound carries that term, so its dq covers the exact probes' q and the
+    # table route picks the direct route's seed.
+    geom = build_upa(16, 16, carrier)
+    rng = np.random.default_rng(round(math.log10(carrier)))
+    for _ in range(10):
+        center = rng.uniform([0.5, -1.0, -1.0], [3.0, 1.0, 1.0])
+        half = rng.uniform(0.02, 0.3, size=3)
+        start = int(rng.integers(1, 200))
+        vr = VisibilityRegion(start, start + int(rng.integers(20, 57)))
+        y_bar = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+        y, rows, grid = _seed_inputs(y_bar, vr, (center - half, center + half))
+        lattice = np.stack(np.meshgrid(*grid, indexing="ij")).reshape(3, -1)
+        exact = np.array([p.q for p in localize._probes(geom, y, rows, lattice)])
+        localize.clear_seed_tables()
+        for route in ("direct", "table"):
+            q, dq = localize.prefilter_scores(geom, y, rows, grid)
+            assert np.all(np.abs(q - exact) <= dq), route
+        assert _table(geom, grid) is not None
+        localize.clear_seed_tables()
+        direct, table = (localize.lattice_seed(geom, y, rows, grid)[0] for _ in range(2))
+        _assert_same_probe(table, direct)
+
+
 @st.composite
 def _seed_problems(draw):
     seed = draw(st.integers(0, 2**32 - 1))
