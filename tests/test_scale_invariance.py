@@ -94,7 +94,7 @@ def test_the_plan_scales_with_the_reflection_and_the_noise(side):
 
 @pytest.mark.parametrize("side", [16, 32, 48])
 def test_doubling_the_noise_doubles_the_plan_up_to_the_scale_roundings(side):
-    """sigma^2 times 2 multiplies the plan's CRBs by 2 within 14 u.
+    """sigma^2 times 2 multiplies the plan's CRBs by 2 within 20 u.
 
     A CRB read from a root (unit U, scale S) moves by up to about
     2 sqrt(5) cond(U) delta relative when U's columns move by delta (the
@@ -105,8 +105,10 @@ def test_doubling_the_noise_doubles_the_plan_up_to_the_scale_roundings(side):
     and 1 / sigma^2 round once and their square roots once more, 1.5 u
     each, and the product with the column norm once, so each S is within
     2.5 u; its square, rounded, within 6 u, and the quotient within 7 u.
-    Two plans give 14 u. Measured worst: 3.6 u; the normal-equation route
-    erred by 8.3e-6 at 16x16.
+    lattice_crb's (x + y) + z sum of positive terms rounds twice, 9 u, and
+    the plan's division by the budget once more, 10 u per plan. Two plans
+    give 20 u. Measured worst: 3.6 u; the normal-equation route erred by
+    8.3e-6 at 16x16.
     """
     base = ScenarioConfig()
     base = replace(base, array=replace(base.array, n_y=side, n_z=side))
@@ -115,4 +117,4 @@ def test_doubling_the_noise_doubles_the_plan_up_to_the_scale_roundings(side):
     for reference, dimmer in zip(harness.plan(base), harness.plan(noisier)):
         for field in ("nominal", "worst"):
             crb = getattr(reference, field)
-            assert abs(getattr(dimmer, field) - 2.0 * crb) <= 14 * u * 2.0 * crb
+            assert abs(getattr(dimmer, field) - 2.0 * crb) <= 20 * u * 2.0 * crb
