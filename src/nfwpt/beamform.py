@@ -91,7 +91,7 @@ def solve_energy_covariance(weighted: WeightedChannels, p_max: float) -> Beamfor
     checked against 1e-10 times max(lambda, max_ij |A_ij|). A zero matrix
     falls back to the first standard basis direction with zero objective.
     """
-    if p_max <= 0:
+    if not p_max > 0:
         raise ValueError(f"power budget must be positive, got {p_max}")
     if not isinstance(weighted, WeightedChannels):
         raise TypeError(
@@ -148,9 +148,9 @@ def average_harvested_power(
     Charging runs for block_len - n_ers * tau of the block_len symbols; the
     tau = 0 case (no sensing, full block) is allowed.
     """
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError(f"slot length must be nonnegative, got {tau}")
-    if n_ers < 1 or block_len < 1:
+    if not (n_ers >= 1 and block_len >= 1):
         raise ValueError("receiver count and block length must be positive")
     if n_ers * tau >= block_len:
         raise InfeasibleBlockError(

@@ -92,7 +92,8 @@ def _report_crb(cfg: ScenarioConfig) -> None:
     print(f"gamma_m2={cfg.gamma:.12e} tau_star={tau} block_len={cfg.block_len}")
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
+    """The CLI's parser, one subparser per command."""
     parser = argparse.ArgumentParser(
         prog="nfwpt",
         description="Two-stage sensing-assisted near-field power transfer simulator",
@@ -130,8 +131,11 @@ def main(argv=None) -> int:
     # The plan reads neither the seed nor the trial budget, and crb writes no CSV.
     _add_scenario(p_crb)
     p_crb.set_defaults(seed=None, trials=None)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     # Each command builds, plans and tabulates its seeds from scratch, as in a
     # fresh process, so what one command costs does not depend on the
     # commands run before it in the same interpreter. Scenes and sensing are

@@ -133,9 +133,9 @@ def fim(
     normal float. Only inputs at the edge of the float range fail these
     checks.
     """
-    if noise_power <= 0:
+    if not noise_power > 0:
         raise ValueError(f"noise power must be positive, got {noise_power}")
-    if slot_len < 1:
+    if not slot_len >= 1:
         raise ValueError(f"slot length must be >= 1, got {slot_len}")
     n = geom.n_elements
     x = np.asarray(probe, dtype=complex)
@@ -227,11 +227,11 @@ def fim_finite_difference(
     region. Kept independent of fim() so the two routes can arbitrate each
     other.
     """
-    if noise_power <= 0:
+    if not noise_power > 0:
         raise ValueError(f"noise power must be positive, got {noise_power}")
-    if slot_len < 1:
+    if not slot_len >= 1:
         raise ValueError(f"slot length must be >= 1, got {slot_len}")
-    if step <= 0:
+    if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
     x = np.asarray(probe, dtype=complex)
     n = geom.n_elements
@@ -409,9 +409,9 @@ def min_sensing_duration(crbs, gamma: float, block_len: int) -> int:
     """
     if not crbs:
         raise ValueError("at least one receiver CRB is required")
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError(f"accuracy target must be positive, got {gamma}")
-    if block_len < 1:
+    if not block_len >= 1:
         raise ValueError(f"block length must be >= 1, got {block_len}")
     need = max(c.worst for c in crbs) / gamma
     # From need >= block_len on, the slot alone fills the block. ceil is not

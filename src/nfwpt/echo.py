@@ -18,7 +18,7 @@ import numpy as np
 
 def uniform_probe(geom, p_max: float) -> np.ndarray:
     """Constant probe that splits the power budget evenly over the elements."""
-    if p_max <= 0:
+    if not p_max > 0:
         raise ValueError(f"probe power must be positive, got {p_max}")
     return np.full(geom.n_elements, np.sqrt(p_max / geom.n_elements), dtype=complex)
 
@@ -44,9 +44,9 @@ def simulate_echo(
     probe = np.asarray(probe, dtype=complex)
     if h.shape != probe.shape or h.ndim != 1:
         raise ValueError(f"channel {h.shape} and probe {probe.shape} must be equal-length vectors")
-    if slot_len < 1:
+    if not slot_len >= 1:
         raise ValueError(f"slot length must be >= 1, got {slot_len}")
-    if noise_power < 0:
+    if not noise_power >= 0:
         raise ValueError(f"noise power must be nonnegative, got {noise_power}")
     signal = complex(b) * h * (h @ probe)
     if noise_power > 0:

@@ -47,12 +47,12 @@ def build_upa(
     """
     if n_y < 1 or n_z < 1:
         raise ValueError(f"array dimensions must be positive, got {n_y}x{n_z}")
-    if carrier_freq <= 0:
+    if not carrier_freq > 0:
         raise ValueError(f"carrier frequency must be positive, got {carrier_freq}")
     wavelength = SPEED_OF_LIGHT / carrier_freq
     if spacing is None:
         spacing = wavelength / 2.0
-    elif spacing <= 0:
+    elif not spacing > 0:
         raise ValueError(f"element spacing must be positive, got {spacing}")
 
     y = (np.arange(n_y) - (n_y - 1) / 2.0) * spacing

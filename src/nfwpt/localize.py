@@ -13,55 +13,47 @@ The search has three parts.
 
 - A coarse lattice over the prior uncertainty box picks the seed: the
   lattice point with the highest q, the first one in lattice order on a tie.
-  A prefilter scores every point cheaply, one x-plane at a time in buffers
-  reused across planes. It works in wavelength units: with the coordinates
-  scaled by 1 / lambda once, a distance t_n = d_n / lambda is the phase in
-  turns, and 1 / t_n the amplitude up to the factor lambda / 4 pi, which
-  cancels from q. One kernel, _phasor_planes, forms the phasors in the
-  precision of the route that asks, and its distance stage follows that
-  precision; cos and sin are taken in float32 on both.
-  - The direct route serves a box's first use in a command, and with it
-    every locate of a command that locates each box once. It forms the
-    phasors of the region's elements in float32, from the distances to the
-    energy sums. A float32 t would hold the phase to only about
-    2^-24 t turns, so the float32 stage measures each distance from the
-    point's distance T to the region's center, t - T = N / (t + T) with
-    N = t^2 - T^2 formed from per-axis terms; the row-wide phase 2 pi T
-    cancels from q. The error then grows with the region's radius, not with
-    t. Where its bound says nothing, as at a 1e30 Hz carrier, or a float32
-    value could leave its normal range, the route scores no point and every
-    point survives. A lattice point on an element of the region is found
-    exactly, from its float64 squared offsets, and raises.
-  - The table route serves a box from its second use on. The box, prior
-    +- 2 D, and the array stay fixed for a whole command, and so do its
-    phasors; only the echo and the region change. The first use of a
-    (geometry, lattice) pair only records it in a small memo; the second
-    builds the box's seed table from the float64 stage, which reduces the
-    phase exactly to 2 pi (t - floor t) and rounds it to float32: the
-    phasors of every lattice point over the full aperture, each row divided
-    by its largest amplitude and stored as complex64. A call then takes one
-    float32 product of the table's region columns with the echo, divided by
-    its largest entry and rounded to complex64, and one float32 energy sum
-    over the same columns. The table's phases keep the float64 reduction,
-    since a table is read many times and its tight bound keeps about one
-    survivor. A box with a lattice point on any element gets no table and
-    stays on the direct route, so the singularity check stays exact for the
-    region.
+  A prefilter scores every point cheaply, one x-plane at a time. It works in
+  wavelength units: with the coordinates scaled by 1 / lambda once, a
+  distance t_n = d_n / lambda is the phase in turns, and 1 / t_n the
+  amplitude up to the factor lambda / 4 pi, which cancels from q. One
+  float32 stage, _phasor_planes, forms the phasors of a set of elements. A
+  float32 t would hold the phase to only about 2^-24 t turns, so the stage
+  measures each distance from the point's distance T to the elements'
+  center, t - T = N / (t + T) with N = t^2 - T^2 formed from per-axis terms;
+  the row-wide phase 2 pi T cancels from q on any subset of the columns, and
+  the error grows with the elements' radius, not with t. One scorer,
+  _scores, takes one float32 product of the phasors with the echo and one
+  float32 energy sum, and combines them in float64. The phasor rows come
+  from one of two places:
+  - a box's first use in a command, and with it every locate of a command
+    that locates each box once, forms them now, on the region's elements;
+  - from a box's second use on, they are read from the box's seed table, on
+    the region's columns. The box, prior +- 2 D, and the array stay fixed
+    for a whole command, and so do its phasors; only the echo and the
+    region change. The first use of a (geometry, lattice) pair only records
+    it in a small memo; the second stores the stage's phasors of every
+    lattice point over the full aperture, as they come.
   If rho bounds the error of each phasor, then |s~ - s| <= rho sqrt(e)
   ||y_bar||, which bounds the prefilter score q~ within
-  dq = rho ||y_bar|| (2 sqrt(q~) + rho ||y_bar||) of q; each route's rho
-  adds its roundings and float32 sums (_table_error, _direct_error). Only
-  points with q~ + dq >= max(q~ - dq) can hold the maximum. Each of them is
-  probed exactly, in lattice order, by the same double-precision kernel as
-  every other candidate, and the first maximum among them is the seed,
-  whichever route scored the lattice. The kernel scores a batch of points
-  at once with the bits each has alone: one distance and response
-  computation over the batch (channel.point_distances), and np.vecdot for
-  each point's own dot products, which match np.vdot on that row bit for
-  bit (a test in tests/test_channel.py guards this). The survivors go
-  through it in batches of about _BUILD_BYTES, and the ray samples below
-  in one batch; the ascent's steps, each depending on the last, stay one
-  at a time.
+  dq = rho ||y_bar|| (2 sqrt(q~) + rho ||y_bar||) of q; rho adds the
+  scorer's float32 sums to the stage's error over the elements the phasors
+  were formed on (_phasor_error), so a table's bound, over the full
+  aperture, is a little wider than a first locate's. Where that bound says
+  nothing, as at a 1e30 Hz carrier, or a float32 value could leave its
+  normal range, no point is scored and every point survives, and a box gets
+  no table. A lattice point on an element of the region is found exactly,
+  from its float64 squared offsets, and raises. Only points with
+  q~ + dq >= max(q~ - dq) can hold the maximum. Each of them is probed
+  exactly, in lattice order, by the same double-precision kernel as every
+  other candidate, and the first maximum among them is the seed, wherever
+  the phasors came from. The kernel scores a batch of points at once with
+  the bits each has alone: one distance and response computation over the
+  batch (channel.point_distances), and np.vecdot for each point's own dot
+  products, which match np.vdot on that row bit for bit (a test in
+  tests/test_channel.py guards this). The survivors go through it in
+  batches of about _BUILD_BYTES, and the ray samples below in one batch;
+  the ascent's steps, each depending on the last, stay one at a time.
 - A bound-constrained Levenberg-Marquardt ascent climbs from it. With
   s = h^H y_bar and e = ||h||^2, the analytic first and second derivatives of
   h give the gradient g and the Hessian H of q in closed form; for example
@@ -81,9 +73,10 @@ The search has three parts.
   Hessian rows that share one set of radial rows (u_n - u) / d_n; g, H, M
   and the step, one to three unknowns, are Python floats. The step is
   solved in closed form: a Cholesky factor L of the damped block, then
-  forward and back substitution. Where a pivot is not positive the factor does not exist, and
-  there is no step. Python float arithmetic raises where numpy would return
-  inf or nan, and such an error ends the search in a ValueError.
+  forward and back substitution. Where a pivot is not positive the factor
+  does not exist, and there is no step. Python float arithmetic raises
+  where numpy would return inf or nan, and such an error ends the search in
+  a ValueError.
 - The objective is sharply peaked across the ray from the visibility region
   toward the estimate but nearly flat along it (the range direction), and
   along that ray it can have a second, higher maximum at the far side of the
@@ -122,50 +115,18 @@ _MAX_ITERS = 50
 
 # Bound rho on the prefilter's error, in the sense that the score q~ of each
 # lattice point lies within dq = rho ||y|| (2 sqrt(q~) + rho ||y||) of q.
-# Below, u = 2^-24, M is the region's elements and t a distance in
-# wavelengths.
+# Below, u = 2^-24, t is a distance in wavelengths, E the elements the
+# phasors were formed on (the region's on a first locate, the full aperture
+# in a seed table) and M the region's elements, the columns a call scores.
 #
-# The table route's phasors come from the float64 stage, _plane_turns.
-# Against the exact probes' exp(-j 2 pi d / lambda), one of them is off by
-# |p~ - p| <= (rho0 + e64) |p|. The wavelength-unit distance t, here and in
-# the exact probes, comes from coordinates each scaled by 1 / lambda with one
-# rounding, so it carries a relative error of a few float64 ulps: e64 is the
-# direct route's float64 term below over the full aperture: 3e-12 rad for
-# the built-in boxes at 28 GHz, 1e-2 at 1e20 Hz, and from about 3e21 Hz on
-# it makes rho >= 1, which keeps every point. The reduction t - floor t adds
-# none. Rounding the reduced phase to float32 on [0, 2 pi) moves it by at
-# most 2^-22, about 2.4e-7 rad; float32 cos and sin are each within a few
-# float32 ulps, 6e-8 near 1. Together that is below rho0 = 5e-7 (3.0e-7
-# measured); the
-# amplitude 1 / t is off by a few float64 ulps. _PHASOR_ERROR keeps a margin
-# of 20 over rho0, and e64 takes the direct route's margin.
-_PHASOR_ERROR = 1e-5
-#
-# The table route adds:
-# - the complex64 rounding of each table entry, u of its modulus, and of each
-#   scaled echo entry, u of its modulus (an entry below the normal float32
-#   range adds at most 2^-149 per part, against an echo norm of at least 1);
-# - float32 accumulation: s sums M complex products, within (M + 2) u of
-#   sqrt(e) ||y||, and e sums 2M squares, within 2M u of e.
-# So, with rho0 for rho0 + e64, |s~ - s| <= (rho0 + (M + 4) u) sqrt(e) ||y||
-# and e~ = e (1 + delta) with |delta| <= 2 rho0 + (2M + 2) u. Since
-# sqrt(q) <= ||y||, the energy moves sqrt(q~) by at most |delta| / 2 ||y||,
-# and in all sqrt(q~) lies within (2 rho0 + (2M + 5) u) ||y|| of sqrt(q).
-# The table's rho, _PHASOR_ERROR + 2 _DIRECT_MARGIN e64 + (M + 4) 2^-23,
-# covers that. The row and echo scales are divided out in float64, a relative
-# 2^-53 each, and the row scales cancel from q. The bound needs every entry's
-# square in the normal float32 range: a box whose scaled amplitudes reach
-# down to _TABLE_FLOOR gets no table.
-_TABLE_FLOOR = 2.0**-60
-#
-# The direct route runs the float32 stage, _plane_offsets, whose phase is
-# 2 pi r with r = t - T = N / (t + T) (its docstring). A float32 t would
-# hold the phase to only about 2 pi u t, 2e-4 rad at 600 wavelengths, and a
-# bound that wide keeps many more points; r is held to about u A instead,
-# where A is the region's radius about its center. With R the largest and
-# t_lo a lower bound on the smallest distance (the nearest lattice point's
-# distance to the center less A) and g = (R + A) / t_lo >= (T + f) / t for
-# every element at f <= A from the center, first order in u:
+# The stage, _phasor_planes, has the phase 2 pi r with r = t - T =
+# N / (t + T) (its docstring). A float32 t would hold the phase to only
+# about 2 pi u t, 2e-4 rad at 600 wavelengths, and a bound that wide keeps
+# many more points; r is held to about u A instead, where A is E's radius
+# about its center. With R the largest and t_lo a lower bound on the
+# smallest distance (the nearest lattice point's distance to the center less
+# A) and g = (R + A) / t_lo >= (T + f) / t for every element at f <= A from
+# the center, first order in u:
 # - N is the float32 sum of its (y, z) and x terms, each formed in float64
 #   and rounded once, so within 2u (f^2 + 2 T f); t^2 = N + T^2 within
 #   3u (T + f)^2, so t within (1.5 g^2 + 1) u t and the amplitude 1 / t
@@ -175,27 +136,47 @@ _TABLE_FLOOR = 2.0**-60
 # - float32 cos and sin are within 1.5 float32 ulps, 3u each, and their
 #   products with the amplitude add u each: 7.75 u with the amplitude's 2u;
 # - the float64 steps on both sides, here and in the exact probes, move the
-#   phase by at most 2 pi 2^-50 (R + A + |center|).
-# That sum, rho1, bounds |p~ - p| / |p|, and (1.5 g^2 + 2) u of it bounds the
-# amplitude alone. The energy sums M float32 squares, so with the table
-# route's terms sqrt(q~) lies within (2 rho1 + (M + 4) 2^-23) ||y|| of
-# sqrt(q). _direct_error returns that rho with a margin of _DIRECT_MARGIN
-# over 2 rho1 (at 32x32 about 2e-4, where a float32 t would need 1e-3 and
-# more). An entry below the normal float32 range adds at most 2^-149, which
-# the bound needs no term for while every t lies in [_F32_FLOOR, 2^50]: so
-# where t_lo is below _F32_FLOOR, or rho is 1 or more, or a score is not
-# finite, the route scores no point. Any rho >= 1 then holds for q~ = 0,
-# since q <= ||y||^2; _NO_BOUND keeps a margin over it.
-_DIRECT_MARGIN = 2.0
+#   phase by at most 2 pi 2^-50 (R + A + |center|): 3e-12 rad for the
+#   built-in boxes at 28 GHz, 1e-2 at 1e20 Hz.
+# That sum, rho1, bounds |p~ - p| / |p| for each phasor p~ of E, with p the
+# exact probes' phasor times the row-wide exp(j 2 pi T), which cancels from
+# q on any subset of E's columns. So a seed table serves every region by
+# its columns, with rho1 over the full aperture, and adds no rounding of its
+# own: it stores the stage's float32 values as they come.
+#
+# The scorer, _scores, adds on the M columns:
+# - the echo divided by its largest |entry| and rounded to float32, within
+#   u |y_n| per entry;
+# - the product, four float32 dots of M terms, each within M u of the sum of
+#   its terms' moduli, combined into s in float64: within 1.5 M u of
+#   sqrt(e) ||y||;
+# - the energy, two float32 sums of M squares, within M u of sum |p~|^2,
+#   which is within 2 rho1 of e.
+# So |s~ - s| <= (rho1 + (1.5 M + 1) u) sqrt(e) ||y|| and e~ = e (1 + delta)
+# with |delta| <= 2 rho1 + M u. Since sqrt(q) <= ||y||, the energy moves
+# sqrt(q~) by at most |delta| / 2 ||y||, and in all sqrt(q~) lies within
+# (2 rho1 + (2M + 1) u) ||y|| of sqrt(q). rho, _phasor_error plus
+# _sum_error, covers that with a margin of _MARGIN over 2 rho1 and
+# (M + 4) 2^-23 for the sums; the float64 steps of the scorer add a few
+# 2^-53. At 32x32 rho is about 2e-4 on a first locate, where a float32 t
+# would need 1e-3 and more.
+#
+# An entry below the normal float32 range adds at most 2^-149, which the
+# bound needs no term for while every t lies in [_F32_FLOOR, 2^50]: so
+# where t_lo is below _F32_FLOOR, as for a lattice point on an element of
+# E, or rho is 1 or more, or a score is not finite, no point is scored. Any
+# rho >= 1 then holds for q~ = 0, since q <= ||y||^2; _NO_BOUND keeps a
+# margin over it. The rho of a box over the full aperture and all its
+# columns bounds every region's, so a box where that rho is 1 or more, from
+# about 3e21 Hz on for the built-in boxes, gets no table.
+_MARGIN = 2.0
 _F32_FLOOR = 2.0**-40
 _NO_BOUND = 4.0
 
 
-def _table_error(m: int, span: float) -> float:
-    """rho of the table route over an m-element region of a box of the given
-    span (_extent) over the full aperture."""
-    e64 = 2.0 * math.pi * 2.0**-50 * span
-    return _PHASOR_ERROR + _DIRECT_MARGIN * 2.0 * e64 + (m + 4) * 2.0**-23
+def _sum_error(m: int) -> float:
+    """rho's term for the scorer's float32 sums over m columns."""
+    return (m + 4) * 2.0**-23
 
 
 # The seed-table memo: at most _TABLES_MAX boxes, the last used at the end,
@@ -209,13 +190,13 @@ _BUILD_BYTES = 2**18
 @dataclass
 class _TableEntry:
     """A box the memo has seen: its geometry, which keeps the key's id its
-    own, and, once built, its table (None where the box gets none) and its
-    span over the full aperture (_extent)."""
+    own, and, once built, its table (None where the box gets none) and the
+    table's _phasor_error over the full aperture."""
 
     geom: UpaGeometry
     built: bool = False
     table: np.ndarray | None = None
-    span: float = math.inf
+    rho: float = math.inf
 
 
 _tables: OrderedDict[tuple, _TableEntry] = OrderedDict()
@@ -235,8 +216,9 @@ class LocalizationResult:
     objective is concentrated_objective at the estimate. iterations counts
     linearizations of the ascent (gradient and Hessian evaluations);
     evaluations counts the candidates the search scored: lattice points, the
-    prefilter survivors probed exactly, ascent trials and ray samples. converged means the search stopped at a
-    stationary point that no ray sample beats, not at the iteration cap.
+    prefilter survivors probed exactly, ascent trials and ray samples.
+    converged means the search stopped at a stationary point that no ray
+    sample beats, not at the iteration cap.
     """
 
     position_hat: np.ndarray
@@ -407,84 +389,54 @@ def _cholesky_solve(a, b):
     return x
 
 
-def _phasor_planes(geom: UpaGeometry, rows: slice, grid, dtype=np.float64):
-    """The prefilter's phasors for the elements in rows, one x-plane of the
-    lattice at a time, in dtype (module docstring).
+def _phasor_planes(elems: np.ndarray, axes):
+    """The prefilter's float32 phasors of the elements elems over the lattice
+    axes, both in wavelengths, one x-plane at a time (module docstring).
 
-    Yields, for each x in lattice order, amp, the (points of the plane,
-    elements) amplitudes, and parts, amp cos(phase) stacked over
-    amp sin(phase); the phase, rounded to float32, comes from the distance
-    stage of the precision, _plane_turns or _plane_offsets. The buffers are
-    reused: each plane overwrites the last.
-    """
-    # In wavelength units a distance t is the phase in turns, and 1 / t is the
-    # amplitude up to the factor lambda / 4 pi, which cancels from q.
-    elems = geom.coords[:, rows] / geom.wavelength
-    axes = [np.asarray(g, dtype=float) / geom.wavelength for g in grid]
-    count = axes[1].size * axes[2].size
-    amp = np.empty((count, elems.shape[1]), dtype)
-    phase = np.empty(amp.shape, dtype=np.float32)
-    parts = np.empty((2 * count, elems.shape[1]), dtype)
-    cos, sin = parts[:count], parts[count:]
-    stage = _plane_turns if dtype == np.float64 else _plane_offsets
-    # The sin half is the stage's spare buffer until the sines overwrite it.
-    for _ in stage(elems, axes, amp, phase, sin):
-        np.cos(phase, out=cos)
-        cos *= amp
-        np.sin(phase, out=sin)
-        sin *= amp
-        yield amp, parts
-
-
-def _plane_turns(elems, axes, amp, phase, spare):
-    """The float64 distance stage: per plane, amp = 1 / t and the phase
-    2 pi (t - floor t). A point on an element makes its amp infinite; the
-    caller sets the error state, since only it knows what that means."""
-    xs, ys, zs = axes
-    dx = np.subtract.outer(xs, elems[0])
-    dx *= dx
-    dy = np.subtract.outer(ys, elems[1])
-    dy *= dy
-    dz = np.subtract.outer(zs, elems[2])
-    dz *= dz
-    # The squared y and z offsets are the same on every x-plane.
-    yz = (dy[:, None, :] + dz[None, :, :]).reshape(amp.shape)
-    for plane in dx:
-        turns = np.add(yz, plane, out=spare)
-        np.sqrt(turns, out=turns)
-        np.subtract(turns, np.floor(turns, out=amp), out=amp)
-        np.multiply(amp, 2.0 * np.pi, out=phase)
-        np.reciprocal(turns, out=amp)
-        yield
-
-
-def _plane_offsets(elems, axes, amp, phase, spare):
-    """The float32 distance stage: per plane, amp = 1 / t and the phase
-    2 pi (t - T), T the point's distance to the region's center.
-
+    Yields, for each x in lattice order, the plane as a (1, 2 points of the
+    plane, elements) block: amp cos(phase) stacked over amp sin(phase), with
+    amp = 1 / t and the phase 2 pi (t - T), T the point's distance to the
+    elements' center.
     With P = point - center and F = element - center, t^2 = T^2 + N and
     t - T = N / (t + T), where N = |F|^2 - 2 P.F. N is the sum of a (y, z)
     term, formed once per call, and an x term, formed once per plane; each
-    is formed in float64 and rounded to float32 once, and so is T^2.
+    is formed in float64 and rounded to float32 once, and so is T^2. The
+    buffers are reused: each plane overwrites the last.
     """
     _, offsets, (xs, ys, zs) = _region_frame(elems, axes)
+    count = ys.size * zs.size
     cross = np.empty((ys.size, zs.size, offsets.shape[1]), dtype=np.float32)
     y_terms = -2.0 * np.multiply.outer(ys, offsets[1])
     z_terms = -2.0 * np.multiply.outer(zs, offsets[2])
     np.add(y_terms[:, None, :], z_terms[None, :, :], out=cross)
-    cross = cross.reshape(amp.shape)
+    cross = cross.reshape(count, -1)
     near = np.einsum("ij,ij->j", offsets, offsets) - 2.0 * np.multiply.outer(xs, offsets[0])
     yz = (ys[:, None] * ys[:, None] + zs * zs).reshape(-1, 1)
+    amp = np.empty(cross.shape, dtype=np.float32)
+    phase = np.empty(cross.shape, dtype=np.float32)
+    parts = np.empty((1, 2 * count, cross.shape[1]), dtype=np.float32)
+    cos, sin = parts[0, :count], parts[0, count:]
     for x, term in zip(xs, near.astype(np.float32)):
         square = yz + x * x
         num = np.add(cross, term, out=phase)
         np.add(num, square.astype(np.float32), out=amp)
         np.sqrt(amp, out=amp)
-        np.add(amp, np.sqrt(square).astype(np.float32), out=spare)
-        np.divide(num, spare, out=num)
+        # The sin half holds t + T until the sines overwrite it.
+        np.add(amp, np.sqrt(square).astype(np.float32), out=sin)
+        np.divide(num, sin, out=num)
         num *= np.float32(2.0 * np.pi)
         np.reciprocal(amp, out=amp)
-        yield
+        np.cos(phase, out=cos)
+        cos *= amp
+        np.sin(phase, out=sin)
+        sin *= amp
+        yield parts
+
+
+def _wavelengths(geom: UpaGeometry, rows: slice, grid):
+    """The coordinates of the elements in rows and the lattice axes, in
+    wavelengths."""
+    return geom.coords[:, rows] / geom.wavelength, [g / geom.wavelength for g in grid]
 
 
 def _region_frame(elems: np.ndarray, axes):
@@ -494,32 +446,27 @@ def _region_frame(elems: np.ndarray, axes):
     return center, elems - center[:, None], [g - c for g, c in zip(axes, center)]
 
 
-def _extent(elems: np.ndarray, axes) -> tuple[float, float, float, float]:
-    """A, R, t_lo and the span R + A + |center| of the elements elems and
-    the lattice axes, in wavelengths (the comment above _DIRECT_MARGIN)."""
+def _phasor_error(elems: np.ndarray, axes) -> float:
+    """rho's term for the stage's phasors of the elements elems over the
+    lattice axes, both in wavelengths: _MARGIN 2 rho1 with A, R, t_lo and
+    the span R + A + |center| of the comment above _MARGIN, or inf where
+    t_lo is below _F32_FLOOR."""
     center, offsets, axes = _region_frame(elems, axes)
     radius = math.sqrt(float(np.einsum("ij,ij->j", offsets, offsets).max()))
     squares = [g * g for g in axes]
     far = math.sqrt(sum(float(s.max()) for s in squares))
     close = math.sqrt(sum(float(s.min()) for s in squares)) - radius
-    return radius, far, close, far + radius + math.hypot(*center)
-
-
-def _direct_error(elems: np.ndarray, axes) -> float:
-    """rho of the direct route over the elements elems (wavelength units),
-    or inf where t_lo is below _F32_FLOOR (the comment above _DIRECT_MARGIN)."""
-    radius, far, close, span = _extent(elems, axes)
     if not close >= _F32_FLOOR:
         return math.inf
+    span = far + radius + math.hypot(*center)
     g2 = ((far + radius) / close) ** 2
     phase = 2.0 * math.pi * (2.0**-24 * radius * (12.0 + 1.5 * g2) + 2.0**-50 * span)
-    rho1 = phase + 2.0**-24 * (1.5 * g2 + 7.75)
-    return _DIRECT_MARGIN * 2.0 * rho1 + (elems.shape[1] + 4) * 2.0**-23
+    return _MARGIN * 2.0 * (phase + 2.0**-24 * (1.5 * g2 + 7.75))
 
 
 def _on_element(elems: np.ndarray, axes) -> bool:
     """Whether a lattice point coincides with an element: all three of its
-    squared offsets are zero, as in _plane_turns' distances."""
+    float64 squared offsets are zero."""
     hit = np.ones(elems.shape[1], dtype=bool)
     for g, e in zip(axes, elems):
         offset = np.subtract.outer(g, e)
@@ -527,90 +474,56 @@ def _on_element(elems: np.ndarray, axes) -> bool:
     return bool(hit.any())
 
 
-def _direct_scores(
-    geom: UpaGeometry, y: np.ndarray, rows: slice, grid
-) -> tuple[np.ndarray, float]:
-    """q~ of every lattice point from float32 phasors formed for this call,
-    and the rho that bounds them.
+def _scores(blocks, y: np.ndarray, shape) -> np.ndarray:
+    """q~ of every lattice point of the given shape, flat in lattice order,
+    from its phasors on the columns of y.
 
-    Where the route cannot score the lattice (the comment above
-    _DIRECT_MARGIN), every point gets q~ = 0 and rho = _NO_BOUND, so every
-    point survives, unless a lattice point sits on an element of the region.
+    blocks are float32 arrays of whole x-planes in lattice order, shape
+    (planes, 2 points of a plane, columns), each plane amp cos(phase) rows
+    over amp sin(phase) rows: one plane at a time from _phasor_planes, or a
+    seed table's columns in one block, whose products BLAS still takes plane
+    by plane. The echo is divided by its largest |entry| before it is rounded
+    to float32, and the scale is restored in float64.
     """
-    elems = geom.coords[:, rows] / geom.wavelength
-    axes = [g / geom.wavelength for g in grid]
-    rho = _direct_error(elems, axes)
-    if rho < 1.0:
-        count = grid[1].size * grid[2].size
-        top = float(np.abs(y).max())
-        scale = top if top > 0.0 else 1.0
-        echo = (np.stack([y.real, y.imag], axis=1) / scale).astype(np.float32)
-        sums = np.empty((grid[0].size, 2 * count, 2), dtype=np.float32)
-        energy = np.empty((grid[0].size, count))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i, (amp, parts) in enumerate(_phasor_planes(geom, rows, grid, np.float32)):
-                np.matmul(parts, echo, out=sums[i])
-                energy[i] = np.einsum("ij,ij->i", amp, amp)
-            # s = sum_n amp_n (cos - j sin)(Re y_n - j Im y_n), combined in float64.
-            cos_y, sin_y = sums[:, :count].astype(float), sums[:, count:].astype(float)
-            re = cos_y[..., 0] - sin_y[..., 1]
-            im = cos_y[..., 1] + sin_y[..., 0]
-            q = ((re * re + im * im) / energy * scale * scale).reshape(-1)
-        if np.isfinite(q).all():
-            return q, rho
-    if _on_element(elems, axes):
-        raise SingularGeometryError("a candidate point coincides with an array element")
-    return np.zeros(math.prod(g.size for g in grid)), _NO_BOUND
-
-
-def _build_table(geom: UpaGeometry, grid) -> np.ndarray | None:
-    """The lattice's seed table over the full aperture, or None where the box
-    stays on the direct route.
-
-    Row p holds point p's phasors amp (cos + j sin) for every element, divided
-    by the row's largest amplitude and rounded to complex64. A box gets no
-    table when the table would exceed _TABLE_BYTES, or when some scaled
-    amplitude is not above _TABLE_FLOOR: a point on an element (an infinite
-    amplitude), a distance that overflows (a zero one) or a range of distances
-    so wide that an entry's square would leave the normal float32 range. The
-    kernel runs on a few y values of the lattice at a time, so that its
-    buffers stay near _BUILD_BYTES, whatever the size of the array.
-    """
-    xs, ys, zs = grid
-    n = geom.n_elements
-    if math.prod(g.size for g in grid) * n * 8 > _TABLE_BYTES:
-        return None
-    table = np.empty((xs.size, ys.size, zs.size, n), dtype=np.complex64)
-    # amp, parts and the float32 phase take 28 bytes per point and element.
-    step = max(1, _BUILD_BYTES // (28 * zs.size * n))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for j in range(0, ys.size, step):
-            planes = _phasor_planes(geom, slice(None), (xs, ys[j : j + step], zs))
-            for block, (amp, parts) in zip(table[:, j : j + step], planes):
-                top = amp.max(axis=1, keepdims=True)
-                if not (amp.min(axis=1, keepdims=True) > top * _TABLE_FLOOR).all():
-                    return None
-                rows = block.reshape(-1, n)
-                np.divide(parts[: rows.shape[0]], top, out=rows.real)
-                np.divide(parts[rows.shape[0] :], top, out=rows.imag)
-    return table.reshape(-1, n)
-
-
-def _table_scores(table: np.ndarray, y: np.ndarray, rows: slice) -> np.ndarray:
-    """q~ of every lattice point from the box's seed table.
-
-    The echo is divided by its largest |entry| before it is rounded to
-    complex64, and the scale is restored in float64; the row scales cancel
-    from q~ = |s|^2 / e.
-    """
-    start, stop, _ = rows.indices(table.shape[1])
+    count = shape[1] * shape[2]
     top = float(np.abs(y).max())
     scale = top if top > 0.0 else 1.0
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        s = (table[:, start:stop] @ (y / scale).astype(np.complex64)).astype(complex)
-        entries = table.view(np.float32)[:, 2 * start : 2 * stop]
-        energy = np.einsum("ij,ij->i", entries, entries)
-        return (s.real * s.real + s.imag * s.imag) / energy * scale * scale
+    echo = (np.stack([y.real, y.imag], axis=1) / scale).astype(np.float32)
+    sums = np.empty((shape[0], 2, count, 2), dtype=np.float32)
+    squares = np.empty((shape[0], 2, count), dtype=np.float32)
+    at = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for parts in blocks:
+            planes = slice(at, at + parts.shape[0])
+            np.matmul(parts, echo, out=sums[planes].reshape(-1, 2 * count, 2))
+            np.einsum("pij,pij->pi", parts, parts, out=squares[planes].reshape(-1, 2 * count))
+            at = planes.stop
+        sums, squares = sums.astype(float), squares.astype(float)
+        # s = sum_n amp_n (cos - j sin)(Re y_n - j Im y_n), combined in float64.
+        re = sums[:, 0, :, 0] - sums[:, 1, :, 1]
+        im = sums[:, 0, :, 1] + sums[:, 1, :, 0]
+        energy = squares[:, 0] + squares[:, 1]
+        return ((re * re + im * im) / energy * scale * scale).reshape(-1)
+
+
+def _build_table(geom: UpaGeometry, grid) -> np.ndarray:
+    """The lattice's seed table over the full aperture: the x-planes of
+    _phasor_planes over every element, as they come, shape (x values,
+    2 points of a plane, elements) in float32, 8 bytes per point and element.
+
+    The stage runs on a few y values of the lattice at a time, so that its
+    buffers stay near _BUILD_BYTES, whatever the size of the array; each
+    point's phasors do not depend on the others in its call.
+    """
+    elems, (xs, ys, zs) = _wavelengths(geom, slice(None), grid)
+    table = np.empty((xs.size, 2, ys.size, zs.size, geom.n_elements), dtype=np.float32)
+    # parts, amp, the phase and the (y, z) terms take 20 bytes per point and element.
+    step = max(1, _BUILD_BYTES // (20 * zs.size * geom.n_elements))
+    for j in range(0, ys.size, step):
+        planes = _phasor_planes(elems, (xs, ys[j : j + step], zs))
+        for block, parts in zip(table[:, :, j : j + step], planes):
+            block[...] = parts.reshape(block.shape)
+    return table.reshape(xs.size, -1, geom.n_elements)
 
 
 def _table_key(geom: UpaGeometry, grid) -> tuple:
@@ -623,9 +536,11 @@ def _seed_table(geom: UpaGeometry, grid) -> _TableEntry | None:
 
     The memo keeps the _TABLES_MAX boxes used last. A box's first use records
     it and its second builds its table, so a command that locates each box
-    once builds none; a box evicted before it comes back starts again. The
-    key holds the geometry's id, and the entry holds the geometry itself, so
-    that id cannot be reused while the entry lives.
+    once builds none; a box evicted before it comes back starts again. A box
+    gets no table when the table would exceed _TABLE_BYTES or when its rho
+    over the full aperture and all its columns is 1 or more (the comment
+    above _MARGIN). The key holds the geometry's id, and the entry holds the
+    geometry itself, so that id cannot be reused while the entry lives.
     """
     key = _table_key(geom, grid)
     entry = _tables.get(key)
@@ -636,8 +551,11 @@ def _seed_table(geom: UpaGeometry, grid) -> _TableEntry | None:
         return None
     _tables.move_to_end(key)
     if not entry.built:
-        entry.table = _build_table(geom, grid)
-        entry.span = _extent(geom.coords / geom.wavelength, [g / geom.wavelength for g in grid])[3]
+        n = geom.n_elements
+        entry.rho = _phasor_error(*_wavelengths(geom, slice(None), grid))
+        fits = math.prod(g.size for g in grid) * n * 8 <= _TABLE_BYTES
+        if fits and entry.rho + _sum_error(n) < 1.0:
+            entry.table = _build_table(geom, grid)
         entry.built = True
     return entry if entry.table is not None else None
 
@@ -655,19 +573,29 @@ def prefilter_scores(
     y is the echo on the region slice rows and grid is (xs, ys, zs). Both
     results are flat, in lattice order, and |q~ - q| <= dq for the exact
     score q of each point (module docstring). From the second call on the
-    same geometry object and lattice, the scores come from the box's seed
-    table, which the memo holds; before that, and for a box that gets no
-    table, they come from float32 phasors formed for this call. Both routes
-    form the phasors with one kernel, _phasor_planes, and each bound covers
-    the route's single-precision steps. Raises SingularGeometryError when a
-    lattice point coincides with an element of the region.
+    same geometry object and lattice, the phasors are the region's columns
+    of the box's seed table, which the memo holds; before that, and for a
+    box that gets no table, they are formed for this call on the region's
+    elements. Where the bound says nothing or a score is not finite, every
+    point gets q~ = 0 and dq from rho = _NO_BOUND, so every point survives.
+    Raises SingularGeometryError when a lattice point coincides with an
+    element of the region.
     """
     grid = [np.asarray(g, dtype=float) for g in grid]
+    shape = tuple(g.size for g in grid)
     entry = _seed_table(geom, grid)
     if entry is None:
-        q, rho = _direct_scores(geom, y, rows, grid)
+        elems, axes = _wavelengths(geom, rows, grid)
+        rho, blocks = _phasor_error(elems, axes), _phasor_planes(elems, axes)
     else:
-        q, rho = _table_scores(entry.table, y, rows), _table_error(y.size, entry.span)
+        start, stop, _ = rows.indices(geom.n_elements)
+        rho, blocks = entry.rho, [entry.table[:, :, start:stop]]
+    rho += _sum_error(y.size)
+    q = _scores(blocks, y, shape) if rho < 1.0 else None
+    if q is None or not np.isfinite(q).all():
+        if _on_element(*_wavelengths(geom, rows, grid)):
+            raise SingularGeometryError("a candidate point coincides with an array element")
+        q, rho = np.zeros(math.prod(shape)), _NO_BOUND
     reach = rho * math.sqrt(np.vdot(y, y).real)
     return q, reach * (2.0 * np.sqrt(q) + reach)
 
@@ -678,8 +606,9 @@ def lattice_seed(geom: UpaGeometry, y: np.ndarray, rows: slice, grid) -> tuple[_
     The prefilter keeps the points that may hold the maximum, and each of them
     is probed exactly, in lattice order, in batches of about _BUILD_BYTES.
     When every point survives, as for a zero echo, that is the whole lattice.
-    The seed does not depend on the prefilter's route, but the count can: a
-    first locate's float32 bound keeps a few more points than the table's.
+    The seed does not depend on where the phasors came from, but the count
+    can: a table's bound, over the full aperture, keeps a few more points
+    than a first locate's, over the region.
     """
     q, dq = prefilter_scores(geom, y, rows, grid)
     if not (np.isfinite(q).all() and np.isfinite(dq).all()):
@@ -841,7 +770,7 @@ def locate_er(
         raise ValueError(f"search box must be finite: lower {lo}, upper {hi}")
     if np.any(lo > hi):
         raise ValueError(f"search box is empty: lower {lo} exceeds upper {hi}")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     rows = _region_rows(geom, vr_hat, y_bar)
     y = np.asarray(y_bar, dtype=complex)[rows]

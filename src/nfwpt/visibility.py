@@ -38,7 +38,7 @@ def estimate_power_levels(y_bar: np.ndarray, n_alpha: int) -> tuple[float, float
 
 def scaling_factor(p_out: float, p_in: float) -> float:
     """Midpoint window rate between the outside and inside levels."""
-    if p_out < 0 or p_in < 0:
+    if not (p_out >= 0 and p_in >= 0):
         raise ValueError(f"power levels must be nonnegative, got ({p_out}, {p_in})")
     if p_out > p_in:
         raise ValueError(f"outside level {p_out} exceeds inside level {p_in}")

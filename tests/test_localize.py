@@ -393,11 +393,12 @@ def test_both_routes_keep_the_argmax_of_an_echo_scaled_far_from_one(monkeypatch,
 
 
 def test_both_routes_pick_the_same_seed_at_a_1e30_carrier(monkeypatch):
-    # The amplitudes 1 / t are near 1e-22: unscaled, their squares would fall
-    # below the float32 range. The array is so small against the distances
-    # that every lattice score is nearly the same, so every point survives
-    # and the seed is the first maximum of the exact probes, whose last bits
-    # the batched oracle need not share.
+    # The amplitudes 1 / t are near 1e-22: their squares would fall below the
+    # float32 range, and the bound keeps every point, so the box gets no
+    # table. The array is so small against the distances that every lattice
+    # score is nearly the same, so every point survives and the seed is the
+    # first maximum of the exact probes, whose last bits the batched oracle
+    # need not share.
     inputs = _run_trial_inputs(monkeypatch, ("equal_time",), 4, carrier_freq=1e30)
     assert len(inputs) == 8
     for geom, y_bar, vr, box in inputs:
@@ -405,18 +406,20 @@ def test_both_routes_pick_the_same_seed_at_a_1e30_carrier(monkeypatch):
         y, rows, grid = _seed_inputs(y_bar, vr, box)
         lattice = np.stack(np.meshgrid(*grid, indexing="ij"), axis=-1).reshape(-1, 3)
         at = max((localize._probe(geom, y, rows, p) for p in lattice), key=lambda p: p.q)
-        for seed in _route_seeds(geom, y, rows, grid):
+        for seed in _route_seeds(geom, y, rows, grid, tabulated=False):
             _assert_same_probe(seed, at)
 
 
-@pytest.mark.parametrize("carrier", [1e20, 1e22, 1e24])
-def test_the_table_bound_covers_the_exact_probes_at_extreme_carriers(carrier):
+@pytest.mark.parametrize("carrier, tables", [(1e20, 10), (1e22, 1), (1e24, 0)])
+def test_the_table_bound_covers_the_exact_probes_at_extreme_carriers(carrier, tables):
     # A float64 distance rounds the phase by about 2^-52 t turns, which grows
-    # with the carrier: at 1e22 Hz, t reaches 1e14 wavelengths. The table's
-    # bound carries that term, so its dq covers the exact probes' q and the
-    # table route picks the direct route's seed.
+    # with the carrier: at 1e22 Hz, t reaches 1e14 wavelengths. The bound
+    # carries that term, so its dq covers the exact probes' q and both calls
+    # pick the same seed. Where the bound over the full aperture reaches 1,
+    # for most of these boxes from 1e22 Hz on, the box gets no table.
     geom = build_upa(16, 16, carrier)
     rng = np.random.default_rng(round(math.log10(carrier)))
+    built = 0
     for _ in range(10):
         center = rng.uniform([0.5, -1.0, -1.0], [3.0, 1.0, 1.0])
         half = rng.uniform(0.02, 0.3, size=3)
@@ -430,10 +433,39 @@ def test_the_table_bound_covers_the_exact_probes_at_extreme_carriers(carrier):
         for route in ("direct", "table"):
             q, dq = localize.prefilter_scores(geom, y, rows, grid)
             assert np.all(np.abs(q - exact) <= dq), route
-        assert _table(geom, grid) is not None
+        tabulated = _table(geom, grid) is not None
+        assert tabulated == (_box_error(geom, grid) < 1.0)
+        built += tabulated
         localize.clear_seed_tables()
         direct, table = (localize.lattice_seed(geom, y, rows, grid)[0] for _ in range(2))
         _assert_same_probe(table, direct)
+    assert built == tables
+
+
+def _box_error(geom, grid):
+    """rho of a box's seed table over the full aperture and all its columns."""
+    axes = [g / geom.wavelength for g in grid]
+    full = localize._phasor_error(geom.coords / geom.wavelength, axes)
+    return full + localize._sum_error(geom.n_elements)
+
+
+def test_a_box_whose_bound_is_vacuous_stores_no_table():
+    # At 1e24 Hz the float64 distances alone hold the phase to no better
+    # than a turn: rho >= 1, so the bound keeps every point, and a second
+    # locate in the box scores no point either.
+    geom = build_upa(8, 8, 1e24)
+    rng = np.random.default_rng(24)
+    y_bar = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    box = ([1.0, -0.2, 0.1], [1.4, 0.2, 0.5])
+    y, rows, grid = _seed_inputs(y_bar, VisibilityRegion(5, 40), box)
+    assert _box_error(geom, grid) >= 1.0
+    localize.clear_seed_tables()
+    for route in ("direct", "table"):
+        q, dq = localize.prefilter_scores(geom, y, rows, grid)
+        assert not q.any()
+        assert np.all(q + dq >= np.max(q - dq))
+    (entry,) = localize._tables.values()
+    assert entry.built and entry.table is None
 
 
 @st.composite
@@ -482,8 +514,9 @@ def test_a_first_locate_probes_a_few_points(monkeypatch, side):
     for geom, y_bar, vr, box in inputs:
         y, rows, grid = _seed_inputs(y_bar, vr, box)
         localize.clear_seed_tables()
-        _, rho = localize._direct_scores(geom, y, rows, grid)
-        assert rho < 5e-4
+        elems = geom.coords[:, rows] / geom.wavelength
+        axes = [g / geom.wavelength for g in grid]
+        assert localize._phasor_error(elems, axes) + localize._sum_error(y.size) < 5e-4
         counts.append(localize.lattice_seed(geom, y, rows, grid)[1])
     assert max(counts) <= 9 and sum(counts) <= 4 * len(counts)
 
