@@ -393,10 +393,10 @@ def _phasor_planes(elems: np.ndarray, axes):
     """The prefilter's float32 phasors of the elements elems over the lattice
     axes, both in wavelengths, one x-plane at a time (module docstring).
 
-    Yields, for each x in lattice order, the plane as a (1, 2 points of the
-    plane, elements) block: amp cos(phase) stacked over amp sin(phase), with
-    amp = 1 / t and the phase 2 pi (t - T), T the point's distance to the
-    elements' center.
+    Yields, for each x in lattice order, the plane as a (1, 2 P, elements)
+    block, P the points of the plane: amp cos(phase) stacked over
+    amp sin(phase), with amp = 1 / t and the phase 2 pi (t - T), T the
+    point's distance to the elements' center.
     With P = point - center and F = element - center, t^2 = T^2 + N and
     t - T = N / (t + T), where N = |F|^2 - 2 P.F. N is the sum of a (y, z)
     term, formed once per call, and an x term, formed once per plane; each
@@ -479,11 +479,12 @@ def _scores(blocks, y: np.ndarray, shape) -> np.ndarray:
     from its phasors on the columns of y.
 
     blocks are float32 arrays of whole x-planes in lattice order, shape
-    (planes, 2 points of a plane, columns), each plane amp cos(phase) rows
-    over amp sin(phase) rows: one plane at a time from _phasor_planes, or a
-    seed table's columns in one block, whose products BLAS still takes plane
-    by plane. The echo is divided by its largest |entry| before it is rounded
-    to float32, and the scale is restored in float64.
+    (planes, 2 P, columns) with P the points of a plane, each plane's P
+    amp cos(phase) rows over its P amp sin(phase) rows: one plane at a time
+    from _phasor_planes, or a seed table's columns in one block, whose
+    products BLAS still takes plane by plane. The echo is divided by its
+    largest |entry| before it is rounded to float32, and the scale is
+    restored in float64.
     """
     count = shape[1] * shape[2]
     top = float(np.abs(y).max())
@@ -509,7 +510,8 @@ def _scores(blocks, y: np.ndarray, shape) -> np.ndarray:
 def _build_table(geom: UpaGeometry, grid) -> np.ndarray:
     """The lattice's seed table over the full aperture: the x-planes of
     _phasor_planes over every element, as they come, shape (x values,
-    2 points of a plane, elements) in float32, 8 bytes per point and element.
+    2 P, elements) in float32 with P the points of a plane, 8 bytes per
+    point and element.
 
     The stage runs on a few y values of the lattice at a time, so that its
     buffers stay near _BUILD_BYTES, whatever the size of the array; each
