@@ -85,17 +85,19 @@ def _as_point(point) -> np.ndarray:
     pos = np.asarray(point, dtype=float)
     if pos.shape != (3,):
         raise ValueError(f"point must have shape (3,), got {pos.shape}")
+    if not np.isfinite(pos).all():
+        raise ValueError("point must be finite")
     return pos
 
 
 def point_distances(geom: UpaGeometry, points: np.ndarray, rows=slice(None)) -> np.ndarray:
     """Distances from the elements in rows to each column of points, shape (P, n_rows).
 
-    points is a (3, P) array, one point per column. One subtraction forms the
-    three offset rows of every point, which are squared and summed
-    (x + y) + z as in grid_distances, so each row has the bits of that point
-    alone and of the same point on the grid path. A point on an element has
-    a zero distance: this function does not check, its callers do.
+    The one float64 element-distance kernel. points is a (3, P) array, one
+    point per column; one subtraction forms the offset rows of every point,
+    squared and summed (x + y) + z, so each row has the bits of that point
+    alone. A point on an element has a zero distance, which its callers
+    find through off_element_count.
     """
     part = np.subtract(points.astype(float, copy=False)[:, :, None], geom.coords[:, None, rows])
     part *= part
@@ -103,59 +105,18 @@ def point_distances(geom: UpaGeometry, points: np.ndarray, rows=slice(None)) -> 
     return np.sqrt(dists, out=dists)
 
 
-def grid_distances(geom: UpaGeometry, grid, rows=slice(None)) -> np.ndarray:
-    """Distances from the elements in rows to every point of a grid.
-
-    grid is (xs, ys, zs), one 1-D coordinate array per axis, and names every
-    point (x, y, z) of their product; the result has shape
-    (len(xs), len(ys), len(zs), n_rows). The squared offsets are summed one
-    axis at a time, in the order (x + y) + z that np.linalg.norm also uses,
-    so no (points, elements, 3) array forms. Each axis reads one contiguous
-    row of geom.coords. A single point given as a (3, 1) array, the form
-    steering_vector uses, takes point_distances, with the same arithmetic
-    and so the same bits. Raises SingularGeometryError when a point
-    coincides with an element.
-    """
-    elems = geom.coords[:, rows]
-    n = elems.shape[1]
-    if isinstance(grid, np.ndarray) and grid.shape == (3, 1):
-        dists = point_distances(geom, grid, rows).reshape(1, 1, 1, n)
-        # Counts NaN as nonzero, as np.any(dists == 0.0) does, in one cheap pass.
-        singular = np.count_nonzero(dists) < n
-    else:
-        parts = []
-        for ax, coords in enumerate(grid):
-            part = np.subtract.outer(np.asarray(coords, dtype=float), elems[ax])
-            part *= part
-            shape = [1, 1, 1, n]
-            shape[ax] = part.shape[0]
-            parts.append(part.reshape(shape))
-        dists = (parts[0] + parts[1]) + parts[2]
-        np.sqrt(dists, out=dists)
-        # The min is cheaper than counting over a whole grid. A NaN min hides
-        # whether a zero sits beside the NaN, so only then count.
-        low = dists.min(initial=np.inf)
-        singular = low == 0 or (np.isnan(low) and np.count_nonzero(dists) < dists.size)
-    if singular:
-        raise SingularGeometryError("a candidate point coincides with an array element")
-    return dists
+def off_element_count(dists: np.ndarray) -> int:
+    """Number of leading rows of dists, one point each, with no zero distance,
+    that is no point on an element. NaN counts as nonzero."""
+    if np.count_nonzero(dists) == dists.size:
+        return len(dists)
+    return int((dists == 0.0).any(axis=1).argmax())
 
 
 def free_space(geom: UpaGeometry, dists: np.ndarray) -> np.ndarray:
     """Free-space responses lambda / (4 pi d) exp(-j 2 pi d / lambda) at distances d."""
     amp = geom.wavelength / (4.0 * np.pi * dists)
     return amp * np.exp(-2j * np.pi / geom.wavelength * dists)
-
-
-def array_response(geom: UpaGeometry, grid, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-    """Distances and free-space responses of the elements in rows over a grid.
-
-    grid is (xs, ys, zs) as in grid_distances, and both results have shape
-    (len(xs), len(ys), len(zs), n_rows). A single point is the grid
-    point[:, None].
-    """
-    dists = grid_distances(geom, grid, rows)
-    return dists, free_space(geom, dists)
 
 
 def radial_rows(geom: UpaGeometry, point, dists: np.ndarray, rows=slice(None)) -> np.ndarray:
@@ -181,9 +142,10 @@ def response_derivatives(
 ) -> np.ndarray:
     """Partial derivatives of the responses at one point, shape (3, n_rows).
 
-    dists and entries are the point's (n_rows,) results of array_response,
-    and row u of the result is the derivative along axis u. Differentiating
-    amplitude and phase of each entry gives
+    dists and entries are the point's (n_rows,) distances and free-space
+    responses (point_distances, free_space), and row u of the result is the
+    derivative along axis u. Differentiating amplitude and phase of each
+    entry gives
 
         d a_n / d u = a_n(l) * ( (u_n - u) / d_n^2 + j 2 pi (u_n - u) / (lambda d_n) ),
 
@@ -237,10 +199,13 @@ def steering_vector(geom: UpaGeometry, point, rows=slice(None)) -> np.ndarray:
     Entry n carries the free-space amplitude lambda / (4 pi d_n) and the
     propagation phase exp(-j 2 pi d_n / lambda), with d_n the exact distance
     from element n to the point (no far-field plane-wave approximation).
-    rows defaults to the full aperture.
+    rows defaults to the full aperture. A point that is not finite raises
+    ValueError, and a point on an element of rows SingularGeometryError.
     """
-    pos = _as_point(point)
-    return array_response(geom, pos[:, None], rows)[1].reshape(-1)
+    dists = point_distances(geom, _as_point(point)[:, None], rows)
+    if off_element_count(dists) < len(dists):
+        raise SingularGeometryError("a candidate point coincides with an array element")
+    return free_space(geom, dists).reshape(-1)
 
 
 def channel(geom: UpaGeometry, er: ErState) -> np.ndarray:

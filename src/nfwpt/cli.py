@@ -17,7 +17,7 @@ from .crb import min_sensing_duration
 from .harness import (
     SCHEMES,
     ScenarioConfig,
-    array_geometry,
+    clear_memos,
     load_config,
     plan,
     rows_to_csv,
@@ -27,7 +27,6 @@ from .harness import (
     sweep_pmax,
     write_csv,
 )
-from .localize import clear_seed_tables
 
 _DEFAULT_POWER_GRID = "0.1,0.31622776601683794,1.0,3.1622776601683795"
 _DEFAULT_WEIGHT_GRID = "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9"
@@ -140,9 +139,7 @@ def main(argv=None) -> int:
     # fresh process, so what one command costs does not depend on the
     # commands run before it in the same interpreter. Scenes and sensing are
     # shared only within one trial of run_trials, so no command inherits any.
-    array_geometry.cache_clear()
-    clear_seed_tables()
-    plan.cache_clear()
+    clear_memos()
     try:
         _run(args)
     except (ValueError, OSError, MemoryError) as exc:

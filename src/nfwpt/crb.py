@@ -28,11 +28,12 @@ same double-precision block this measured within 0.06 cond(U) u
 
 Planning needs the information at the 27 points of each receiver's prior
 lattice, so fim() takes the lattice as per-axis offsets and evaluates every
-point in one call: one array_response over the grid on the region's
-elements, then, one z-row of the grid at a time, a loop that writes each
-point's derivative rows into its C-ordered (4, M) block, one np.vecdot for
-the probe projections x^T u and one QR of the row's blocks, and finally
-the 5 x 5 work in batched calls over every point. np.vecdot reduces each row
+point in one call: one point_distances (the one float64 distance kernel)
+and one free_space over the lattice's points on the region's elements,
+then, one z-row of the grid at a time, a loop that writes each point's
+derivative rows into its C-ordered (4, M) block, one np.vecdot for the
+probe projections x^T u and one QR of the row's blocks, and finally the
+5 x 5 work in batched calls over every point. np.vecdot reduces each row
 with the bits of x.dot on that row alone, and LAPACK factors each stack item
 on its own (tests in tests/test_channel.py and tests/test_crb.py guard
 both), so a point's results have the same bits whatever other points share
@@ -56,9 +57,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import (
-    ErState, VisibilityRegion, array_response, response_derivatives, steering_vector
+    ErState, VisibilityRegion, free_space, off_element_count, point_distances,
+    response_derivatives, steering_vector,
 )
-from .errors import DegenerateChannelError, InfeasibleBlockError, SingularFimError
+from .errors import (
+    DegenerateChannelError, InfeasibleBlockError, SingularFimError, SingularGeometryError
+)
 from .geometry import UpaGeometry
 
 _COND_LIMIT = 1e12
@@ -154,10 +158,11 @@ def fim(
             raise ValueError("position must be finite")
     rows = er_nominal.vr.rows(n)
     x = x[rows]
-    dists, entries = array_response(geom, grid, rows)
-    dists = dists.reshape(-1, x.size)
-    entries = entries.reshape(-1, x.size)
     points = np.stack(np.meshgrid(*grid, indexing="ij"), axis=-1).reshape(-1, 3)
+    dists = point_distances(geom, points.T, rows)
+    if off_element_count(dists) < len(dists):
+        raise SingularGeometryError("a candidate point coincides with an array element")
+    entries = free_space(geom, dists)
     # A point's block holds h in row 0 and its derivative rows below, each
     # row one contiguous run, as np.vecdot needs for its bits. The blocks of
     # one z-row of the grid are factored per call while fresh in the cache,

@@ -13,6 +13,8 @@ sufficient statistic for (position, b).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -48,7 +50,10 @@ def simulate_echo(
         raise ValueError(f"slot length must be >= 1, got {slot_len}")
     if not noise_power >= 0:
         raise ValueError(f"noise power must be nonnegative, got {noise_power}")
-    signal = complex(b) * h * (h @ probe)
+    b = complex(b)
+    if not (math.isfinite(b.real) and math.isfinite(b.imag)):
+        raise ValueError("reflection coefficient must be finite")
+    signal = b * h * (h @ probe)
     if noise_power > 0:
         samples = np.empty((h.size, slot_len), dtype=complex)
         scale = np.sqrt(noise_power / 2.0)

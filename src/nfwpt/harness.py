@@ -42,7 +42,7 @@ from .crb import LatticeCrb, lattice_crb, min_sensing_duration
 from .echo import aggregate, simulate_echo, uniform_probe
 from .errors import DegenerateChannelError, InfeasibleBlockError, SingularFimError
 from .geometry import SPEED_OF_LIGHT, UpaGeometry, build_upa
-from .localize import LocalizationResult, locate_er
+from .localize import LocalizationResult, clear_seed_tables, locate_er
 from .visibility import estimate_power_levels, identify_vr, scaling_factor
 
 SCHEMES = ("proposed", "perfect_csi", "isotropic", "equal_time", "no_vr")
@@ -382,6 +382,14 @@ def _plan(
 # The memo's controls, named as on any lru_cache-wrapped function.
 plan.cache_info = _plan.cache_info
 plan.cache_clear = _plan.cache_clear
+
+
+def clear_memos() -> None:
+    """Empty every memo that outlives a command: the geometries, the seed
+    tables and the plans. cli.main calls it at the start of every command."""
+    array_geometry.cache_clear()
+    clear_seed_tables()
+    plan.cache_clear()
 
 
 @dataclass(frozen=True)

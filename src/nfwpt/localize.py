@@ -97,6 +97,7 @@ from .channel import (
     VisibilityRegion,
     _as_point,
     free_space,
+    off_element_count,
     point_distances,
     radial_rows,
     response_derivatives,
@@ -279,12 +280,9 @@ def _probes(geom: UpaGeometry, y: np.ndarray, rows: slice, points: np.ndarray) -
     its score leaves the float range.
     """
     dists = point_distances(geom, points, rows)
-    count = points.shape[1]
-    # Counts NaN as nonzero, as grid_distances does. Only the points before
-    # the first one on an element are scored.
-    if np.count_nonzero(dists) < dists.size:
-        count = int((dists == 0.0).any(axis=1).argmax())
-        dists = dists[:count]
+    # Only the points before the first one on an element are scored.
+    count = off_element_count(dists)
+    dists = dists[:count]
     h = free_space(geom, dists)
     s = np.vecdot(h, y).tolist()
     e = np.vecdot(h, h).real.tolist()

@@ -33,6 +33,10 @@ def estimate_power_levels(y_bar: np.ndarray, n_alpha: int) -> tuple[float, float
             f"n_alpha must lie in 1..{mags.size // 2} for {mags.size} elements, got {n_alpha}"
         )
     mags = np.sort(mags)
+    # np.sort puts NaN last and no magnitude is negative, so the largest
+    # magnitude is finite exactly when all are.
+    if not math.isfinite(mags[-1]):
+        raise ValueError("aggregated echo must be finite")
     return float(mags[:n_alpha].mean()), float(mags[-n_alpha:].mean())
 
 

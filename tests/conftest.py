@@ -2,7 +2,7 @@
 
 import pytest
 
-from nfwpt import harness, localize
+from nfwpt import harness
 
 
 @pytest.fixture(autouse=True)
@@ -14,6 +14,4 @@ def _empty_memos():
     so without this a test that counts the calls into a stage would see the
     entries that earlier tests left behind.
     """
-    harness.array_geometry.cache_clear()
-    localize.clear_seed_tables()
-    harness.plan.cache_clear()
+    harness.clear_memos()

@@ -23,9 +23,12 @@ computes another way, kept so the tests can arbitrate the fast path:
   the N x N matrices the package never forms.
 - nominal_sensing_duration: slot planning from the nominal lattice points
   only.
+- lattice_response: distances and free-space responses over every point of
+  a lattice (xs, ys, zs), from point_distances over its points in product
+  order.
 - lattice_scores: the localizer's seed lattice scored in one double-precision
-  array_response over every point; np.argmax of it is the seed that
-  localize.lattice_seed must pick.
+  lattice_response; np.argmax of it is the seed that localize.lattice_seed
+  must pick.
 - full_aperture_objective: localize.concentrated_objective from the masked
   full-aperture response instead of one probe of the region slice.
 - cholesky_solve: the localizer's damped step through LAPACK, the
@@ -46,8 +49,9 @@ import numpy as np
 from nfwpt.channel import (
     ErState,
     VisibilityRegion,
-    array_response,
     channel,
+    free_space,
+    point_distances,
     response_derivatives,
     steering_vector,
 )
@@ -82,8 +86,8 @@ def channel_derivative(geom, point, vr: VisibilityRegion, axis: str) -> np.ndarr
     pos = np.asarray(point, dtype=float)
     if pos.shape != (3,):
         raise ValueError(f"point must have shape (3,), got {pos.shape}")
-    dists, entries = array_response(geom, pos[:, None])
-    deriv = response_derivatives(geom, pos, dists.reshape(-1), entries.reshape(-1))
+    dists = point_distances(geom, pos[:, None])[0]
+    deriv = response_derivatives(geom, pos, dists, free_space(geom, dists))
     return deriv[_AXES[axis]] * vr_cover(vr, geom.n_elements)
 
 
@@ -227,10 +231,18 @@ def nominal_sensing_duration(crbs, gamma: float) -> int:
     return max(1, math.ceil(max(c.nominal for c in crbs) / gamma))
 
 
+def lattice_response(geom, grid, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """Distances and free-space responses of the elements in rows at every
+    point of grid (xs, ys, zs), shape (P, n_rows) with the points in product
+    order, from point_distances over the meshgrid's points."""
+    points = np.stack(np.meshgrid(*grid, indexing="ij")).reshape(3, -1)
+    dists = point_distances(geom, points, rows)
+    return dists, free_space(geom, dists)
+
+
 def lattice_scores(geom, y, rows, grid) -> np.ndarray:
     """Concentrated score |h^H y|^2 / ||h||^2 of every lattice point, in lattice order."""
-    _, entries = array_response(geom, grid, rows)
-    entries = entries.reshape(-1, y.size)
+    _, entries = lattice_response(geom, grid, rows)
     return np.abs(entries @ y.conj()) ** 2 / (np.abs(entries) ** 2).sum(axis=1)
 
 

@@ -11,6 +11,8 @@ from nfwpt import (
     average_harvested_power,
     build_upa,
     channel,
+    concentrated_objective,
+    estimate_power_levels,
     fim,
     fim_finite_difference,
     lattice_crb,
@@ -19,6 +21,7 @@ from nfwpt import (
     scaling_factor,
     simulate_echo,
     solve_energy_covariance,
+    steering_vector,
     uniform_probe,
     weighted_channel_matrix,
 )
@@ -59,6 +62,10 @@ def _crbs():
         (lambda: min_sensing_duration(_crbs(), 4e4, NAN), "block length must be >= 1"),
         (lambda: build_upa(4, 4, NAN), "carrier frequency must be positive"),
         (lambda: build_upa(4, 4, 28e9, spacing=NAN), "element spacing must be positive"),
+        (lambda: steering_vector(GEOM, [NAN, 0.0, 0.0]), "point must be finite"),
+        (lambda: concentrated_objective(GEOM, H, [NAN, 0.0, 0.0], ER.vr), "point must be finite"),
+        (lambda: estimate_power_levels(np.full(16, NAN), 4), "aggregated echo must be finite"),
+        (lambda: simulate_echo(H, NAN, PROBE, 1, 0.0, RNG), "reflection coefficient must be fin"),
     ],
     ids=[
         "simulate_echo-noise_power",
@@ -78,6 +85,10 @@ def _crbs():
         "min_sensing_duration-block_len",
         "build_upa-carrier_freq",
         "build_upa-spacing",
+        "steering_vector-point",
+        "concentrated_objective-candidate",
+        "estimate_power_levels-y_bar",
+        "simulate_echo-b",
     ],
 )
 def test_a_nan_input_fails_the_check_where_it_enters(call, message):

@@ -7,11 +7,10 @@ from nfwpt import build_upa, fim, fim_finite_difference, locate_er
 from nfwpt.channel import (
     ErState,
     VisibilityRegion,
-    array_response,
     channel,
     free_space,
-    grid_distances,
     min_vr_span,
+    off_element_count,
     point_distances,
     radial_rows,
     response_derivatives,
@@ -21,6 +20,7 @@ from nfwpt.channel import (
 from nfwpt.errors import SingularGeometryError
 from oracles import (
     channel_derivative,
+    lattice_response,
     masked_response,
     response_derivatives_expression,
     vr_cover,
@@ -222,8 +222,8 @@ def test_second_derivatives_match_central_differences():
     vr = VisibilityRegion(5, 50)
     for _ in range(5):
         point = rng.uniform([0.5, -0.8, -0.8], [3.0, 0.8, 0.8])
-        dists, entries = array_response(geom, point[:, None])
-        analytic = response_hessians(geom, point, dists.reshape(-1), entries.reshape(-1))
+        dists = point_distances(geom, point[:, None])[0]
+        analytic = response_hessians(geom, point, dists, free_space(geom, dists))
         np.testing.assert_allclose(analytic, analytic.transpose(1, 0, 2), rtol=1e-14)
         for v, unit in enumerate(np.eye(3)):
             for u, ax in enumerate("xyz"):
@@ -240,37 +240,18 @@ def test_grid_response_matches_pointwise_steering_vectors():
     geom = build_upa(8, 8, 28e9)
     grid = [np.linspace(0.5, 1.5, 3), np.linspace(-0.4, 0.4, 4), np.array([0.2, 0.7])]
     rows = slice(9, 41)
-    _, entries = array_response(geom, grid, rows)
-    assert entries.shape == (3, 4, 2, 32)
-    for i, j, k in np.ndindex(3, 4, 2):
+    _, entries = lattice_response(geom, grid, rows)
+    assert entries.shape == (24, 32)
+    for row, (i, j, k) in zip(entries, np.ndindex(3, 4, 2)):
         point = (grid[0][i], grid[1][j], grid[2][k])
-        np.testing.assert_array_equal(entries[i, j, k], steering_vector(geom, point)[rows])
-
-
-@pytest.mark.parametrize("size", [(8, 8), (9, 7), (32, 32)])
-@pytest.mark.parametrize("rows", [slice(None), slice(5, 40), slice(17, 19)])
-def test_one_point_distances_equal_the_grid_path(size, rows):
-    # A (3, 1) array takes the one-point path; the same point as three
-    # one-element axes takes the broadcast grid path.
-    geom = build_upa(*size, 28e9)
-    rng = np.random.default_rng(size[0] * 10 + size[1])
-    for point in rng.uniform([-2.5, -0.8, -0.8], [2.5, 0.8, 0.8], size=(20, 3)):
-        axes = [point[ax : ax + 1] for ax in range(3)]
-        expected = grid_distances(geom, axes, rows)
-        got = grid_distances(geom, point[:, None], rows)
-        assert got.shape == expected.shape == (1, 1, 1, expected.shape[-1])
-        assert got.tobytes() == expected.tobytes()
-        dists, entries = array_response(geom, point[:, None], rows)
-        grid_dists, grid_entries = array_response(geom, axes, rows)
-        assert dists.tobytes() == grid_dists.tobytes()
-        assert entries.tobytes() == grid_entries.tobytes()
+        np.testing.assert_array_equal(row, steering_vector(geom, point)[rows])
 
 
 @pytest.mark.parametrize("side", [8, 16, 48])
 @pytest.mark.parametrize("rows", [slice(None), slice(5, 40), slice(17, 19)])
 def test_point_set_rows_equal_the_single_point_responses(side, rows):
-    # Each row of the (3, P) kernel carries the bits of array_response at
-    # that point alone, whatever other points share the call.
+    # Each row of the (3, P) kernel carries the bits of that point alone,
+    # whatever other points share the call.
     geom = build_upa(side, side, 28e9)
     rng = np.random.default_rng(side)
     for count in (1, 2, 9, 30):
@@ -279,9 +260,9 @@ def test_point_set_rows_equal_the_single_point_responses(side, rows):
         entries = free_space(geom, dists)
         assert dists.shape == entries.shape == (count, geom.coords[:, rows].shape[1])
         for k in range(count):
-            alone, alone_entries = array_response(geom, points[:, k : k + 1], rows)
+            alone = point_distances(geom, points[:, k : k + 1], rows)[0]
             assert dists[k].tobytes() == alone.tobytes()
-            assert entries[k].tobytes() == alone_entries.tobytes()
+            assert entries[k].tobytes() == steering_vector(geom, points[:, k])[rows].tobytes()
 
 
 @pytest.mark.parametrize("size", [*range(1, 41), 117, 256, 1024, 2304])
@@ -313,7 +294,8 @@ def test_shared_radial_rows_keep_the_kernel_bits():
     geom = build_upa(16, 16, 28e9)
     rows = slice(30, 147)
     point = np.array([1.3, 0.2, -0.1])
-    dists, entries = (a.reshape(-1) for a in array_response(geom, point[:, None], rows))
+    dists = point_distances(geom, point[:, None], rows)[0]
+    entries = free_space(geom, dists)
     radial = radial_rows(geom, point, dists, rows)
     assert radial.flags.c_contiguous
     for kernel in (response_derivatives, response_hessians):
@@ -321,34 +303,41 @@ def test_shared_radial_rows_keep_the_kernel_bits():
         assert shared.tobytes() == kernel(geom, point, dists, entries, rows).tobytes()
 
 
-@pytest.mark.parametrize("one_point", [True, False])
-def test_distance_kernel_rejects_an_element_and_passes_nan(one_point):
-    # Either path raises exactly when np.any(dists == 0.0) would: on an
-    # element, but not for a NaN distance.
+def test_the_zero_distance_rule_finds_an_element_of_the_rows_and_passes_nan():
+    # off_element_count finds a point on an element exactly where
+    # np.any(dists == 0.0) would: on an element of the rows, but not for a
+    # NaN distance. steering_vector and fim raise through it.
     geom = build_upa(8, 8, 28e9)
     rows = slice(9, 41)
+    vr = VisibilityRegion(10, 41)
+    probe = np.ones(geom.n_elements, dtype=complex)
 
-    def form(point):
-        point = np.asarray(point, dtype=float)
-        return point[:, None] if one_point else [point[ax : ax + 1] for ax in range(3)]
+    def clear(*points):
+        with np.errstate(invalid="ignore"):
+            dists = point_distances(geom, np.array(points, dtype=float).reshape(-1, 3).T, rows)
+        assert dists.shape == (len(points), 32)
+        return off_element_count(dists)
 
+    fine = np.array([0.9, 0.1, 0.2])
     for element in (geom.coords.T[9], geom.coords.T[40]):
+        assert clear(element) == 0
+        assert clear(fine, fine, element, fine) == 2
         with pytest.raises(SingularGeometryError):
-            grid_distances(geom, form(element), rows)
+            steering_vector(geom, element, rows)
+        with pytest.raises(SingularGeometryError):
+            fim(geom, ErState(element, vr), probe, 1, 1e-15)
+        # Only the lattice's last point, in product order, lies on the element.
+        with pytest.raises(SingularGeometryError):
+            fim(geom, ErState(element, vr), probe, 1, 1e-15, offsets=[(0.05, 0.0)] * 3)
     # An element outside rows is no singularity for the rows.
-    assert grid_distances(geom, form(geom.coords.T[8]), rows).all()
-    with np.errstate(invalid="ignore"):
-        nan = grid_distances(geom, form([np.nan, 0.1, 0.2]), rows)
-    assert np.isnan(nan).all()
-    if not one_point:
-        # A NaN beside a coincident point makes the grid's min NaN, which
-        # must not hide the coincidence.
-        x, y, z = geom.coords.T[20]
-        for xs in ([x, np.nan], [np.nan, x]):
-            with np.errstate(invalid="ignore"), pytest.raises(SingularGeometryError):
-                grid_distances(geom, (np.array(xs), [y], [z]), rows)
-        # An empty grid has no point on an element.
-        assert grid_distances(geom, (np.empty(0), [y], [z]), rows).shape == (0, 1, 1, 32)
+    outside = geom.coords.T[8]
+    assert clear(outside) == 1
+    assert steering_vector(geom, outside, rows).all()
+    nan = [np.nan, 0.1, 0.2]
+    assert clear(nan) == 1
+    # NaN counts as nonzero, and does not hide a zero beside it.
+    assert clear(nan, geom.coords.T[20]) == 1
+    assert clear() == 0
 
 
 @pytest.mark.parametrize("size", [(8, 8), (9, 7), (32, 32)])
@@ -361,10 +350,9 @@ def test_derivative_kernel_keeps_the_bits_and_layout_of_the_expression(size, row
     rng = np.random.default_rng(size[0] * 100 + size[1])
     center = rng.uniform([0.3, -0.8, -0.8], [2.5, 0.8, 0.8])
     grid = [center[ax] + np.array([-0.15, 0.0, 0.15]) for ax in range(3)]
-    dists, entries = array_response(geom, grid, rows)
-    points = np.stack(np.meshgrid(*grid, indexing="ij"), axis=-1)
-    for index in np.ndindex(3, 3, 3):
-        point, d, e = points[index], dists[index], entries[index]
+    dists, entries = lattice_response(geom, grid, rows)
+    points = np.stack(np.meshgrid(*grid, indexing="ij"), axis=-1).reshape(-1, 3)
+    for point, d, e in zip(points, dists, entries):
         kernel = response_derivatives(geom, point, d, e, rows)
         expected = response_derivatives_expression(geom, point, d, e, rows)
         assert kernel.shape == expected.shape == (3, d.size)

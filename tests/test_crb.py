@@ -20,7 +20,7 @@ from nfwpt import (
     lattice_crb,
     min_sensing_duration,
 )
-from nfwpt.channel import ErState, VisibilityRegion, array_response, channel
+from nfwpt.channel import ErState, VisibilityRegion, channel, free_space
 from nfwpt.cli import main
 from nfwpt.crb import FisherInfo, LatticeCrb
 from nfwpt.echo import uniform_probe
@@ -32,6 +32,7 @@ from oracles import (
     fim_per_point,
     lattice_crb_per_point,
     lattice_points,
+    lattice_response,
     nominal_sensing_duration,
     point_block,
     sample_covariance,
@@ -595,7 +596,8 @@ def test_lattice_crbs_agree_with_a_60_digit_reference(size):
 class TestFimFootprint:
     def test_peak_stays_near_one_grid_response(self):
         # The lattice FIM holds no array over every point x row x element:
-        # its traced peak is that of the grid's array_response plus one
+        # its traced peak is that of the lattice's distances and responses
+        # (point_distances and free_space over its 27 points) plus one
         # z-row's (3, 4, N) blocks and np.linalg.qr's copy of them.
         cfg = ScenarioConfig()
         geom = build_upa(32, 32, 28e9)
@@ -613,7 +615,7 @@ class TestFimFootprint:
             finally:
                 tracemalloc.stop()
 
-        response = peak(lambda: array_response(geom, grid))
+        response = peak(lambda: lattice_response(geom, grid))
         lattice = peak(lambda: fim(geom, state, probe, 1, cfg.noise_power, offsets=offsets))
         assert lattice <= 1.25 * response
 
@@ -697,11 +699,10 @@ class TestLatticeErrors:
         geom, er, probe = _scene(13, n_y=6, n_z=6)
         # Every entry of a region is nonzero at a finite distance, so zero the
         # responses the planning FIM reads.
-        def silent(*args):
-            dists, entries = array_response(*args)
-            return dists, np.zeros_like(entries)
+        def silent(geom, dists):
+            return np.zeros_like(free_space(geom, dists))
 
-        monkeypatch.setattr(crb, "array_response", silent)
+        monkeypatch.setattr(crb, "free_space", silent)
         for offsets in (None, [(-0.1, 0.0, 0.1)] * 3):
             with pytest.raises(DegenerateChannelError, match="identically zero"):
                 fim(geom, er, probe, 1, 1e-15, offsets=offsets)

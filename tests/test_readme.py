@@ -1,5 +1,6 @@
 """README.md against the code: the CLI's flags and commands, the scenario
-file's keys and defaults, the CSV header and the crb example output."""
+file's keys and defaults, the CSV header, the crb example output and the
+Library example, which runs."""
 
 import json
 import re
@@ -67,3 +68,12 @@ def test_the_crb_example_is_the_recorded_crb_output():
     recorded = json.loads((_ROOT / "tests" / "cli_output.json").read_text())
     (example,) = [b for b in _blocks(_section("## CLI")) if b.startswith("er1:")]
     assert example == recorded["commands"]["crb"]["stdout"]
+
+
+def test_the_library_example_runs():
+    (example,) = _blocks(_section("## Library"), "python")
+    scope = {}
+    exec(example, scope)
+    assert scope["tau"] == 1
+    assert scope["vr_hat"] == scope["er"].vr
+    assert scope["p_avg"] > 0
