@@ -247,6 +247,33 @@ def test_grid_response_matches_pointwise_steering_vectors():
         np.testing.assert_array_equal(row, steering_vector(geom, point)[rows])
 
 
+@pytest.mark.parametrize("size", [(8, 8), (9, 7), (32, 32)])
+@pytest.mark.parametrize("rows", [slice(None), slice(5, 40), slice(17, 19)])
+def test_one_point_distances_equal_the_grid_path(size, rows):
+    # steering_vector passes a contiguous (3, 1) array; fim builds its grid's
+    # points from three axes in product order and passes the transposed
+    # (P, 3) stack, a non-contiguous (3, P) view. A point's row has the same
+    # bits either way, alone or as the center of a 3 x 3 x 3 grid, in either
+    # layout.
+    geom = build_upa(*size, 28e9)
+    rng = np.random.default_rng(size[0] * 10 + size[1])
+
+    def fim_points(grid):
+        return np.stack(np.meshgrid(*grid, indexing="ij"), axis=-1).reshape(-1, 3).T
+
+    for point in rng.uniform([-2.5, -0.8, -0.8], [2.5, 0.8, 0.8], size=(20, 3)):
+        expected = point_distances(geom, point[:, None], rows)
+        assert expected.shape == (1, geom.coords[:, rows].shape[1])
+        axes = [point[ax : ax + 1] for ax in range(3)]
+        assert point_distances(geom, fim_points(axes), rows).tobytes() == expected.tobytes()
+        grid = [point[ax] + np.array([-0.1, 0.0, 0.1]) for ax in range(3)]
+        # The grid's center is point 13 in product order.
+        strided = point_distances(geom, fim_points(grid), rows)
+        dists, entries = lattice_response(geom, grid, rows)
+        assert strided[13].tobytes() == dists[13].tobytes() == expected[0].tobytes()
+        assert entries[13].tobytes() == steering_vector(geom, point)[rows].tobytes()
+
+
 @pytest.mark.parametrize("side", [8, 16, 48])
 @pytest.mark.parametrize("rows", [slice(None), slice(5, 40), slice(17, 19)])
 def test_point_set_rows_equal_the_single_point_responses(side, rows):
